@@ -333,8 +333,7 @@ def cmd_xi_yukawa_sweep(args) -> int:
 def cmd_oracle_verify(args) -> int:
     settings = _merge_settings(None, args.config)
     constants = PhysicalConstants(G=_scalar(settings, "constants.G"))
-    results = run_suite(constants, quick=args.quick, corrupt=args.corrupt_check,
-                        tolerance_override=args.tolerance)
+    results = run_suite(constants, quick=args.quick, tolerance_override=args.tolerance)
     report = format_report(results)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
@@ -432,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the per-check tolerances")
     sub.add_argument("--quick", action="store_true",
                      help="one configuration per check family")
-    sub.add_argument("--corrupt-check", default=None, help=argparse.SUPPRESS)
     sub.set_defaults(func=cmd_oracle_verify)
 
     sub = commands.add_parser("limits", help="alpha-lambda exclusion bounds")

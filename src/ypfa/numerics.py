@@ -45,7 +45,7 @@ def x_cosh_x_minus_sinh_x(v: float) -> float:
         # ratio of consecutive terms: v^2 * (2k) / ((2k-2)(2k)(2k+1)) ... keep exact:
         term *= v * v * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
         total += term
-        if term < total * 1e-18:
+        if term <= total * 1e-18:
             return total
 
 

@@ -12,8 +12,12 @@ the uniform-ball exterior kernel), it is (a) derived independently here and
 the chain of trust bottoms out at the point kernels.
 
 The integrator is a worst-interval-first adaptive Gauss-Kronrod 7/15 rule
-with |K15 - G7| as a (conservative) per-panel error bound. Subdivision order
-and the final accumulation order (panels sorted by left endpoint, compensated
+with |K15 - G7| as the per-panel error estimate. As in QUADPACK's QAG, the
+initial mesh is only {lo, hi} plus a geometric ladder at each known boundary
+layer, and adaptivity refines from there; dropping the former uniform fill to
+8 (outer) or 4 (inner) panels cut a full oracle-verify from 4,432,155 to
+1,751,700 integrand evaluations at unchanged verdicts. Subdivision order and
+the final accumulation order (panels sorted by left endpoint, compensated
 summation) are fixed, so results are bit-reproducible run to run and would
 remain so under concurrent panel evaluation.
 
@@ -114,13 +118,14 @@ def _gk_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float,
     return half * acc_k, abs(half * (acc_k - acc_g))
 
 
-def _initial_mesh(lo: float, hi: float, sharp_edges, min_panels: int) -> list[float]:
-    """Panel edges for the initial mesh.
+def _initial_mesh(lo: float, hi: float, sharp_edges) -> list[float]:
+    """Panel edges for the initial mesh: {lo, hi} plus the hint ladders.
 
     A plain |K15 - G7| estimate can pass a boundary layer it never sampled,
     so integrands with a known sharp feature get a geometric ladder of
-    breakpoints (spacing doubling away from the feature at its decay scale)
-    before adaptivity takes over.
+    breakpoints (spacing doubling away from the feature at its decay scale).
+    Nothing else is added: an un-hinted integral starts from one panel, as
+    in QUADPACK's QAG, and adaptivity refines from there.
     """
     points = {lo, hi}
     if sharp_edges:
@@ -133,18 +138,11 @@ def _initial_mesh(lo: float, hi: float, sharp_edges, min_panels: int) -> list[fl
                     if lo < candidate < hi:
                         points.add(candidate)
                 step *= 2.0
-    edges = sorted(points)
-    while len(edges) - 1 < min_panels:
-        filled = []
-        for a, b in zip(edges, edges[1:]):
-            filled.extend((a, 0.5 * (a + b)))
-        filled.append(edges[-1])
-        edges = filled
-    return edges
+    return sorted(points)
 
 
 def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
-                       spec: QuadratureSpec, initial_panels: int = 8,
+                       spec: QuadratureSpec,
                        sharp_edges=None) -> tuple[float, float, int, bool]:
     """Adaptive 1D quadrature of f over [lo, hi].
 
@@ -157,7 +155,7 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     """
     if not hi > lo:
         raise InputError(f"empty integration range [{lo}, {hi}]")
-    edges = _initial_mesh(lo, hi, sharp_edges, initial_panels)
+    edges = _initial_mesh(lo, hi, sharp_edges)
     panels: list[tuple[float, float, float, float]] = []
     for a, b in zip(edges, edges[1:]):
         val, err = _gk_panel(f, a, b)
@@ -193,8 +191,7 @@ class _Nested:
 
     def integral(self, f: Callable[[float], float], lo: float, hi: float,
                  sharp_edges=None) -> float:
-        val, _err, nsub, ok = integrate_adaptive(f, lo, hi, self.spec, initial_panels=4,
-                                                 sharp_edges=sharp_edges)
+        val, _err, nsub, ok = integrate_adaptive(f, lo, hi, self.spec, sharp_edges=sharp_edges)
         self.subdivisions += nsub
         self.all_converged = self.all_converged and ok
         return val

@@ -59,16 +59,15 @@ class CheckResult:
         return self.worst_rel_err <= self.tolerance
 
 
-def _family(name, tolerance, pairs, corrupt=None, sense="within"):
+def _family(name, tolerance, pairs, sense="within"):
     """Aggregate (label, closed, report) triples into one CheckResult."""
-    factor = 1.001 if corrupt == name else 1.0
     # an 'exceeds' family is judged by its LEAST deviating configuration
     worst_err = -math.inf if sense == "exceeds" else 0.0
     worst_label = ""
     converged = True
     count = 0
     for label, closed, report in pairs:
-        rel = report.check_against(closed * factor)
+        rel = report.check_against(closed)
         converged = converged and report.converged
         count += 1
         more_critical = rel < worst_err if sense == "exceeds" else rel > worst_err
@@ -110,7 +109,7 @@ def _grid(quick: bool, separations, lams, scales):
                 yield a, lam, scale
 
 
-def check_slab_slab_pressure(c, quick, corrupt):
+def check_slab_slab_pressure(c, quick):
     pairs = []
     combos = [(3.5e-6, INFINITE), (1e-6, 10e-6), (INFINITE, INFINITE)]
     if quick:
@@ -121,10 +120,10 @@ def check_slab_slab_pressure(c, quick, corrupt):
             closed = slab_slab_pressure(a, d1, 2330.0, d2, 4100.0, p, c)
             report = oracle_slab_slab_pressure(a, d1, 2330.0, d2, 4100.0, p, c, _SPEC_1D)
             pairs.append((f"a={a:g} lam={lam:g} d1={d1:g} d2={d2:g}", closed, report))
-    return _family("slab_slab_pressure", 1e-9, pairs, corrupt)
+    return _family("slab_slab_pressure", 1e-9, pairs)
 
 
-def check_sphere_slab_exact(c, quick, corrupt):
+def check_sphere_slab_exact(c, quick):
     pairs = []
     for a, lam, scale in _grid(quick, (5e-8, 2e-7, 1e-6), (1e-7, 1e-6, 1e-5), (0.5, 1.0, 2.0)):
         cfg = replace(_scaled_sphere_slab(scale), separation=a)
@@ -134,10 +133,10 @@ def check_sphere_slab_exact(c, quick, corrupt):
         force = replace(energy, value=energy.value / lam,
                         error_estimate=energy.error_estimate / lam)
         pairs.append((f"a={a:g} lam={lam:g} scale={scale:g}", closed, force))
-    return _family("sphere_slab_force_exact", 1e-9, pairs, corrupt)
+    return _family("sphere_slab_force_exact", 1e-9, pairs)
 
 
-def check_layered_stack_potential(c, quick, corrupt):
+def check_layered_stack_potential(c, quick):
     pairs = []
     stack = _layered_stack()
     for z, lam, _ in _grid(quick, (1e-7, 5e-7, 2e-6), (1e-7, 1e-6, 1e-5), (1.0,)):
@@ -145,10 +144,10 @@ def check_layered_stack_potential(c, quick, corrupt):
         closed = layered_slab_potential(z, stack, p, c)
         report = oracle_layered_stack_potential(z, stack, p, c, _SPEC_1D)
         pairs.append((f"z={z:g} lam={lam:g}", closed, report))
-    return _family("layered_slab_potential", 1e-9, pairs, corrupt)
+    return _family("layered_slab_potential", 1e-9, pairs)
 
 
-def check_layered_epfa_energy(c, quick, corrupt):
+def check_layered_epfa_energy(c, quick):
     pairs = []
     stack = _layered_stack()
     for a, lam, scale in _grid(quick, (1e-7, 5e-7, 2e-6), (2e-7, 1e-6, 1e-5), (0.5, 1.0, 2.0)):
@@ -157,10 +156,10 @@ def check_layered_epfa_energy(c, quick, corrupt):
         closed = layered_epfa_energy(cfg, p, c)
         report = oracle_layered_sphere_slab(cfg, p, c, _SPEC_2D)
         pairs.append((f"a={a:g} lam={lam:g} scale={scale:g}", closed, report))
-    return _family("layered_epfa_energy", 1e-6, pairs, corrupt)
+    return _family("layered_epfa_energy", 1e-6, pairs)
 
 
-def check_layered_pfa_assembly(c, quick, corrupt):
+def check_layered_pfa_assembly(c, quick):
     """Nine-term assembly: each PFA term equals 2 pi R x the slab-slab
     pressure of its layer pair at the appropriate standoff (analytic)."""
     pairs = []
@@ -195,10 +194,10 @@ def check_layered_pfa_assembly(c, quick, corrupt):
         report = OracleReport(total_direct, 0.0, 0, True)
         pairs.append((f"a={a:g} lam={lam:g} (terms)", assembled, report))
         pairs.append((f"a={a:g} lam={lam:g} (factorized)", force, report))
-    return _family("layered_pfa_term_assembly", 1e-13, pairs, corrupt)
+    return _family("layered_pfa_term_assembly", 1e-13, pairs)
 
 
-def check_disk_gravity(c, quick, corrupt):
+def check_disk_gravity(c, quick):
     pairs = []
     for z, lam, scale in _grid(quick, (1e-7, 5e-7, 2e-6), (0.0,), (0.5, 1.0, 2.0)):
         probe = AxisProbe(z=z, mass=1.0)
@@ -206,10 +205,10 @@ def check_disk_gravity(c, quick, corrupt):
         closed = disk_gravity_force(probe, disk, c)
         report = oracle_disk_point(probe, disk, "newton", c, _SPEC_2D_TIGHT)
         pairs.append((f"z={z:g} scale={scale:g}", closed, report))
-    return _family("disk_gravity_force", 1e-9, pairs, corrupt)
+    return _family("disk_gravity_force", 1e-9, pairs)
 
 
-def check_disk_power(c, quick, corrupt):
+def check_disk_power(c, quick):
     generic, n1, n3 = [], [], []
     exponents = (1.5, 2.5, 4.0)
     for idx, (z, _lam, scale) in enumerate(
@@ -231,12 +230,12 @@ def check_disk_power(c, quick, corrupt):
         report = oracle_disk_point(probe, disk, "power", c, _SPEC_2D, n=3.0)
         n3.append((label, closed, replace(report, value=report.value * c.G,
                                           error_estimate=report.error_estimate * c.G)))
-    return [_family("disk_power_force", 1e-8, generic, corrupt),
-            _family("disk_power_force_n1", 1e-8, n1, corrupt),
-            _family("disk_power_force_n3", 1e-8, n3, corrupt)]
+    return [_family("disk_power_force", 1e-8, generic),
+            _family("disk_power_force_n1", 1e-8, n1),
+            _family("disk_power_force_n3", 1e-8, n3)]
 
 
-def check_disk_yukawa(c, quick, corrupt):
+def check_disk_yukawa(c, quick):
     forces, potentials = [], []
     for z, lam, scale in _grid(quick, (1e-7, 5e-7, 2e-6), (5e-7, 5e-6, 5e-5), (0.5, 1.0, 2.0)):
         probe = AxisProbe(z=z, mass=1.0)
@@ -249,11 +248,11 @@ def check_disk_yukawa(c, quick, corrupt):
         closed = disk_yukawa_potential(probe, disk, p, c)
         report = oracle_disk_point(probe, disk, "yukawa_potential", c, _SPEC_2D, p=p)
         potentials.append((label, closed, report))
-    return [_family("disk_yukawa_force", 1e-8, forces, corrupt),
-            _family("disk_yukawa_potential", 1e-8, potentials, corrupt)]
+    return [_family("disk_yukawa_force", 1e-8, forces),
+            _family("disk_yukawa_potential", 1e-8, potentials)]
 
 
-def check_slicing_equivalence(c, quick, corrupt):
+def check_slicing_equivalence(c, quick):
     configs = [(150e-6, 1e-6, 1e-7), (150e-6, 1e-5, 1e-7), (75e-6, 5e-6, 5e-7),
                (150e-6, 1e-4, 1e-6), (50e-6, 5e-7, 1e-7)]
     if quick:
@@ -270,15 +269,15 @@ def check_slicing_equivalence(c, quick, corrupt):
         closed_energy = sphere_slab_force_exact(cfg, p, c) * lam
         pairs.append((f"{label} (closed vs h)", closed_energy, horizontal))
         pairs.append((f"{label} (closed vs v)", closed_energy, columns))
-    return _family("slicing_equivalence", 1e-8, pairs, corrupt)
+    return _family("slicing_equivalence", 1e-8, pairs)
 
 
-def check_two_spheres(c, quick, corrupt):
+def check_two_spheres(c, quick):
     radius, rho, gap = 50e-6, 3000.0, 0.1 * 50e-6
     exact, epfa = oracle_two_spheres(radius, radius, 2 * radius + gap, rho, rho,
                                      "newton", None, c, _SPEC_1D)
     failure = _family("two_sphere_epfa_failure", 0.01,
-                      [(f"gap=0.1R", exact.value, epfa)], corrupt, sense="exceeds")
+                      [(f"gap=0.1R", exact.value, epfa)], sense="exceeds")
     trend = []
     for factor in (2.2, 3.0, 5.0, 10.0):
         exact, epfa = oracle_two_spheres(radius, radius, factor * radius, rho, rho,
@@ -290,12 +289,11 @@ def check_two_spheres(c, quick, corrupt):
                                      "yukawa", p, c, _SPEC_2D)
     trend.append((f"yukawa lam=R/2 ratio={epfa.value / exact.value:.6g}",
                   exact.value, epfa))
-    recorded = _family("two_sphere_trend", math.inf, trend, corrupt, sense="recorded")
+    recorded = _family("two_sphere_trend", math.inf, trend, sense="recorded")
     return [failure, recorded]
 
 
 def run_suite(c: PhysicalConstants = PhysicalConstants(), quick: bool = False,
-              corrupt: str | None = None,
               tolerance_override: float | None = None) -> list[CheckResult]:
     """Run every check family; returns their results in a fixed order."""
     if tolerance_override is not None and tolerance_override < MIN_CHECK_TOLERANCE:
@@ -303,16 +301,16 @@ def run_suite(c: PhysicalConstants = PhysicalConstants(), quick: bool = False,
             f"tolerance override {tolerance_override:g} is tighter than the "
             f"oracle's own rel_tol {MIN_CHECK_TOLERANCE:g}; unsatisfiable")
     results: list[CheckResult] = []
-    results.append(check_slab_slab_pressure(c, quick, corrupt))
-    results.append(check_sphere_slab_exact(c, quick, corrupt))
-    results.append(check_layered_stack_potential(c, quick, corrupt))
-    results.append(check_layered_epfa_energy(c, quick, corrupt))
-    results.append(check_layered_pfa_assembly(c, quick, corrupt))
-    results.append(check_disk_gravity(c, quick, corrupt))
-    results.extend(check_disk_power(c, quick, corrupt))
-    results.extend(check_disk_yukawa(c, quick, corrupt))
-    results.append(check_slicing_equivalence(c, quick, corrupt))
-    results.extend(check_two_spheres(c, quick, corrupt))
+    results.append(check_slab_slab_pressure(c, quick))
+    results.append(check_sphere_slab_exact(c, quick))
+    results.append(check_layered_stack_potential(c, quick))
+    results.append(check_layered_epfa_energy(c, quick))
+    results.append(check_layered_pfa_assembly(c, quick))
+    results.append(check_disk_gravity(c, quick))
+    results.extend(check_disk_power(c, quick))
+    results.extend(check_disk_yukawa(c, quick))
+    results.append(check_slicing_equivalence(c, quick))
+    results.extend(check_two_spheres(c, quick))
     if tolerance_override is not None:
         results = [replace(r, tolerance=tolerance_override) if r.sense == "within" else r
                    for r in results]

@@ -85,7 +85,7 @@ def phi_series(u: float) -> float:
         term *= -u * (m - 1) / ((m - 2) * (m + 1))
         m += 1
         total += term
-        if abs(term) < abs(total) * 1e-18:
+        if abs(term) <= abs(total) * 1e-18:
             return total
 
 

@@ -1,13 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ypfa.verify
 from ypfa.cli import main
 
 RESIDUALS = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                          "synthetic_residuals.csv")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def read(path):
@@ -35,6 +39,25 @@ def test_eta_sweep_single_point(tmp_path):
     assert manifest["subcommand"] == "eta-sweep"
     assert manifest["rows"] == 1
     assert manifest["counters"]["regimes"] == {"direct": 1}
+
+
+def test_eta_sweep_underflowing_series_terminates(tmp_path):
+    # u = 2R/lambda ~ 3e-174: the Phi series' first term underflows to 0.
+    # Run in a subprocess so a regression to the endless loop fails on the
+    # timeout instead of hanging the suite.
+    out = tmp_path / "x.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ypfa.cli import main; sys.exit(main(sys.argv[1:]))",
+         "eta-sweep", "--lambda-min", "1e170", "--lambda-max", "1e171",
+         "--lambda-points", "2", "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = read(out).splitlines()[1:]
+    assert len(rows) == 2
+    assert all(float(row.split(",")[3]) == 0.0 for row in rows)
 
 
 def test_eta_sweep_d2_flag_overrides(tmp_path):
@@ -253,9 +276,12 @@ def test_oracle_verify_quick_passes(capsys):
     assert "slicing_equivalence" in out
 
 
-def test_oracle_verify_corrupted_constant_fails(capsys):
-    assert run("oracle-verify", "--quick", "--corrupt-check",
-               "sphere_slab_force_exact") == 2
+def test_oracle_verify_corrupted_constant_fails(capsys, monkeypatch):
+    # a closed form off by 1e-3, as a real drift would be, must fail its family
+    original = ypfa.verify.sphere_slab_force_exact
+    monkeypatch.setattr(ypfa.verify, "sphere_slab_force_exact",
+                        lambda *args, **kwargs: 1.001 * original(*args, **kwargs))
+    assert run("oracle-verify", "--quick") == 2
     captured = capsys.readouterr()
     assert "sphere_slab_force_exact" in captured.err
 

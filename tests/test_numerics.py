@@ -35,6 +35,13 @@ def test_x_cosh_x_minus_sinh_x_matches_mpmath():
         assert x_cosh_x_minus_sinh_x(v) == pytest.approx(want, rel=1e-14)
 
 
+def test_series_terminate_when_first_term_underflows():
+    # u^2/6 ~ 1e-341 and v^3/3 ~ 1e-361 round to 0.0, the correct result;
+    # a strict "term < total * 1e-18" stopping test never held at 0 < 0
+    assert phi_series(1e-170) == 0.0
+    assert x_cosh_x_minus_sinh_x(1e-120) == 0.0
+
+
 def test_phi_reference_values():
     # 50-digit evaluation of the defining expression across 12 decades
     for exponent in range(-6, 5):
