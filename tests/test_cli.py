@@ -314,3 +314,41 @@ def test_manifests_identical_apart_from_timestamp(tmp_path):
     outs[0].pop("timestamp")
     outs[1].pop("timestamp")
     assert outs[0] == outs[1]
+
+
+LAMBDA_GRID = {"min": 1e-9, "max": 1e-3, "points": 200, "spacing": "log"}
+LIMITS_COUNTERS = {"rows_above_pfa_reliable_lambda": 133, "pfa_reliable_lambda_max_m": "1e-07"}
+
+
+@pytest.mark.parametrize("argv, subcommand, grid, counters, rows", [
+    (["eta-sweep", "--preset", "fig2-left"], "eta-sweep",
+     {"lambda", "radii", "d2_values"}, {"regimes": {"direct": 600}}, 600),
+    (["eta-sweep", "--preset", "fig2-right"], "eta-sweep",
+     {"lambda", "radii", "d2_values"}, {"regimes": {"direct": 800}}, 800),
+    (["eta-layered-sweep", "--preset", "fig3-left"], "eta-layered-sweep",
+     {"lambda", "radii", "d2_values", "plotted_radius"}, {}, 600),
+    (["eta-layered-sweep", "--preset", "fig3-right"], "eta-layered-sweep",
+     {"lambda", "radii", "d2_values", "plotted_radius"}, {}, 800),
+    (["xi-power-sweep", "--preset", "fig4-left"], "xi-power-sweep",
+     {"rd", "exponents"}, {"rows_near_pole": 0}, 800),
+    (["xi-power-sweep", "--preset", "fig4-right"], "xi-power-sweep",
+     {"n", "rd_factors"}, {"rows_near_pole": 0}, 64),
+    (["xi-yukawa-sweep", "--preset", "fig5"], "xi-yukawa-sweep",
+     {"rd", "lambdas"}, {}, 600),
+    (["limits", "--residuals", RESIDUALS, "--geometry", "homogeneous"], "limits",
+     {"lambda", "method", "geometry"}, LIMITS_COUNTERS, 200),
+    (["limits", "--residuals", RESIDUALS, "--geometry", "layered"], "limits",
+     {"lambda", "method", "geometry"}, LIMITS_COUNTERS, 200),
+])
+def test_manifest_shape(tmp_path, argv, subcommand, grid, counters, rows):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--output", str(out)) == 0
+    manifest = json.loads(read(str(out) + ".manifest.json"))
+    assert sorted(manifest) == ["config_si", "counters", "grid", "rows", "subcommand",
+                                "timestamp", "tool_version"]
+    assert manifest["subcommand"] == subcommand
+    assert set(manifest["grid"]) == grid
+    assert manifest["counters"] == counters
+    assert manifest["rows"] == rows == len(read(out).splitlines()) - 1
+    if "lambda" in grid:
+        assert manifest["grid"]["lambda"] == LAMBDA_GRID
