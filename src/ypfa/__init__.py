@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .core import (G_DEFAULT, INFINITE, NO_LAYER, CurvatureRadii, DegenerateInputError, Disk,
                    InputError, Layer, LayeredSlab, LayeredSphere, PhysicalConstants,
                    PoleProximityError, PowerLawParams, ResonatorParams, YukawaParams,
-                   effective_radius, to_si_density)
+                   effective_radius)
 from .disk import (AxisProbe, LogRatio, XiInputs, disk_gravity_force, disk_power_force,
                    disk_yukawa_force, disk_yukawa_potential, xi_gravity, xi_power, xi_yukawa)
 from .layered import (EtaDeltaResult, LayeredConfig, eta_delta, layered_epfa_energy,

@@ -1,15 +1,21 @@
 """Command-line front end: figure-grade sweeps, oracle verification, limits.
 
-Subcommands
------------
+Subcommands, with the flags each takes besides --config FILE
+------------------------------------------------------------
 eta-sweep           exact/PFA force ratio over a lambda grid (per R, per d2)
-eta-layered-sweep   the same for coated sphere/slab stacks
+                    --output --preset --workers --lambda-min/max/points --d2
+eta-layered-sweep   the same for coated sphere/slab stacks; adds --plotted-radius
 xi-power-sweep      finite-disk near/far force ratio for power-law forces
+                    --output --preset --workers --mode
 xi-yukawa-sweep     log of the finite-disk near/far Yukawa force ratio
+                    --output --preset --workers
 oracle-verify       closed forms vs adaptive-quadrature oracle, exit 2 on drift
+                    --output (optional) --tolerance --quick
 limits              alpha exclusion bounds from a residual CSV
+                    --output --residuals --method --geometry --lambda-min/max/points --d2
 
-Settings resolve as: preset defaults, then --config file, then flags.
+Settings resolve as: preset defaults, then --config file, then flags. Each
+preset belongs to one sweep subcommand; naming it under another is an error.
 Exit codes: 0 success, 1 bad input or I/O, 2 numerical verification failure.
 Outputs are CSV (12 significant digits, LF) plus a JSON manifest that is
 byte-identical for identical inputs apart from its timestamp field.
@@ -22,6 +28,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 from . import __version__
 from .config import format_si, parse_config_file, parse_quantity
@@ -29,7 +36,7 @@ from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere
                    PhysicalConstants, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta
-from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, alpha_limit, limit_shift
+from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve, limit_shift
 from .sweeps import SweepGrid, map_ordered, resolve_workers, write_csv
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, eta
@@ -62,8 +69,6 @@ _DEFAULTS: dict[str, float | list[float]] = {
     "disk.density": 2330.0,
 }
 
-_LAMBDA_GRID_DEFAULT = (1 * _NM, 1e-3, 200)
-
 _PRESETS: dict[str, dict] = {
     "fig2-left": {"command": "eta-sweep",
                   "sweep.radii": [50 * _UM, 100 * _UM, 150 * _UM],
@@ -89,14 +94,17 @@ _PRESETS: dict[str, dict] = {
 }
 
 
-def _merge_settings(preset: str | None, config_path: str | None) -> dict:
+def _settings(args, preset: str | None = None) -> dict:
     settings = dict(_DEFAULTS)
     if preset is not None:
         if preset not in _PRESETS:
             raise InputError(f"unknown preset {preset!r}; known: {sorted(_PRESETS)}")
+        if _PRESETS[preset]["command"] != args.command:
+            raise InputError(f"preset {preset!r} belongs to "
+                             f"{_PRESETS[preset]['command']}, not {args.command}")
         settings.update(_PRESETS[preset])
-    if config_path is not None:
-        settings.update(parse_config_file(config_path))
+    if args.config is not None:
+        settings.update(parse_config_file(args.config))
     return settings
 
 
@@ -109,7 +117,10 @@ def _scalar(settings: dict, key: str) -> float:
     return value
 
 
-def _vector(settings: dict, key: str) -> list[float]:
+def _vector(settings: dict, key: str, fallback: str | None = None) -> list[float]:
+    """A list setting (a lone value is one element), else [fallback's value]."""
+    if fallback is not None and key not in settings:
+        return [_scalar(settings, fallback)]
     value = settings.get(key)
     if value is None:
         raise InputError(f"missing setting {key!r}")
@@ -120,19 +131,34 @@ def _vector(settings: dict, key: str) -> list[float]:
     return value
 
 
+def _rd_grid(settings: dict, radius: float, default: tuple) -> SweepGrid:
+    """Disk radii as (min factor, max factor, points) times the sphere radius."""
+    value = settings.get("rd_grid_factors", default)
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and float(value[2]).is_integer()):
+        raise InputError("setting 'rd_grid_factors' must be "
+                         "'min factor, max factor, integer points'")
+    lo, hi, points = value
+    return SweepGrid(min=lo * radius, max=hi * radius, points=int(points))
+
+
 def _lambda_grid(args) -> SweepGrid:
-    lo = parse_quantity(args.lambda_min) if args.lambda_min else _LAMBDA_GRID_DEFAULT[0]
-    hi = parse_quantity(args.lambda_max) if args.lambda_max else _LAMBDA_GRID_DEFAULT[1]
-    points = args.lambda_points if args.lambda_points else _LAMBDA_GRID_DEFAULT[2]
-    return SweepGrid(min=lo, max=hi, points=points, spacing="log")
+    return SweepGrid(min=parse_quantity(args.lambda_min), max=parse_quantity(args.lambda_max),
+                     points=args.lambda_points, spacing="log")
+
+
+def _d2_values(args, settings: dict) -> list[float]:
+    if args.d2:
+        return [parse_quantity(args.d2)]
+    return _vector(settings, "sweep.d2_values", "pfa.d2")
 
 
 def _layered_geometry(settings: dict, plotted_radius: str):
     """Returns (sphere factory keyed on the plotted radius, slab stack)."""
-    inner = Layer(_scalar(settings, "sphere.inner_coat.thickness"),
-                  _scalar(settings, "sphere.inner_coat.density"))
-    outer = Layer(_scalar(settings, "sphere.outer_coat.thickness"),
-                  _scalar(settings, "sphere.outer_coat.density"))
+    def layer(key: str) -> Layer:
+        return Layer(_scalar(settings, key + ".thickness"), _scalar(settings, key + ".density"))
+
+    inner, outer = layer("sphere.inner_coat"), layer("sphere.outer_coat")
 
     def sphere_for(radius: float) -> LayeredSphere:
         core = radius
@@ -144,121 +170,9 @@ def _layered_geometry(settings: dict, plotted_radius: str):
                              core_density=_scalar(settings, "sphere.core_density"),
                              inner_coat=inner, outer_coat=outer)
 
-    slab = LayeredSlab(base=Layer(_scalar(settings, "slab.base.thickness"),
-                                  _scalar(settings, "slab.base.density")),
-                       middle=Layer(_scalar(settings, "slab.middle.thickness"),
-                                    _scalar(settings, "slab.middle.density")),
-                       top=Layer(_scalar(settings, "slab.top.thickness"),
-                                 _scalar(settings, "slab.top.density")))
+    slab = LayeredSlab(base=layer("slab.base"), middle=layer("slab.middle"),
+                       top=layer("slab.top"))
     return sphere_for, slab
-
-
-def _manifest(path: str, subcommand: str, settings: dict, grid_desc: dict,
-              rows: int, counters: dict) -> None:
-    payload = {
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "config_si": {key: ([format_si(v) for v in value] if isinstance(value, list)
-                            else format_si(value))
-                      for key, value in sorted(settings.items())
-                      if not isinstance(value, (tuple, str))},
-        "grid": grid_desc,
-        "rows": rows,
-        "counters": counters,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    with open(path + ".manifest.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-# ---------------------------------------------------------------- workers
-
-def _eval_eta(task):
-    lam, radius, d2 = task
-    result = eta(radius, d2, lam)
-    return result.eta, result.regime
-
-
-def _eval_eta_layered(task):
-    cfg, lam = task
-    result = eta_delta(cfg, YukawaParams(1.0, lam))
-    return result.eta_delta, result.eta_homogeneous, result.ratio
-
-
-def _eval_xi_power(task):
-    inputs, n = task
-    try:
-        return xi_power(inputs, n), ""
-    except PoleProximityError:
-        return math.nan, "near_pole"
-
-
-def _eval_xi_yukawa(task):
-    inputs, lam = task
-    return xi_yukawa(inputs, YukawaParams(1.0, lam)).ln_value
-
-
-# ---------------------------------------------------------------- commands
-
-def cmd_eta_sweep(args) -> int:
-    settings = _merge_settings(args.preset, args.config)
-    radii = _vector(settings, "sweep.radii") if "sweep.radii" in settings \
-        else [_scalar(settings, "sphere.radius")]
-    d2_values = _vector(settings, "sweep.d2_values") if "sweep.d2_values" in settings \
-        else [_scalar(settings, "pfa.d2")]
-    if args.d2:
-        d2_values = [parse_quantity(args.d2)]
-    grid = _lambda_grid(args)
-    tasks = [(lam, radius, d2)
-             for lam in grid.values() for radius in radii for d2 in d2_values]
-    workers = resolve_workers(args.workers)
-    results = map_ordered(_eval_eta, tasks, workers)
-    rows = [(lam, radius, d2, value, regime)
-            for (lam, radius, d2), (value, regime) in zip(tasks, results)]
-    count = write_csv(args.output, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows)
-    regimes: dict[str, int] = {}
-    for *_xs, regime in rows:
-        regimes[regime] = regimes.get(regime, 0) + 1
-    _manifest(args.output, "eta-sweep", settings,
-              {"lambda": grid.__dict__, "radii": radii, "d2_values":
-               [format_si(v) for v in d2_values]},
-              count, {"regimes": regimes})
-    return 0
-
-
-def cmd_eta_layered_sweep(args) -> int:
-    settings = _merge_settings(args.preset, args.config)
-    sphere_for, slab = _layered_geometry(settings, args.plotted_radius)
-    radii = _vector(settings, "sweep.radii") if "sweep.radii" in settings \
-        else [_scalar(settings, "sphere.core_radius")]
-    d2_values = _vector(settings, "sweep.d2_values") if "sweep.d2_values" in settings \
-        else [_scalar(settings, "pfa.d2")]
-    if args.d2:
-        d2_values = [parse_quantity(args.d2)]
-    gap = _scalar(settings, "gap")
-    grid = _lambda_grid(args)
-    tasks = []
-    meta = []
-    for lam in grid.values():
-        for radius in radii:
-            for d2 in d2_values:
-                cfg = LayeredConfig(separation=gap, sphere=sphere_for(radius),
-                                    slab=slab, d2=d2)
-                tasks.append((cfg, lam))
-                meta.append((lam, radius, d2))
-    workers = resolve_workers(args.workers)
-    results = map_ordered(_eval_eta_layered, tasks, workers)
-    rows = [(lam, radius, d2, delta, hom, ratio)
-            for (lam, radius, d2), (delta, hom, ratio) in zip(meta, results)]
-    count = write_csv(args.output,
-                      ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"), rows)
-    _manifest(args.output, "eta-layered-sweep", settings,
-              {"lambda": grid.__dict__, "radii": radii,
-               "d2_values": [format_si(v) for v in d2_values],
-               "plotted_radius": args.plotted_radius},
-              count, {})
-    return 0
 
 
 def _xi_geometry(settings: dict, rd: float) -> XiInputs:
@@ -268,70 +182,126 @@ def _xi_geometry(settings: dict, rd: float) -> XiInputs:
                               density=_scalar(settings, "disk.density")))
 
 
+def _emit(args, settings: dict, header, rows: list, grid: dict, counters: dict) -> int:
+    """Write the CSV and its manifest (byte-stable apart from the timestamp)."""
+    payload = {
+        "subcommand": args.command,
+        "tool_version": __version__,
+        "config_si": {key: ([format_si(v) for v in value] if isinstance(value, list)
+                            else format_si(value))
+                      for key, value in sorted(settings.items())
+                      if not isinstance(value, (tuple, str))},
+        "grid": grid,
+        "rows": write_csv(args.output, header, rows),
+        "counters": counters,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    with open(args.output + ".manifest.json", "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return 0
+
+
+# ---------------------------------------------------------------- row workers
+# Each maps one task (printed key, then any prebuilt input) to its whole CSV row.
+
+def _row_eta(task):
+    lam, radius, d2 = task
+    result = eta(radius, d2, lam)
+    return lam, radius, d2, result.eta, result.regime
+
+
+def _row_eta_layered(task):
+    lam, radius, d2, cfg = task
+    result = eta_delta(cfg, YukawaParams(1.0, lam))
+    return lam, radius, d2, result.eta_delta, result.eta_homogeneous, result.ratio
+
+
+def _row_xi_power(task):
+    """Key columns then xi; nan where the exponent is too close to a pole."""
+    *keys, inputs, n = task
+    try:
+        return (*keys, xi_power(inputs, n))
+    except PoleProximityError:
+        return (*keys, math.nan)
+
+
+def _row_xi_yukawa(task):
+    rd, lam, inputs = task
+    return rd, lam, xi_yukawa(inputs, YukawaParams(1.0, lam)).ln_value
+
+
+# ---------------------------------------------------------------- commands
+
+def cmd_eta_sweep(args) -> int:
+    settings = _settings(args, args.preset)
+    radii = _vector(settings, "sweep.radii", "sphere.radius")
+    d2_values = _d2_values(args, settings)
+    grid = _lambda_grid(args)
+    tasks = [(lam, radius, d2)
+             for lam in grid.values() for radius in radii for d2 in d2_values]
+    rows = map_ordered(_row_eta, tasks, resolve_workers(args.workers))
+    return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
+                 {"lambda": grid.__dict__, "radii": radii,
+                  "d2_values": [format_si(v) for v in d2_values]},
+                 {"regimes": dict(Counter(row[-1] for row in rows))})
+
+
+def cmd_eta_layered_sweep(args) -> int:
+    settings = _settings(args, args.preset)
+    sphere_for, slab = _layered_geometry(settings, args.plotted_radius)
+    radii = _vector(settings, "sweep.radii", "sphere.core_radius")
+    d2_values = _d2_values(args, settings)
+    gap = _scalar(settings, "gap")
+    grid = _lambda_grid(args)
+    tasks = [(lam, radius, d2, LayeredConfig(separation=gap, sphere=sphere_for(radius),
+                                             slab=slab, d2=d2))
+             for lam in grid.values() for radius in radii for d2 in d2_values]
+    rows = map_ordered(_row_eta_layered, tasks, resolve_workers(args.workers))
+    return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
+                 rows, {"lambda": grid.__dict__, "radii": radii,
+                        "d2_values": [format_si(v) for v in d2_values],
+                        "plotted_radius": args.plotted_radius}, {})
+
+
 def cmd_xi_power_sweep(args) -> int:
-    settings = _merge_settings(args.preset, args.config)
+    settings = _settings(args, args.preset)
     mode = args.mode or settings.get("mode", "rd")
     radius = _scalar(settings, "sphere.radius")
-    tasks, meta = [], []
     if mode == "rd":
         exponents = _vector(settings, "sweep.exponents")
-        if any(n <= 0 for n in exponents):
-            raise InputError("power-law exponents must be > 0")
-        lo, hi, points = settings.get("rd_grid_factors", (0.1, 100.0, 200))
-        rd_grid = SweepGrid(min=lo * radius, max=hi * radius, points=int(points))
-        for rd in rd_grid.values():
-            for n in exponents:
-                tasks.append((_xi_geometry(settings, rd), n))
-                meta.append((rd, n))
-        header = ("Rd_m", "N", "xi")
-        grid_desc = {"rd": rd_grid.__dict__, "exponents": exponents}
+        rd_grid = _rd_grid(settings, radius, (0.1, 100.0, 200))
+        tasks = [(rd, n, _xi_geometry(settings, rd), n)
+                 for rd in rd_grid.values() for n in exponents]
+        header, grid = ("Rd_m", "N", "xi"), {"rd": rd_grid.__dict__, "exponents": exponents}
     elif mode == "n":
-        n_values = settings.get("n_grid")
-        if n_values is None:
-            n_values = _vector(settings, "sweep.exponents")
-        if any(n <= 0 for n in n_values):
-            raise InputError("power-law exponents must be > 0")
+        exponents = _vector(settings, "n_grid" if "n_grid" in settings else "sweep.exponents")
         rd_factors = _vector(settings, "sweep.rd_factors")
-        for n in n_values:
-            for factor in rd_factors:
-                tasks.append((_xi_geometry(settings, factor * radius), n))
-                meta.append((n, factor * radius))
-        header = ("N", "Rd_m", "xi")
-        grid_desc = {"n": n_values, "rd_factors": rd_factors}
+        tasks = [(n, factor * radius, _xi_geometry(settings, factor * radius), n)
+                 for n in exponents for factor in rd_factors]
+        header, grid = ("N", "Rd_m", "xi"), {"n": exponents, "rd_factors": rd_factors}
     else:
         raise InputError(f"mode must be 'rd' or 'n', got {mode!r}")
-    workers = resolve_workers(args.workers)
-    results = map_ordered(_eval_xi_power, tasks, workers)
-    rows = [(m0, m1, value) for (m0, m1), (value, _flag) in zip(meta, results)]
-    count = write_csv(args.output, header, rows)
-    near_pole = sum(1 for _v, flag in results if flag == "near_pole")
-    _manifest(args.output, "xi-power-sweep", settings, grid_desc, count,
-              {"rows_near_pole": near_pole})
-    return 0
+    if any(n <= 0 for n in exponents):
+        raise InputError("power-law exponents must be > 0")
+    rows = map_ordered(_row_xi_power, tasks, resolve_workers(args.workers))
+    return _emit(args, settings, header, rows, grid,
+                 {"rows_near_pole": sum(1 for row in rows if math.isnan(row[-1]))})
 
 
 def cmd_xi_yukawa_sweep(args) -> int:
-    settings = _merge_settings(args.preset, args.config)
+    settings = _settings(args, args.preset)
     lambdas = _vector(settings, "sweep.lambdas")
-    radius = _scalar(settings, "sphere.radius")
-    lo, hi, points = settings.get("rd_grid_factors", (1.0, 100.0, 200))
-    rd_grid = SweepGrid(min=lo * radius, max=hi * radius, points=int(points))
-    tasks, meta = [], []
-    for rd in rd_grid.values():
-        for lam in lambdas:
-            tasks.append((_xi_geometry(settings, rd), lam))
-            meta.append((rd, lam))
-    workers = resolve_workers(args.workers)
-    results = map_ordered(_eval_xi_yukawa, tasks, workers)
-    rows = [(rd, lam, ln_xi) for (rd, lam), ln_xi in zip(meta, results)]
-    count = write_csv(args.output, ("Rd_m", "lambda_m", "ln_xi"), rows)
-    _manifest(args.output, "xi-yukawa-sweep", settings,
-              {"rd": rd_grid.__dict__, "lambdas": lambdas}, count, {})
-    return 0
+    rd_grid = _rd_grid(settings, _scalar(settings, "sphere.radius"), (1.0, 100.0, 200))
+    tasks = [(rd, lam, _xi_geometry(settings, rd))
+             for rd in rd_grid.values() for lam in lambdas]
+    rows = map_ordered(_row_xi_yukawa, tasks, resolve_workers(args.workers))
+    return _emit(args, settings, ("Rd_m", "lambda_m", "ln_xi"), rows,
+                 {"rd": rd_grid.__dict__, "lambdas": lambdas}, {})
 
 
 def cmd_oracle_verify(args) -> int:
-    settings = _merge_settings(None, args.config)
+    settings = _settings(args)
     constants = PhysicalConstants(G=_scalar(settings, "constants.G"))
     results = run_suite(constants, quick=args.quick, tolerance_override=args.tolerance)
     report = format_report(results)
@@ -340,14 +310,14 @@ def cmd_oracle_verify(args) -> int:
             handle.write(report + "\n")
     print(report)
     if not suite_passed(results):
-        failing = [r.name for r in results if not r.passed]
-        print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
+        failing = ", ".join(r.name for r in results if not r.passed)
+        print(f"FAILED checks: {failing}", file=sys.stderr)
         return 2
     return 0
 
 
 def cmd_limits(args) -> int:
-    settings = _merge_settings(args.preset, args.config)
+    settings = _settings(args)
     bounds = ResidualBound.from_csv(args.residuals)
     constants = PhysicalConstants(G=_scalar(settings, "constants.G"))
     d2 = parse_quantity(args.d2) if args.d2 else _scalar(settings, "pfa.d2")
@@ -364,38 +334,47 @@ def cmd_limits(args) -> int:
                                     slab_density=_scalar(settings, "slab.density"))
     grid = _lambda_grid(args)
     header = ["lambda_m", "alpha_bound", "best_separation_m", "method"]
+    rows = [[point.lam, point.alpha_bound, point.best_separation, point.method]
+            for point in exclusion_curve(grid, bounds, geometry, args.method, constants, d2)]
     if args.method == "epfa":
         header.append("shift_vs_pfa")
-    rows = []
-    unreliable = 0
-    for lam in grid.values():
-        point = alpha_limit(lam, bounds, geometry, args.method, constants, d2)
-        row = [point.lam, point.alpha_bound, point.best_separation, args.method]
-        if args.method == "epfa":
-            row.append(limit_shift(lam, geometry, d2, constants))
-        if lam > PFA_RELIABLE_LAMBDA_MAX:
-            unreliable += 1
-        rows.append(row)
-    count = write_csv(args.output, header, rows)
-    _manifest(args.output, "limits", settings,
-              {"lambda": grid.__dict__, "method": args.method, "geometry": args.geometry},
-              count, {"rows_above_pfa_reliable_lambda": unreliable,
-                      "pfa_reliable_lambda_max_m": format_si(PFA_RELIABLE_LAMBDA_MAX)})
-    return 0
+        for row in rows:
+            row.append(limit_shift(row[0], geometry, d2, constants))
+    return _emit(args, settings, header, rows,
+                 {"lambda": grid.__dict__, "method": args.method, "geometry": args.geometry},
+                 {"rows_above_pfa_reliable_lambda":
+                  sum(1 for row in rows if row[0] > PFA_RELIABLE_LAMBDA_MAX),
+                  "pfa_reliable_lambda_max_m": format_si(PFA_RELIABLE_LAMBDA_MAX)})
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub):
+def _add_io(sub):
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--output", required=True, help="CSV output path")
-    sub.add_argument("--preset", help="figure preset name")
+
+
+def _add_sweep(sub):
+    _add_io(sub)
+    sub.add_argument("--preset", help="figure preset of this subcommand")
     sub.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: $YPFA_WORKERS or 1)")
-    sub.add_argument("--lambda-min", help="grid lower bound, e.g. '1 nm'")
-    sub.add_argument("--lambda-max", help="grid upper bound, e.g. '1 mm'")
-    sub.add_argument("--lambda-points", type=int, help="grid point count")
+
+
+def _add_lambda(sub):
+    sub.add_argument("--lambda-min", default="1 nm", help="grid lower bound (default: 1 nm)")
+    sub.add_argument("--lambda-max", default="1 mm", help="grid upper bound (default: 1 mm)")
+    sub.add_argument("--lambda-points", type=int, default=200,
+                     help="log-spaced grid points (default: 200)")
     sub.add_argument("--d2", help="virtual plate thickness, e.g. '10 um' or 'inf'")
+
+
+def _command(commands, name: str, func, help_text: str, *flag_groups):
+    sub = commands.add_parser(name, help=help_text)
+    for add_flags in flag_groups:
+        add_flags(sub)
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,44 +382,34 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("eta-sweep", help="exact/PFA ratio sweep")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_eta_sweep)
-
-    sub = commands.add_parser("eta-layered-sweep", help="layered exact/PFA ratio sweep")
-    _add_common(sub)
+    _command(commands, "eta-sweep", cmd_eta_sweep, "exact/PFA ratio sweep",
+             _add_sweep, _add_lambda)
+    sub = _command(commands, "eta-layered-sweep", cmd_eta_layered_sweep,
+                   "layered exact/PFA ratio sweep", _add_sweep, _add_lambda)
     sub.add_argument("--plotted-radius", choices=("core", "outer"), default="core",
                      help="whether sweep radii mean the core or the coated radius")
-    sub.set_defaults(func=cmd_eta_layered_sweep)
-
-    sub = commands.add_parser("xi-power-sweep", help="finite-disk power-law ratio sweep")
-    _add_common(sub)
+    sub = _command(commands, "xi-power-sweep", cmd_xi_power_sweep,
+                   "finite-disk power-law ratio sweep", _add_sweep)
     sub.add_argument("--mode", choices=("rd", "n"), default=None,
                      help="sweep the disk radius or the exponent")
-    sub.set_defaults(func=cmd_xi_power_sweep)
+    _command(commands, "xi-yukawa-sweep", cmd_xi_yukawa_sweep,
+             "finite-disk Yukawa ratio sweep", _add_sweep)
 
-    sub = commands.add_parser("xi-yukawa-sweep", help="finite-disk Yukawa ratio sweep")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_xi_yukawa_sweep)
-
-    sub = commands.add_parser("oracle-verify", help="closed forms vs quadrature oracle")
+    sub = _command(commands, "oracle-verify", cmd_oracle_verify,
+                   "closed forms vs quadrature oracle")
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--output", help="also write the report here")
     sub.add_argument("--tolerance", type=float, default=None,
                      help="override the per-check tolerances")
     sub.add_argument("--quick", action="store_true",
                      help="one configuration per check family")
-    sub.set_defaults(func=cmd_oracle_verify)
-
-    sub = commands.add_parser("limits", help="alpha-lambda exclusion bounds")
-    _add_common(sub)
+    sub = _command(commands, "limits", cmd_limits, "alpha-lambda exclusion bounds",
+                   _add_io, _add_lambda)
     sub.add_argument("--residuals", required=True,
                      help="CSV with header separation_m,residual_N")
     sub.add_argument("--method", choices=("pfa", "epfa"), default="epfa")
     sub.add_argument("--geometry", choices=("homogeneous", "layered"),
                      default="homogeneous")
-    sub.set_defaults(func=cmd_limits)
     return parser
 
 

@@ -185,17 +185,6 @@ class ResonatorParams:
             raise InputError(f"resonator mass must be > 0, got {self.mass}")
 
 
-def to_si_density(value: float, unit: str) -> float:
-    """Convert a density to kg/m^3. ``unit`` is 'g_per_cm3' or 'kg_per_m3'."""
-    if value < 0.0:
-        raise InputError(f"density must be >= 0, got {value}")
-    if unit == "g_per_cm3":
-        return value * 1000.0
-    if unit == "kg_per_m3":
-        return float(value)
-    raise InputError(f"unknown density unit {unit!r}")
-
-
 def effective_radius(c: CurvatureRadii) -> float:
     """Geometric mean sqrt(r_x * r_y) of the principal curvature radii."""
     return math.sqrt(c.r_x * c.r_y)

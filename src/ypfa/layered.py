@@ -63,26 +63,36 @@ class EtaDeltaResult:
     ratio: float
 
 
-def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
-    """Effective density S_slab of the layered slab seen from above (kg/m^3)."""
+def _slab_summands(slab: LayeredSlab, lam: float) -> list[float]:
+    """Per-layer summands of S_slab: base, middle, top."""
     top, mid, base = slab.top, slab.middle, slab.base
-    return math.fsum([
-        top.density * one_minus_exp(top.thickness / lam),
-        mid.density * math.exp(-top.thickness / lam) * one_minus_exp(mid.thickness / lam),
+    return [
         base.density * math.exp(-(top.thickness + mid.thickness) / lam)
         * one_minus_exp(base.thickness / lam),
-    ])
+        mid.density * math.exp(-top.thickness / lam) * one_minus_exp(mid.thickness / lam),
+        top.density * one_minus_exp(top.thickness / lam),
+    ]
 
 
-def virtual_stack_factor(sphere: LayeredSphere, d2: float, lam: float) -> float:
-    """Stack factor of the virtual plate (thickness d2) wearing the sphere's coatings."""
+def _virtual_summands(sphere: LayeredSphere, d2: float, lam: float) -> list[float]:
+    """Per-layer summands of S_virtual: virtual plate (core density), inner coat, outer coat."""
     inner, outer = sphere.inner_coat, sphere.outer_coat
-    return math.fsum([
+    return [
         sphere.core_density * math.exp(-(inner.thickness + outer.thickness) / lam)
         * one_minus_exp(d2 / lam),
         inner.density * math.exp(-outer.thickness / lam) * one_minus_exp(inner.thickness / lam),
         outer.density * one_minus_exp(outer.thickness / lam),
-    ])
+    ]
+
+
+def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
+    """Effective density S_slab of the layered slab seen from above (kg/m^3)."""
+    return math.fsum(_slab_summands(slab, lam))
+
+
+def virtual_stack_factor(sphere: LayeredSphere, d2: float, lam: float) -> float:
+    """Stack factor of the virtual plate (thickness d2) wearing the sphere's coatings."""
+    return math.fsum(_virtual_summands(sphere, d2, lam))
 
 
 def _shell_term(lo: float, hi: float, lam: float, r_out: float) -> float:
@@ -155,24 +165,10 @@ def layered_pfa_terms(cfg: LayeredConfig, p: YukawaParams,
     pure exponential). The sum of all nine equals layered_pfa_force.
     """
     lam = p.lam
-    slab, sphere = cfg.slab, cfg.sphere
-    pref = (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * sphere.core_radius
+    pref = (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * cfg.sphere.core_radius
             * math.exp(-cfg.separation / lam))
-    s1 = [
-        slab.base.density * math.exp(-(slab.top.thickness + slab.middle.thickness) / lam)
-        * one_minus_exp(slab.base.thickness / lam),
-        slab.middle.density * math.exp(-slab.top.thickness / lam)
-        * one_minus_exp(slab.middle.thickness / lam),
-        slab.top.density * one_minus_exp(slab.top.thickness / lam),
-    ]
-    s2 = [
-        sphere.core_density
-        * math.exp(-(sphere.inner_coat.thickness + sphere.outer_coat.thickness) / lam)
-        * one_minus_exp(cfg.d2 / lam),
-        sphere.inner_coat.density * math.exp(-sphere.outer_coat.thickness / lam)
-        * one_minus_exp(sphere.inner_coat.thickness / lam),
-        sphere.outer_coat.density * one_minus_exp(sphere.outer_coat.thickness / lam),
-    ]
+    s1 = _slab_summands(cfg.slab, lam)
+    s2 = _virtual_summands(cfg.sphere, cfg.d2, lam)
     return [[pref * a * b for b in s2] for a in s1]
 
 

@@ -188,13 +188,28 @@ class _Nested:
         self.spec = spec.tighter()
         self.subdivisions = 0
         self.all_converged = True
+        self.worst_rel_err = 0.0
 
     def integral(self, f: Callable[[float], float], lo: float, hi: float,
                  sharp_edges=None) -> float:
-        val, _err, nsub, ok = integrate_adaptive(f, lo, hi, self.spec, sharp_edges=sharp_edges)
+        val, err, nsub, ok = integrate_adaptive(f, lo, hi, self.spec, sharp_edges=sharp_edges)
         self.subdivisions += nsub
         self.all_converged = self.all_converged and ok
+        if err > 0.0:
+            self.worst_rel_err = max(self.worst_rel_err, err / abs(val) if val else math.inf)
         return val
+
+    def report(self, outer: tuple[float, float, int, bool], scale: float = 1.0) -> OracleReport:
+        """Report for scale times an outer integral over these inner ones.
+
+        Every nested integrand here has a single sign, so inner errors of at
+        most worst_rel_err relative add at most worst_rel_err |value| to the
+        outer |K15 - G7| estimate.
+        """
+        val, err, nsub, ok = outer
+        inner_err = self.worst_rel_err * abs(val) if val else 0.0
+        return OracleReport(scale * val, abs(scale) * (err + inner_err),
+                            nsub + self.subdivisions, ok and self.all_converged)
 
 
 # --------------------------------------------------------------------------
@@ -293,12 +308,9 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
         return 2.0 * math.pi * jacobian * cfg.sphere_density * column_energy
 
     # for lam << R the shadow mass sits below s ~ sqrt(2 R lam)
-    val, err, nsub, ok = integrate_adaptive(
+    return horizontal, nested.report(integrate_adaptive(
         column, 0.0, 0.5 * math.pi, q,
-        sharp_edges=[(0.0, math.sqrt(2.0 * p.lam / radius))])
-    columns = OracleReport(val, err, nsub + nested.subdivisions,
-                           ok and nested.all_converged)
-    return horizontal, columns
+        sharp_edges=[(0.0, math.sqrt(2.0 * p.lam / radius))]))
 
 
 def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
@@ -323,10 +335,8 @@ def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
             lambda z2: -2.0 * math.pi * p.alpha * c.G * math.exp(-(a + z1 + z2) / lam),
             0.0, d2_eff, sharp_edges=[(0.0, lam)])
 
-    val, err, nsub, ok = integrate_adaptive(layer1, 0.0, d1_eff, q,
-                                            sharp_edges=[(0.0, lam)])
-    return OracleReport(rho1 * rho2 * val, abs(rho1 * rho2) * err,
-                        nsub + nested.subdivisions, ok and nested.all_converged)
+    return nested.report(integrate_adaptive(layer1, 0.0, d1_eff, q, sharp_edges=[(0.0, lam)]),
+                         scale=rho1 * rho2)
 
 
 # --------------------------------------------------------------------------
@@ -421,8 +431,7 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
         err_total += err
         nsub_total += nsub
         ok = ok and converged
-    return OracleReport(total, err_total, nsub_total + nested.subdivisions,
-                        ok and nested.all_converged)
+    return nested.report((total, err_total, nsub_total, ok))
 
 
 # --------------------------------------------------------------------------
@@ -475,9 +484,7 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
             return -rho2 * 2.0 * math.pi * u * u * nested.integral(over_angle, -1.0, 1.0,
                                                                    sharp_edges=hint)
 
-        val, err, nsub, ok = integrate_adaptive(shell, 0.0, r2, q)
-        exact = OracleReport(val, err, nsub + nested.subdivisions,
-                             ok and nested.all_converged)
+        exact = nested.report(integrate_adaptive(shell, 0.0, r2, q))
 
     # surface-element (column) construction over the shadow
     shadow = min(r1, r2)
@@ -575,7 +582,5 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
                                                sharp_edges=[(0.0, scale)])
 
     outer_scale = p.lam if yukawa_like else z
-    val, err, nsub, ok = integrate_adaptive(slab_layer, z, z + d1, q,
-                                            sharp_edges=[(z, outer_scale)])
-    return OracleReport(prefactor * val, abs(prefactor) * err,
-                        nsub + nested.subdivisions, ok and nested.all_converged)
+    return nested.report(integrate_adaptive(slab_layer, z, z + d1, q,
+                                            sharp_edges=[(z, outer_scale)]), scale=prefactor)

@@ -352,3 +352,54 @@ def test_manifest_shape(tmp_path, argv, subcommand, grid, counters, rows):
     assert manifest["rows"] == rows == len(read(out).splitlines()) - 1
     if "lambda" in grid:
         assert manifest["grid"]["lambda"] == LAMBDA_GRID
+
+
+@pytest.mark.parametrize("command, preset", [("xi-power-sweep", "fig4-left"),
+                                             ("xi-yukawa-sweep", "fig5")])
+@pytest.mark.parametrize("factors", ["1, 10", "1", "1, 10, 2.7", "1, 10, inf"])
+def test_malformed_rd_grid_factors_named(tmp_path, capsys, command, preset, factors):
+    # a 2-item or scalar value used to end in a traceback, a fractional point
+    # count in a silently truncated grid
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"rd_grid_factors = {factors}\n")
+    out = tmp_path / "x.csv"
+    assert run(command, "--preset", preset, "--config", str(cfg), "--output", str(out)) == 1
+    assert "rd_grid_factors" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scalar_n_grid_is_a_one_point_axis(tmp_path):
+    # a lone value is a one-element list, as for every other list setting
+    out = tmp_path / "n.csv"
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n_grid = 2\n")
+    assert run("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
+               "--output", str(out)) == 0
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [2.0] * 4
+    assert json.loads(read(str(out) + ".manifest.json"))["grid"]["n"] == [2.0]
+
+
+def test_preset_of_another_subcommand_fails(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run("eta-sweep", "--preset", "fig5", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "fig5" in err and "xi-yukawa-sweep" in err
+    assert not out.exists()
+
+
+def test_zero_lambda_points_fails(tmp_path):
+    assert run("eta-sweep", "--lambda-points", "0", "--output", str(tmp_path / "x.csv")) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    [command, flag, value]
+    for command in ("xi-power-sweep", "xi-yukawa-sweep")
+    for flag, value in (("--lambda-min", "1 nm"), ("--lambda-max", "1 mm"),
+                        ("--lambda-points", "3"), ("--d2", "1 um"))
+] + [["limits", "--residuals", RESIDUALS, "--workers", "2"],
+     ["limits", "--residuals", RESIDUALS, "--preset", "fig2-left"]])
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--output", str(tmp_path / "x.csv"))
+    assert exc.value.code == 2

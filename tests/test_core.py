@@ -4,23 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ypfa import (INFINITE, CurvatureRadii, Disk, InputError, Layer, LayeredSphere,
-                  PhysicalConstants, PowerLawParams, YukawaParams, effective_radius,
-                  to_si_density)
+                  PhysicalConstants, PowerLawParams, YukawaParams, effective_radius)
 from ypfa.config import format_si, parse_config_text, parse_quantity
-
-
-def test_to_si_density_examples():
-    assert to_si_density(19.28, "g_per_cm3") == 19280.0
-    assert to_si_density(0.0, "g_per_cm3") == 0.0
-    assert to_si_density(2.33, "g_per_cm3") == 2330.0
-    assert to_si_density(2330.0, "kg_per_m3") == 2330.0
-
-
-def test_to_si_density_rejects_bad_input():
-    with pytest.raises(InputError):
-        to_si_density(-1.0, "g_per_cm3")
-    with pytest.raises(InputError):
-        to_si_density(1.0, "stone_per_firkin")
 
 
 def test_effective_radius_examples():
@@ -83,6 +68,20 @@ def test_parse_quantity_units():
     assert parse_quantity("2330 kg/m3") == 2330.0
     assert parse_quantity("inf") == INFINITE
     assert parse_quantity("42") == 42.0
+
+
+def test_parse_quantity_densities():
+    assert parse_quantity("19.28 g/cm3") == 19280.0
+    assert parse_quantity("0 g/cm3") == 0.0
+    assert parse_quantity("2.33 g/cm3") == 2330.0
+    assert parse_quantity("2330.0 kg/m3") == 2330.0
+
+
+def test_parse_quantity_rejects_bad_density():
+    with pytest.raises(InputError, match="density must be >= 0"):
+        parse_quantity("-1 g/cm3")
+    with pytest.raises(InputError, match="unknown unit"):
+        parse_quantity("1 stone/firkin")
 
 
 def test_parse_quantity_rejects_garbage():

@@ -124,23 +124,21 @@ def _doubling(top):
     return points + [top]
 
 
-def _assert_contract(reference, run, nested):
-    """|oracle - reference| <= rel_tol |value| at every contract tolerance.
+def _assert_contract(reference, run):
+    """|oracle - reference| <= rel_tol |value|, and estimate >= achieved
+    error, at every contract tolerance.
 
-    Only a 1D report must also bound its achieved error by its estimate. A
-    nested report's estimate leaves out the inner integrals' error: on the
-    verify disk-Yukawa grid at rel_tol 1e-10 the estimate falls below the
-    achieved error in 27/27 configurations with uniformly filled seed
-    meshes and in 21/27 with hint-seeded ones, by at most 1.9x, all at the
-    1e-15 round-off floor.
+    A nested report's estimate includes the worst inner relative error times
+    the outer value; without that term the estimate fell below the achieved
+    error on the verify disk-Yukawa grid at rel_tol 1e-10 in 21 of 27
+    configurations, by up to 1.9x, all at the 1e-15 round-off floor.
     """
     for tol in CONTRACT_TOLS:
         report = run(QuadratureSpec(rel_tol=tol, abs_tol=1e-300))
         achieved = abs(report.value - reference)
         assert report.converged
         assert achieved <= tol * abs(report.value), (tol, achieved / abs(reference))
-        if not nested:
-            assert report.error_estimate >= achieved, (tol, report.error_estimate, achieved)
+        assert report.error_estimate >= achieved, (tol, report.error_estimate, achieved)
 
 
 # mpmath.quad stops on an absolute error near 10^-dps, so every reference
@@ -161,7 +159,7 @@ def test_tolerance_contract_sphere_slab():
             * -math.expm1(-cfg.slab_thickness / lam)
             * mpmath.exp(-cfg.separation / lam) * shape)
     _assert_contract(reference, lambda q: oracle_sphere_slab_yukawa(
-        cfg, YukawaParams(1.0, lam), C, q), nested=False)
+        cfg, YukawaParams(1.0, lam), C, q))
 
 
 def test_tolerance_contract_layered_stack(coated_stack):
@@ -175,7 +173,7 @@ def test_tolerance_contract_layered_stack(coated_stack):
                                * mpmath.exp(-(z + depth) / lam) * decay)
             depth += layer.thickness
     _assert_contract(reference, lambda q: oracle_layered_stack_potential(
-        z, coated_stack, YukawaParams(1.0, lam), C, q), nested=False)
+        z, coated_stack, YukawaParams(1.0, lam), C, q))
 
 
 def test_tolerance_contract_slab_slab_nested():
@@ -186,7 +184,7 @@ def test_tolerance_contract_slab_slab_nested():
         reference = float(2330.0 * 4100.0 * -2.0 * math.pi * C.G * lam * lam
                            * mpmath.exp(-a / lam) * double)
     _assert_contract(reference, lambda q: oracle_slab_slab_pressure(
-        a, d1, 2330.0, d2, 4100.0, YukawaParams(1.0, lam), C, q), nested=True)
+        a, d1, 2330.0, d2, 4100.0, YukawaParams(1.0, lam), C, q))
 
 
 def test_tolerance_contract_disk_yukawa_nested():
@@ -202,7 +200,7 @@ def test_tolerance_contract_disk_yukawa_nested():
         double = mpmath.quad(kernel, [v_lo, v_hi], radii, method="gauss-legendre")
         reference = float(-C.G * disk.density * probe.mass * 2.0 * math.pi * lam * double)
     _assert_contract(reference, lambda q: oracle_disk_point(
-        probe, disk, "yukawa", C, q, p=YukawaParams(1.0, lam)), nested=True)
+        probe, disk, "yukawa", C, q, p=YukawaParams(1.0, lam)))
 
 
 def test_quadrature_spec_validation():
