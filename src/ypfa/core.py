@@ -185,6 +185,29 @@ class ResonatorParams:
             raise InputError(f"resonator mass must be > 0, got {self.mass}")
 
 
+@dataclass(frozen=True)
+class SeparationLaw:
+    """A force or energy prefactor(lam) * e^(-a/lam) as a function of the gap a.
+
+    Any body facing a laterally infinite slab feels a Yukawa force of this
+    shape, so everything but the exponential can be evaluated once per lam.
+    ``law(a)`` computes head * e^(-a/lam) * factors[0] * factors[1] ... / over,
+    multiplied left to right, which reproduces the one-line product form
+    of each closed form bit for bit. The gap is not validated here.
+    """
+
+    head: float
+    lam: float
+    factors: tuple[float, ...]
+    over: float = 1.0
+
+    def __call__(self, a: float) -> float:
+        value = self.head * math.exp(-a / self.lam)
+        for factor in self.factors:
+            value *= factor
+        return value / self.over
+
+
 def effective_radius(c: CurvatureRadii) -> float:
     """Geometric mean sqrt(r_x * r_y) of the principal curvature radii."""
     return math.sqrt(c.r_x * c.r_y)

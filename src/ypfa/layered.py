@@ -20,7 +20,9 @@ stack factor of a virtual plate (thickness d2) coated like the sphere:
     F_pfa(a) = -4 pi^2 alpha G lam^3 R e^(-a/lam) * S_slab * S_virtual.
 
 Their ratio eta_delta = Psi_sphere / (R * S_virtual) is therefore
-independent of both the separation and the slab stack.
+independent of both the separation and the slab stack. Each of U, F and
+F_pfa is built as a core.SeparationLaw (the ``*_law`` builders): the stack
+and shell factors once per lam, then one exponential per separation.
 
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
 for nanometre lam; every term here is assembled so that each exponential
@@ -33,11 +35,12 @@ exactly 0 because expm1(0) == 0 exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import INFINITE, InputError, LayeredSlab, LayeredSphere, PhysicalConstants, YukawaParams
+from .core import (INFINITE, InputError, LayeredSlab, LayeredSphere, PhysicalConstants,
+                   SeparationLaw, YukawaParams)
 from .numerics import expm1_minus_x, expm1_neg_plus_x, one_minus_exp
-from .yukawa import eta
+from .yukawa import check_d2, eta
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,7 @@ class LayeredConfig:
     def __post_init__(self):
         if not self.separation > 0.0:
             raise InputError(f"separation must be > 0, got {self.separation}")
+        check_d2(self.d2)
 
 
 @dataclass(frozen=True)
@@ -139,19 +143,47 @@ def layered_slab_potential(z: float, slab: LayeredSlab, p: YukawaParams,
             * slab_stack_factor(slab, lam))
 
 
+def layered_epfa_energy_law(cfg: LayeredConfig, p: YukawaParams,
+                            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    """Exact layered energy as a law in the separation (cfg.separation unused)."""
+    lam = p.lam
+    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 4, lam,
+                         (slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam)))
+
+
+def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
+                           c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    """Exact layered force U/lam as a law in the separation."""
+    return replace(layered_epfa_energy_law(cfg, p, c), over=p.lam)
+
+
+def _pfa_head(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants) -> float:
+    """-4 pi^2 alpha G lam^3 R_core, the prefactor of every PFA layer pair."""
+    return -4.0 * math.pi ** 2 * p.alpha * c.G * p.lam ** 3 * cfg.sphere.core_radius
+
+
+def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
+                    c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    """Layered PFA force as a law in the separation (cfg.separation unused).
+
+    The virtual plate thickness is cfg.d2, which LayeredConfig checks.
+    """
+    lam = p.lam
+    return SeparationLaw(_pfa_head(cfg, p, c), lam,
+                         (slab_stack_factor(cfg.slab, lam),
+                          virtual_stack_factor(cfg.sphere, cfg.d2, lam)))
+
+
 def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams,
                         c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact interaction energy of the layered sphere and layered slab (J)."""
-    lam = p.lam
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 4
-            * math.exp(-cfg.separation / lam)
-            * slab_stack_factor(cfg.slab, lam) * sphere_shell_factor(cfg.sphere, lam))
+    return layered_epfa_energy_law(cfg, p, c)(cfg.separation)
 
 
 def layered_epfa_force(cfg: LayeredConfig, p: YukawaParams,
                        c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact force on the layered sphere, U/lam (N, < 0)."""
-    return layered_epfa_energy(cfg, p, c) / p.lam
+    return layered_epfa_force_law(cfg, p, c)(cfg.separation)
 
 
 def layered_pfa_terms(cfg: LayeredConfig, p: YukawaParams,
@@ -165,8 +197,7 @@ def layered_pfa_terms(cfg: LayeredConfig, p: YukawaParams,
     pure exponential). The sum of all nine equals layered_pfa_force.
     """
     lam = p.lam
-    pref = (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * cfg.sphere.core_radius
-            * math.exp(-cfg.separation / lam))
+    pref = _pfa_head(cfg, p, c) * math.exp(-cfg.separation / lam)
     s1 = _slab_summands(cfg.slab, lam)
     s2 = _virtual_summands(cfg.sphere, cfg.d2, lam)
     return [[pref * a * b for b in s2] for a in s1]
@@ -179,11 +210,7 @@ def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams,
     Uses the factorized form S_slab * S_virtual, identical to summing the
     nine layer-pair pressures of layered_pfa_terms.
     """
-    lam = p.lam
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * cfg.sphere.core_radius
-            * math.exp(-cfg.separation / lam)
-            * slab_stack_factor(cfg.slab, lam)
-            * virtual_stack_factor(cfg.sphere, cfg.d2, lam))
+    return layered_pfa_law(cfg, p, c)(cfg.separation)
 
 
 def eta_delta(cfg: LayeredConfig, p: YukawaParams,

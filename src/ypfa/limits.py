@@ -11,6 +11,12 @@ element 'epfa') the analysis adopts. The model choice shifts the whole
 curve by the separation-independent factor 1/eta (homogeneous) or
 1/eta_delta (layered): overestimating the force claims stronger limits.
 
+For a laterally infinite slab every one of these forces (the exact one
+being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda): the
+separation enters only through the exponential. alpha_limit therefore builds
+one SeparationLaw per lambda and evaluates each residual row with a single
+exp, bit-identical to calling the force function with that separation.
+
 Residuals are taken as given; no interpolation between tabulated
 separations and no statistical machinery. The bundled
 data/synthetic_residuals.csv is synthetic demo data, not digitized
@@ -22,16 +28,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import INFINITE, DegenerateInputError, InputError, PhysicalConstants, YukawaParams
-from .layered import LayeredConfig, eta_delta, layered_epfa_force, layered_pfa_force
+from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants, SeparationLaw,
+                   YukawaParams)
+from .layered import LayeredConfig, eta_delta, layered_epfa_force_law, layered_pfa_law
 from .sweeps import SweepGrid
-from .yukawa import SphereSlabConfig, eta, sphere_slab_force_exact, sphere_slab_force_pfa
+from .yukawa import SphereSlabConfig, eta, sphere_slab_exact_law, sphere_slab_pfa_law
 
 #: Above roughly this Yukawa range the parallel-plate-mapped model deviates
 #: appreciably from the exact force; sweep manifests flag these rows.
 PFA_RELIABLE_LAMBDA_MAX = 100e-9
 
 METHODS = ("pfa", "epfa")
+
+
+def _check_entry(previous: float, separation: float, residual: float) -> None:
+    """One residual row: separation above the previous one, residual >= 0 (not nan)."""
+    if not separation > previous:
+        raise InputError("separations must be positive and strictly increasing")
+    if not residual >= 0.0:
+        raise InputError(f"residual must be >= 0, got {residual}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +60,7 @@ class ResidualBound:
             raise InputError("residual bound needs at least one entry")
         previous = 0.0
         for separation, residual in self.entries:
-            if not separation > previous:
-                raise InputError("separations must be positive and strictly increasing")
-            if residual < 0.0:
-                raise InputError(f"residual must be >= 0, got {residual}")
+            _check_entry(previous, separation, residual)
             previous = separation
 
     @classmethod
@@ -68,15 +80,17 @@ class ResidualBound:
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: expected two comma-separated fields")
             try:
-                entries.append((float(parts[0]), float(parts[1])))
+                separation, residual = float(parts[0]), float(parts[1])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: cannot parse {line!r}") from None
+            try:
+                _check_entry(entries[-1][0] if entries else 0.0, separation, residual)
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            entries.append((separation, residual))
         if not entries:
             raise InputError(f"{path}: no data rows")
-        try:
-            return cls(entries=tuple(entries))
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return cls(entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -89,18 +103,17 @@ class ExclusionPoint:
     method: str
 
 
-def _unit_alpha_force(separation: float, lam: float, geometry, method: str,
-                      c: PhysicalConstants, d2: float) -> float:
+def _unit_alpha_law(lam: float, geometry, method: str, c: PhysicalConstants,
+                    d2: float) -> SeparationLaw:
     params = YukawaParams(alpha=1.0, lam=lam)
-    cfg = replace(geometry, separation=separation)
     if isinstance(geometry, LayeredConfig):
         if method == "pfa":
-            return layered_pfa_force(cfg, params, c)
-        return layered_epfa_force(cfg, params, c)
+            return layered_pfa_law(geometry, params, c)
+        return layered_epfa_force_law(geometry, params, c)
     if isinstance(geometry, SphereSlabConfig):
         if method == "pfa":
-            return sphere_slab_force_pfa(cfg, d2, params, c)
-        return sphere_slab_force_exact(cfg, params, c)
+            return sphere_slab_pfa_law(geometry, d2, params, c)
+        return sphere_slab_exact_law(geometry, params, c)
     raise InputError(f"unsupported geometry {type(geometry).__name__}")
 
 
@@ -118,9 +131,10 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
     if not lam > 0.0:
         raise InputError(f"lambda must be > 0, got {lam}")
+    law = _unit_alpha_law(lam, geometry, method, c, d2)
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
-        force = abs(_unit_alpha_force(separation, lam, geometry, method, c, d2))
+        force = abs(law(separation))
         if force == 0.0 or math.isnan(force):
             continue
         bound = residual / force

@@ -8,11 +8,10 @@ order, so the output bytes do not depend on the worker count.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import InputError
 
@@ -76,21 +75,18 @@ def map_ordered(func: Callable, items: Sequence, workers: int) -> list:
 
 
 def format_number(x: float) -> str:
-    """Scientific notation, 12 significant digits; inf/nan spelled out."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Scientific notation, 12 significant digits; spells nan, inf and -inf."""
     return f"{x:.11e}"
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write rows (numbers or strings) as CSV; returns the row count."""
-    count = 0
+def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> int:
+    """Write rows (numbers or strings) as CSV; returns the row count.
+
+    The lines go to one writelines call as a generator, so no second copy of
+    the whole file is held in memory.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [cell if isinstance(cell, str) else format_number(cell) for cell in row]
-            handle.write(",".join(cells) + "\n")
-            count += 1
-    return count
+        handle.writelines(",".join([cell if isinstance(cell, str) else f"{cell:.11e}"
+                                    for cell in row]) + "\n" for row in rows)
+    return len(rows)

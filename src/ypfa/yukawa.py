@@ -18,7 +18,9 @@ while the PFA force replaces Phi by the thickness factor (1 - e^(-D2/lam))
 of a virtual upper plate of thickness D2 (a bookkeeping device of the
 parallel-plate mapping, not a physical part of the setup; D2 = INFINITE
 makes the factor exactly 1). eta = Phi/(1 - e^(-D2/lam)) is independent of
-the separation a.
+the separation a. Both forces are built as a core.SeparationLaw (the
+``*_law`` builders), so a caller scanning many separations at one lam
+evaluates the prefactor once and one exponential per separation.
 
 The naive Phi cancels catastrophically for u << 1, so ``phi`` reports one
 of two regimes: 'series_small_u' (Taylor series, u < 1e-3) and 'direct',
@@ -32,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InputError, PhysicalConstants, ResonatorParams, YukawaParams, effective_radius
+from .core import (InputError, PhysicalConstants, ResonatorParams, SeparationLaw, YukawaParams,
+                   effective_radius)
 from .numerics import one_minus_exp, x_cosh_x_minus_sinh_x
 
 #: Below this u = 2R/lambda the Taylor-series branch of Phi is used.
@@ -70,6 +73,12 @@ class EtaResult:
 
     eta: float
     regime: str
+
+
+def check_d2(d2: float) -> None:
+    """The virtual plate thickness d2 must be > 0 (INFINITE allowed; nan is not)."""
+    if not d2 > 0.0:
+        raise InputError(f"virtual plate thickness d2 must be > 0, got {d2}")
 
 
 def phi_series(u: float) -> float:
@@ -139,14 +148,34 @@ def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
             * math.exp(-a / lam) * one_minus_exp(d1 / lam) * one_minus_exp(d2 / lam))
 
 
+def _sphere_slab_head(cfg: SphereSlabConfig, p: YukawaParams, c: PhysicalConstants) -> float:
+    """-4 pi^2 alpha G rho1 rho2 lam^3 R, shared by the exact and PFA forces."""
+    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
+            * p.lam ** 3 * cfg.sphere_radius)
+
+
+def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams,
+                          c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    """Exact sphere-slab force as a law in the separation (cfg.separation unused)."""
+    lam = p.lam
+    phi_value, _ = phi(2.0 * cfg.sphere_radius / lam)
+    return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
+                         (one_minus_exp(cfg.slab_thickness / lam), phi_value))
+
+
+def sphere_slab_pfa_law(cfg: SphereSlabConfig, d2: float, p: YukawaParams,
+                        c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    """PFA sphere-slab force as a law in the separation (cfg.separation unused)."""
+    check_d2(d2)
+    lam = p.lam
+    return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
+                         (one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(d2 / lam)))
+
+
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,
                             c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact (volume-integrated) Yukawa force on the sphere, in N (< 0)."""
-    lam = p.lam
-    phi_value, _ = phi(2.0 * cfg.sphere_radius / lam)
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
-            * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
-            * one_minus_exp(cfg.slab_thickness / lam) * phi_value)
+    return sphere_slab_exact_law(cfg, p, c)(cfg.separation)
 
 
 def sphere_slab_force_pfa(cfg: SphereSlabConfig, d2: float, p: YukawaParams,
@@ -157,10 +186,7 @@ def sphere_slab_force_pfa(cfg: SphereSlabConfig, d2: float, p: YukawaParams,
     half-space limit). With d2 INFINITE the PFA magnitude is always >= the
     exact magnitude.
     """
-    lam = p.lam
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
-            * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
-            * one_minus_exp(cfg.slab_thickness / lam) * one_minus_exp(d2 / lam))
+    return sphere_slab_pfa_law(cfg, d2, p, c)(cfg.separation)
 
 
 def eta(radius: float, d2: float, lam: float) -> EtaResult:
@@ -176,6 +202,7 @@ def eta(radius: float, d2: float, lam: float) -> EtaResult:
         raise InputError(f"radius must be > 0, got {radius}")
     if not lam > 0.0:
         raise InputError(f"lambda must be > 0, got {lam}")
+    check_d2(d2)
     phi_value, regime = phi(2.0 * radius / lam)
     return EtaResult(eta=phi_value / one_minus_exp(d2 / lam), regime=regime)
 

@@ -267,6 +267,10 @@ def test_limits_malformed_residuals(tmp_path):
     empty.write_text("")
     assert run("limits", "--residuals", str(empty),
                "--output", str(tmp_path / "x.csv")) == 1
+    nan_row = tmp_path / "nan.csv"
+    nan_row.write_text("separation_m,residual_N\n1e-7,5e-16\n2e-7,nan\n")
+    assert run("limits", "--residuals", str(nan_row),
+               "--output", str(tmp_path / "x.csv")) == 1
 
 
 def test_oracle_verify_quick_passes(capsys):
@@ -403,3 +407,18 @@ def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--output", str(tmp_path / "x.csv"))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("d2", ["0", "-1 um", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["eta-sweep"],
+    ["eta-layered-sweep"],
+    ["limits", "--residuals", RESIDUALS],
+    ["limits", "--residuals", RESIDUALS, "--method", "pfa"],
+    ["limits", "--residuals", RESIDUALS, "--geometry", "layered"],
+])
+def test_nonpositive_or_nan_d2_fails(tmp_path, capsys, argv, d2):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--d2", d2, "--lambda-points", "3", "--output", str(out)) == 1
+    assert "d2" in capsys.readouterr().err
+    assert not out.exists()

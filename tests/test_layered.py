@@ -3,11 +3,12 @@ import math
 import pytest
 
 from ypfa import (INFINITE, InputError, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
-                  SphereSlabConfig, YukawaParams, eta, eta_delta, layered_epfa_energy,
+                  PhysicalConstants, SphereSlabConfig, YukawaParams, eta, eta_delta, layered_epfa_energy,
                   layered_epfa_force, layered_pfa_force, layered_pfa_terms,
                   layered_slab_potential, oracle_layered_sphere_slab,
                   oracle_layered_stack_potential, slab_slab_pressure,
                   sphere_slab_force_exact, sphere_slab_force_pfa)
+from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
 
 def bare_slab(density=2330.0, thickness=3.5e-6):
@@ -220,3 +221,45 @@ def test_eta_delta_flattens_the_homogeneous_ratio(coated_sphere, coated_stack):
                             d2=100.0)
         result = eta_delta(cfg, YukawaParams(1.0, lam))
         assert 1.0 <= result.ratio < 1.2, f"lam={lam}"
+
+
+# ------------------------------------------------- separation-law product form
+# The product forms the layered forces had before they were split into a
+# separation law; the laws must reproduce them bit for bit.
+
+def _product_energy(cfg, p, c):
+    lam = p.lam
+    return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 4
+            * math.exp(-cfg.separation / lam)
+            * slab_stack_factor(cfg.slab, lam) * sphere_shell_factor(cfg.sphere, lam))
+
+
+def _product_pfa(cfg, p, c):
+    lam = p.lam
+    return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * cfg.sphere.core_radius
+            * math.exp(-cfg.separation / lam)
+            * slab_stack_factor(cfg.slab, lam)
+            * virtual_stack_factor(cfg.sphere, cfg.d2, lam))
+
+
+def test_layered_forces_equal_their_product_form(coated_sphere, coated_stack):
+    c = PhysicalConstants(G=6.1e-11)
+    zeros = 0
+    # nanometre to kilometre ranges; at lam = 0.1 nm every force underflows to 0
+    for lam in (1e-10, 1e-9, 3.7e-8, 1e-6, 150e-6, 2e-3, 1.0, 1e3):
+        p = YukawaParams(alpha=-2.5, lam=lam)
+        for a in (1e-8, 1e-7, 1e-6):
+            for d2 in (INFINITE, 1e-6, 10.0):
+                cfg = LayeredConfig(a, coated_sphere, coated_stack, d2)
+                energy = layered_epfa_energy(cfg, p, c)
+                assert energy == _product_energy(cfg, p, c)
+                assert layered_epfa_force(cfg, p, c) == _product_energy(cfg, p, c) / lam
+                assert layered_pfa_force(cfg, p, c) == _product_pfa(cfg, p, c)
+                zeros += energy == 0.0
+    assert zeros >= 2
+
+
+@pytest.mark.parametrize("d2", [0.0, -1e-6, math.nan])
+def test_layered_config_rejects_nonpositive_or_nan_d2(coated_sphere, coated_stack, d2):
+    with pytest.raises(InputError, match="d2"):
+        LayeredConfig(1e-7, coated_sphere, coated_stack, d2)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from ypfa import (INFINITE, DegenerateInputError, InputError, LayeredConfig, ResidualBound,
                   SphereSlabConfig, SweepGrid, YukawaParams, alpha_limit, eta, eta_delta,
-                  exclusion_curve, limit_shift)
+                  exclusion_curve, layered_epfa_force, layered_pfa_force, limit_shift,
+                  sphere_slab_force_exact, sphere_slab_force_pfa)
 
 
 def flat_bounds(residual=1e-16):
@@ -26,6 +28,8 @@ def test_residual_bound_validation():
         ResidualBound(entries=((1e-7, 1e-16), (1e-7, 1e-16)))  # not increasing
     with pytest.raises(InputError):
         ResidualBound(entries=((1e-7, -1e-16),))
+    with pytest.raises(InputError):
+        ResidualBound(entries=((1e-7, math.nan),))
 
 
 def test_residual_bound_from_csv(tmp_path):
@@ -42,6 +46,9 @@ def test_residual_bound_from_csv(tmp_path):
     ("separation_m,residual_N\n1e-7\n", ":2"),
     ("separation_m,residual_N\n1e-7,abc\n", ":2"),
     ("separation_m,residual_N\n2e-7,1e-16\n1e-7,1e-16\n", "increasing"),
+    ("separation_m,residual_N\n2e-7,1e-16\n1e-7,1e-16\n", ":3"),
+    ("separation_m,residual_N\n1e-7,1e-16\n2e-7,nan\n", ":3"),
+    ("separation_m,residual_N\n1e-7,1e-16\n2e-7,-1e-16\n", ":3"),
 ])
 def test_residual_bound_csv_errors_name_lines(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
@@ -146,3 +153,35 @@ def test_argmin_stable_under_uniform_scaling(geometry):
     base = alpha_limit(lam, flat_bounds(1e-16), geometry, "epfa")
     scaled = alpha_limit(lam, flat_bounds(7.3e-16), geometry, "epfa")
     assert base.best_separation == scaled.best_separation
+
+
+def _direct_alpha_limit(lam, bounds, geometry, method, d2):
+    """min over rows of residual / |F(a)|, rebuilding the geometry per row."""
+    p = YukawaParams(alpha=1.0, lam=lam)
+    best = None
+    for a, residual in bounds.entries:
+        cfg = replace(geometry, separation=a)
+        if isinstance(geometry, LayeredConfig):
+            force = layered_pfa_force(cfg, p) if method == "pfa" else layered_epfa_force(cfg, p)
+        elif method == "pfa":
+            force = sphere_slab_force_pfa(cfg, d2, p)
+        else:
+            force = sphere_slab_force_exact(cfg, p)
+        if abs(force) == 0.0:
+            continue
+        if best is None or residual / abs(force) < best[0]:
+            best = (residual / abs(force), a)
+    return best
+
+
+@pytest.mark.parametrize("method", ["pfa", "epfa"])
+@pytest.mark.parametrize("layered", [False, True])
+def test_alpha_limit_equals_direct_minimum(geometry, layered_cfg, method, layered):
+    cfg, d2 = (layered_cfg, layered_cfg.d2) if layered else (geometry, 10e-6)
+    bounds = ResidualBound(entries=((6e-8, 2e-16), (1e-7, 1.3e-16), (2.2e-7, 9e-17),
+                                    (5e-7, 4e-17), (1e-6, 3e-17)))
+    # at 1 nm the 1 um row underflows and is skipped; at 1 m Phi takes its series branch
+    for lam in (1e-9, 2e-8, 1.7e-7, 4e-6, 150e-6, 1.0):
+        point = alpha_limit(lam, bounds, cfg, method, d2=d2)
+        assert (point.alpha_bound, point.best_separation) == \
+            _direct_alpha_limit(lam, bounds, cfg, method, d2)

@@ -8,7 +8,8 @@ from ypfa import (INFINITE, CurvatureRadii, InputError, PhysicalConstants,
                   pfa_force_from_energy, pressure_from_frequency_shift,
                   slab_slab_pressure, sphere_slab_force_exact, sphere_slab_force_pfa,
                   yukawa_pair_energy)
-from ypfa.yukawa import frequency_shift_from_pressure
+from ypfa.numerics import one_minus_exp
+from ypfa.yukawa import frequency_shift_from_pressure, phi
 
 mpmath.mp.dps = 50
 
@@ -191,3 +192,50 @@ def test_pressure_frequency_shift_roundtrip():
     for pressure in (1e-7, 3.7, -2.2e4):
         back = pressure_from_frequency_shift(frequency_shift_from_pressure(pressure, res), res)
         assert abs(back / pressure - 1.0) < 1e-14
+
+
+# The one-line product forms the sphere-slab forces had before they were
+# split into a separation law; the laws must reproduce them bit for bit.
+def _product_exact(cfg, p, c):
+    lam = p.lam
+    phi_value, _ = phi(2.0 * cfg.sphere_radius / lam)
+    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
+            * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
+            * one_minus_exp(cfg.slab_thickness / lam) * phi_value)
+
+
+def _product_pfa(cfg, d2, p, c):
+    lam = p.lam
+    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
+            * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
+            * one_minus_exp(cfg.slab_thickness / lam) * one_minus_exp(d2 / lam))
+
+
+#: 2R/lam < 1e-3 (series Phi) from lam = 1 m up; lam = 0.1 nm underflows
+#: e^(-a/lam) to 0 at every separation from 100 nm.
+FORCE_GRID_LAMBDAS = (1e-10, 1e-9, 3.7e-8, 1e-6, 150e-6, 2e-3, 1.0, 1e3)
+
+
+def test_sphere_slab_forces_equal_their_product_form():
+    c = PhysicalConstants(G=6.1e-11)
+    regimes, zeros = set(), 0
+    for lam in FORCE_GRID_LAMBDAS:
+        regimes.add(eta(150e-6, INFINITE, lam).regime)
+        p = YukawaParams(alpha=-2.5, lam=lam)
+        for a in (1e-8, 1e-7, 1e-6):
+            cfg = SphereSlabConfig(a, 150e-6, 4100.0, 3.5e-6, 2330.0)
+            exact = sphere_slab_force_exact(cfg, p, c)
+            assert exact == _product_exact(cfg, p, c)
+            zeros += exact == 0.0
+            for d2 in (INFINITE, 1e-6, 10.0):
+                assert sphere_slab_force_pfa(cfg, d2, p, c) == _product_pfa(cfg, d2, p, c)
+    assert regimes == {"series_small_u", "direct"}
+    assert zeros >= 2
+
+
+@pytest.mark.parametrize("d2", [0.0, -1e-6, math.nan, -INFINITE])
+def test_nonpositive_or_nan_d2_rejected(homogeneous_cfg, d2):
+    with pytest.raises(InputError, match="d2"):
+        eta(150e-6, d2, 1e-7)
+    with pytest.raises(InputError, match="d2"):
+        sphere_slab_force_pfa(homogeneous_cfg, d2, YukawaParams(1.0, 1e-7))
