@@ -35,7 +35,7 @@ exactly 0 because expm1(0) == 0 exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (INFINITE, InputError, LayeredSlab, LayeredSphere, PhysicalConstants,
                    SeparationLaw, YukawaParams)
@@ -154,7 +154,8 @@ def layered_epfa_energy_law(cfg: LayeredConfig, p: YukawaParams,
 def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
                            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact layered force U/lam as a law in the separation."""
-    return replace(layered_epfa_energy_law(cfg, p, c), over=p.lam)
+    energy = layered_epfa_energy_law(cfg, p, c)
+    return SeparationLaw(energy.head, energy.lam, energy.factors, over=p.lam)
 
 
 def _pfa_head(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants) -> float:
