@@ -3,8 +3,8 @@ import math
 import pytest
 
 from ypfa import (INFINITE, InputError, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
-                  PhysicalConstants, SphereSlabConfig, YukawaParams, eta, eta_delta, layered_epfa_energy,
-                  layered_epfa_force, layered_pfa_force, layered_pfa_terms,
+                  PhysicalConstants, SphereSlabConfig, YukawaParams, eta, eta_delta,
+                  layered_epfa_energy, layered_epfa_force, layered_pfa_force, layered_pfa_terms,
                   layered_slab_potential, oracle_layered_sphere_slab,
                   oracle_layered_stack_potential, slab_slab_pressure,
                   sphere_slab_force_exact, sphere_slab_force_pfa)
