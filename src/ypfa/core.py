@@ -71,16 +71,16 @@ class YukawaParams:
 class Layer:
     """One homogeneous coating: thickness (m) and density (kg/m^3).
 
-    thickness == 0 means the layer is absent.
+    thickness == 0 means the layer is absent, INFINITE a half-space.
     """
 
     thickness: float
     density: float
 
     def __post_init__(self):
-        if self.thickness < 0.0:
+        if not self.thickness >= 0.0:
             raise InputError(f"layer thickness must be >= 0, got {self.thickness}")
-        if self.density < 0.0:
+        if not self.density >= 0.0:
             raise InputError(f"layer density must be >= 0, got {self.density}")
 
 
@@ -116,7 +116,10 @@ class LayeredSphere:
     def __post_init__(self):
         if not self.core_radius > 0.0:
             raise InputError(f"core radius must be > 0, got {self.core_radius}")
-        if self.core_density < 0.0:
+        if not self.outer_radius < INFINITE:
+            raise InputError("sphere outer radius (core radius + coat thicknesses) must be "
+                             f"finite, got {self.outer_radius}")
+        if not self.core_density >= 0.0:
             raise InputError(f"core density must be >= 0, got {self.core_density}")
 
     @property
@@ -153,7 +156,7 @@ class Disk:
             raise InputError(f"disk radius must be > 0, got {self.radius}")
         if not self.thickness > 0.0:
             raise InputError(f"disk thickness must be > 0, got {self.thickness}")
-        if self.density < 0.0:
+        if not self.density >= 0.0:
             raise InputError(f"disk density must be >= 0, got {self.density}")
 
 

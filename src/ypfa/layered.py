@@ -27,9 +27,10 @@ and shell factors once per lam, then one exponential per separation.
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
 for nanometre lam; every term here is assembled so that each exponential
 carries a non-positive argument (the global e^(-a/lam) is kept outside, the
-e^(-R_out/lam) rescaling is distributed per term), with expm1-based forms
-where nearby exponentials would cancel. Zero-thickness layers contribute
-exactly 0 because expm1(0) == 0 exactly.
+e^(-R_out/lam) rescaling is distributed per term). Each shell term adds two
+non-negative parts built on yukawa.phi, so no lam makes it cancel. A zero-
+thickness layer contributes exactly 0: its stack summand has -expm1(-0) == 0
+and its shell term returns 0 before Phi, which rejects u = 0.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 from .core import (INFINITE, InputError, LayeredSlab, LayeredSphere, PhysicalConstants,
                    SeparationLaw, YukawaParams)
-from .numerics import expm1_minus_x, expm1_neg_plus_x, one_minus_exp
-from .yukawa import check_d2, eta
+from .numerics import one_minus_exp
+from .yukawa import check_d2, eta, phi
 
 
 @dataclass(frozen=True)
@@ -100,22 +101,20 @@ def virtual_stack_factor(sphere: LayeredSphere, d2: float, lam: float) -> float:
 
 
 def _shell_term(lo: float, hi: float, lam: float, r_out: float) -> float:
-    """Geometry factor of one spherical shell [lo, hi], rescaled by e^(-r_out/lam).
+    """Geometry factor 2 lam [h(hi/lam) - h(lo/lam)] e^(-r_out/lam) of one shell.
 
-    Equals e^(-r_out/lam) * [ e^(r/lam)(r - lam) + e^(-r/lam)(r + lam) ]
-    evaluated between the bounds; every exponent here is <= 0 because
-    hi <= r_out. The x < 1/2 branch removes the (hi-lam) vs (lo-lam)
-    cancellation that dominates when lam >> shell thickness.
+    With h(v) = v cosh v - sinh v, c = (lo+hi)/(2 lam), d = (hi-lo)/(2 lam),
+    h(c+d) - h(c-d) = 2c sinh c sinh d + 2 cosh c h(d) and e^(-d) h(d) = d Phi(2d)/2,
+        T = lam e^((hi-r_out)/lam) [c (1-e^(-2c))(1-e^(-2d)) + (1+e^(-2c)) d Phi(2d)]:
+    two non-negative summands, every exponent <= 0 (hi <= r_out).
     """
-    x = (hi - lo) / lam
-    if x < 0.5:
-        grown = math.exp((lo - r_out) / lam) * (hi * math.expm1(x) - lam * expm1_minus_x(x))
-    else:
-        grown = (math.exp((hi - r_out) / lam) * (hi - lam)
-                 - math.exp((lo - r_out) / lam) * (lo - lam))
-    suppressed = (math.exp(-(lo + r_out) / lam)
-                  * (hi * math.expm1(-x) + lam * expm1_neg_plus_x(x)))
-    return grown + suppressed
+    d = (hi - lo) / (2.0 * lam)
+    if d == 0.0:
+        return 0.0
+    c = (lo + hi) / (2.0 * lam)
+    w = one_minus_exp(2.0 * c)
+    return lam * math.exp((hi - r_out) / lam) * (
+        c * w * one_minus_exp(2.0 * d) + (2.0 - w) * d * phi(2.0 * d)[0])
 
 
 def sphere_shell_factor(sphere: LayeredSphere, lam: float) -> float:

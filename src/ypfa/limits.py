@@ -26,7 +26,7 @@ measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants, SeparationLaw,
                    YukawaParams)
@@ -124,8 +124,8 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
 
     Separations whose unit-alpha force underflows to zero cannot constrain
     alpha and are skipped; if none constrains it the input is degenerate.
-    ``d2`` is only used for the pfa method on homogeneous geometry (a
-    LayeredConfig carries its own).
+    ``d2`` is homogeneous-only: it is used for the pfa method on a
+    SphereSlabConfig, while a LayeredConfig always uses its own d2.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
@@ -162,11 +162,11 @@ def limit_shift(lam: float, geometry, d2: float = INFINITE,
 
     alpha_epfa / alpha_pfa = F_pfa / F_epfa = 1/eta (homogeneous geometry)
     or 1/eta_delta (layered); separation-independent. Equals e^2/2 at
-    lambda = R for a homogeneous sphere over a half-space.
+    lambda = R for a homogeneous sphere over a half-space. ``d2`` is
+    homogeneous-only, as in alpha_limit: a LayeredConfig uses its own d2.
     """
     if isinstance(geometry, LayeredConfig):
-        cfg = geometry if geometry.d2 == d2 else replace(geometry, d2=d2)
-        return 1.0 / eta_delta(cfg, YukawaParams(alpha=1.0, lam=lam), c).eta_delta
+        return 1.0 / eta_delta(geometry, YukawaParams(alpha=1.0, lam=lam), c).eta_delta
     if isinstance(geometry, SphereSlabConfig):
         return 1.0 / eta(geometry.sphere_radius, d2, lam).eta
     raise InputError(f"unsupported geometry {type(geometry).__name__}")

@@ -2,7 +2,7 @@
 
 These exist because the force formulas mix terms like (1 - e^(-D/lambda))
 with D/lambda anywhere between 1e-6 and 1e6, and differences such as
-x ln x - y ln y or e^x(q-l) - (p-l) where the naive forms lose most or all
+x ln x - y ln y or v cosh v - sinh v where the naive forms lose most or all
 significant digits at one end of the sweep ranges.
 """
 
@@ -15,17 +15,6 @@ import math
 def one_minus_exp(x: float) -> float:
     """1 - e^(-x) for x >= 0, exact for x == 0 and x == inf."""
     return -math.expm1(-x)
-
-
-def expm1_minus_x(x: float) -> float:
-    """e^x - 1 - x. Accurate enough for |x| < ~0.5 (relative error ~2 eps/x),
-    where the quadratic term dominates whatever consumes it."""
-    return math.expm1(x) - x
-
-
-def expm1_neg_plus_x(x: float) -> float:
-    """e^(-x) - 1 + x (= x^2/2 - x^3/6 + ... for small x); >= 0 for x >= 0."""
-    return math.expm1(-x) + x
 
 
 def x_cosh_x_minus_sinh_x(v: float) -> float:

@@ -113,6 +113,10 @@ def phi_direct(u: float) -> float:
 def phi(u: float) -> tuple[float, str]:
     """Curvature factor Phi(2R/lambda) of the exact sphere-slab force.
 
+    The one sphere-side curvature function of the package: the homogeneous
+    force and eta use Phi(2R/lam); layered._shell_term builds every coated
+    shell term from Phi(thickness/lam).
+
     Returns (value, regime) where regime records which branch evaluated it.
     Phi is strictly increasing, Phi -> u^2/6 as u -> 0 and Phi -> 1 as
     u -> inf.

@@ -116,6 +116,21 @@ def test_eta_layered_sweep_short_range_row(tmp_path):
     assert float(row[3]) == pytest.approx(1.00126, abs=1e-4)
 
 
+def test_eta_layered_sweep_long_range_rows_match_mpmath(tmp_path):
+    # lam >> R: the coated-sphere shell terms once cancelled here, printing a
+    # negative eta_delta for R = 100 um; these cells are 80-digit mpmath values
+    # rounded to the printed 12 digits
+    out = tmp_path / "long.csv"
+    assert run("eta-layered-sweep", "--preset", "fig3-left", "--lambda-min", "1 m",
+               "--lambda-max", "10000 m", "--lambda-points", "3", "--output", str(out)) == 0
+    rows = [line.split(",") for line in read(out).splitlines()[-3:]]
+    assert [(row[0], row[1], row[3], row[5]) for row in rows] == [
+        ("1.00000000000e+04", "5.00000000000e-05", "1.76217293083e-15", "1.04408470243e+00"),
+        ("1.00000000000e+04", "1.00000000000e-04", "6.87403228959e-15", "1.02207888225e+00"),
+        ("1.00000000000e+04", "1.50000000000e-04", "1.53359194397e-14", "1.01472739803e+00"),
+    ]
+
+
 def test_eta_layered_sweep_zeroed_coatings_gives_unit_ratio(tmp_path):
     out = tmp_path / "bare.csv"
     cfg = tmp_path / "cfg"
@@ -421,4 +436,20 @@ def test_nonpositive_or_nan_d2_fails(tmp_path, capsys, argv, d2):
     out = tmp_path / "out.csv"
     assert run(*argv, "--d2", d2, "--lambda-points", "3", "--output", str(out)) == 1
     assert "d2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,setting,quantity", [
+    (["eta-layered-sweep"], "sphere.outer_coat.thickness = inf", "outer radius"),
+    (["eta-layered-sweep"], "sphere.core_density = nan", "core density"),
+    (["xi-power-sweep", "--preset", "fig4-right"], "disk.density = nan", "disk density"),
+    (["limits", "--residuals", RESIDUALS, "--geometry", "layered"], "slab.top.density = nan",
+     "layer density"),
+], ids=["outer-coat-inf", "core-density-nan", "disk-density-nan", "slab-top-density-nan"])
+def test_nan_or_infinite_geometry_fails(tmp_path, capsys, argv, setting, quantity):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--config", str(cfg), "--output", str(out)) == 1
+    assert quantity in capsys.readouterr().err
     assert not out.exists()

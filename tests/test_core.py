@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ypfa import (INFINITE, CurvatureRadii, Disk, InputError, Layer, LayeredSphere,
+from ypfa import (INFINITE, CurvatureRadii, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
                   PhysicalConstants, PowerLawParams, YukawaParams, effective_radius)
 from ypfa.config import format_si, parse_config_text, parse_quantity
 
@@ -42,6 +42,29 @@ def test_type_invariants():
         PowerLawParams(k=1.0, n=0.0)
     # alpha may be any real, including negative and zero
     YukawaParams(alpha=-3.0, lam=1e-9)
+
+
+@pytest.mark.parametrize("kind,kwargs,quantity", [
+    (Layer, dict(thickness=math.nan, density=1000.0), "layer thickness"),
+    (Layer, dict(thickness=1e-9, density=math.nan), "layer density"),
+    (LayeredSphere, dict(core_radius=math.nan, core_density=1.0), "core radius"),
+    (LayeredSphere, dict(core_radius=INFINITE, core_density=1.0), "outer radius"),
+    (LayeredSphere, dict(core_radius=1e-6, core_density=math.nan), "core density"),
+    (LayeredSphere, dict(core_radius=1e-6, core_density=1.0, inner_coat=Layer(INFINITE, 1.0)),
+     "outer radius"),
+    (LayeredSphere, dict(core_radius=1e-6, core_density=1.0, outer_coat=Layer(INFINITE, 1.0)),
+     "outer radius"),
+    (Disk, dict(radius=1e-6, thickness=1e-6, density=math.nan), "disk density"),
+], ids=["layer-thickness-nan", "layer-density-nan", "core-radius-nan", "core-radius-inf",
+        "core-density-nan", "inner-coat-inf", "outer-coat-inf", "disk-density-nan"])
+def test_nan_and_infinite_geometry_rejected(kind, kwargs, quantity):
+    with pytest.raises(InputError, match=quantity):
+        kind(**kwargs)
+
+
+def test_slab_layers_may_be_infinitely_thick():
+    slab = LayeredSlab(base=Layer(INFINITE, 2330.0), top=Layer(INFINITE, 1.0))
+    assert slab.top.thickness == INFINITE
 
 
 def test_layered_sphere_outer_radius():

@@ -1,0 +1,113 @@
+"""Closed forms against 80-digit mpmath over the whole accepted length domain.
+
+Lengths are drawn log-uniform from 1e-10 to 1e4 m, coats may be absent and
+densities zero. The references use the same float radii as the code (the
+coat radii are the float sums r_core + t), so any difference is the closed
+form's own rounding or cancellation.
+"""
+
+import math
+
+import mpmath
+from hypothesis import assume, given, settings, strategies as st
+
+from ypfa import (INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere, YukawaParams, eta,
+                  eta_delta)
+from ypfa.layered import sphere_shell_factor
+
+REL = 1e-12
+#: Below this a float result is near the subnormal range and carries no
+#: relative accuracy; such references are only required to stay that small.
+TINY = 1e-290
+
+mp = mpmath.MPContext()
+mp.dps = 80
+M = mp.mpf
+
+lengths = st.floats(min_value=-10.0, max_value=4.0).map(lambda e: 10.0 ** e)
+densities = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=math.log10(3e4))
+                      .map(lambda e: 10.0 ** e))
+coats = st.builds(Layer, st.one_of(st.just(0.0), lengths), densities)
+spheres = st.builds(LayeredSphere, lengths, densities, coats, coats)
+d2_values = st.one_of(st.just(INFINITE), lengths)
+
+SLAB = LayeredSlab(base=Layer(3.5e-6, 2330.0))
+domain = settings(max_examples=150, deadline=None)
+
+
+def _one_minus_exp(x):
+    return 1 - mp.exp(-x)
+
+
+def _phi(u):
+    return 1 - 2 / u + mp.exp(-u) * (1 + 2 / u)
+
+
+def mp_eta(radius, d2, lam):
+    thickness = M(1) if d2 == INFINITE else _one_minus_exp(M(d2) / M(lam))
+    return _phi(2 * M(radius) / M(lam)) / thickness
+
+
+def mp_shell_factor(sphere, lam):
+    """sum of rho * 2 lam [h(hi/lam) - h(lo/lam)] e^(-R_out/lam), h(v) = v cosh v - sinh v."""
+    lam = M(lam)
+    r_core = sphere.core_radius
+    r_mid = r_core + sphere.inner_coat.thickness
+    r_out = r_mid + sphere.outer_coat.thickness
+
+    def h(r):
+        v = M(r) / lam
+        return v * mp.cosh(v) - mp.sinh(v)
+
+    def term(lo, hi):
+        return 2 * lam * (h(hi) - h(lo)) * mp.exp(-M(r_out) / lam)
+
+    return (M(sphere.core_density) * term(0.0, r_core)
+            + M(sphere.inner_coat.density) * term(r_core, r_mid)
+            + M(sphere.outer_coat.density) * term(r_mid, r_out))
+
+
+def mp_virtual_factor(sphere, d2, lam):
+    lam = M(lam)
+    inner, outer = sphere.inner_coat, sphere.outer_coat
+    plate = M(1) if d2 == INFINITE else _one_minus_exp(M(d2) / lam)
+    return (M(sphere.core_density) * mp.exp(-(M(inner.thickness) + M(outer.thickness)) / lam)
+            * plate
+            + M(inner.density) * mp.exp(-M(outer.thickness) / lam)
+            * _one_minus_exp(M(inner.thickness) / lam)
+            + M(outer.density) * _one_minus_exp(M(outer.thickness) / lam))
+
+
+def assert_close(got, want):
+    if abs(want) < TINY:
+        assert abs(got) < 2 * TINY, (got, float(want))
+    else:
+        assert abs(got - want) <= REL * abs(want), (got, float(want))
+
+
+@domain
+@given(lengths, d2_values, lengths)
+def test_eta_matches_mpmath(radius, d2, lam):
+    assert_close(eta(radius, d2, lam).eta, mp_eta(radius, d2, lam))
+
+
+@domain
+@given(spheres, lengths)
+def test_sphere_shell_factor_matches_mpmath(sphere, lam):
+    assert_close(sphere_shell_factor(sphere, lam), mp_shell_factor(sphere, lam))
+
+
+@domain
+@given(spheres, d2_values, lengths)
+def test_eta_delta_matches_mpmath(sphere, d2, lam):
+    shell = mp_shell_factor(sphere, lam)
+    virtual = mp_virtual_factor(sphere, d2, lam)
+    # a zero or underflowing numerator or denominator leaves no ratio to check
+    assume(shell >= TINY and virtual >= TINY)
+    want = shell / (M(sphere.core_radius) * virtual)
+    want_hom = mp_eta(sphere.outer_radius, d2, lam)
+    got = eta_delta(LayeredConfig(1e-7, sphere, SLAB, d2), YukawaParams(1.0, lam))
+    assert_close(got.eta_delta, want)
+    assert_close(got.eta_homogeneous, want_hom)
+    assert_close(got.ratio, want / want_hom)
+

@@ -175,6 +175,17 @@ def test_pfa_zero_thickness_layers_contribute_exactly_zero():
     assert all(terms[i][1] == 0.0 for i in range(3))  # inner coat absent
 
 
+def test_vanishing_coats_add_exactly_zero():
+    # an absent coat adds exactly 0; so does one whose thickness/lam underflows,
+    # which must not reach Phi (it rejects u = 0)
+    bare = LayeredSphere(150e-6, 4100.0)
+    coated = LayeredSphere(150e-6, 4100.0, Layer(0.0, 7140.0), Layer(0.0, 19280.0))
+    for lam in (1e-9, 1.0, 1e4):
+        assert sphere_shell_factor(coated, lam) == sphere_shell_factor(bare, lam)
+    assert sphere_shell_factor(LayeredSphere(1e-300, 0.0, outer_coat=Layer(1e-300, 1.0)),
+                               1e30) == 0.0
+
+
 # ---------------------------------------------------------------- eta_delta
 
 def test_eta_delta_short_range_limit(layered_cfg):

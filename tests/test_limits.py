@@ -148,6 +148,16 @@ def test_limit_shift_values(geometry, layered_cfg):
     assert layered == expected
 
 
+def test_limit_shift_uses_the_layered_configs_own_d2(layered_cfg):
+    # the d2 argument is homogeneous-only; a LayeredConfig keeps its own, as
+    # in alpha_limit, so the shift is the ratio of the two bounds it reports
+    cfg = replace(layered_cfg, d2=1e-6)
+    lam = 1e-6
+    ratio = (alpha_limit(lam, flat_bounds(), cfg, "epfa").alpha_bound
+             / alpha_limit(lam, flat_bounds(), cfg, "pfa").alpha_bound)
+    assert limit_shift(lam, cfg) == pytest.approx(ratio, rel=1e-12)
+
+
 def test_argmin_stable_under_uniform_scaling(geometry):
     lam = 5e-7
     base = alpha_limit(lam, flat_bounds(1e-16), geometry, "epfa")

@@ -3,8 +3,8 @@ import math
 import mpmath
 import pytest
 
-from ypfa.numerics import (expm1_minus_x, expm1_neg_plus_x, gauss_legendre, one_minus_exp,
-                           pow_diff, x_cosh_x_minus_sinh_x, xlnx_diff)
+from ypfa.numerics import (gauss_legendre, one_minus_exp, pow_diff, x_cosh_x_minus_sinh_x,
+                           xlnx_diff)
 from ypfa.yukawa import PHI_SERIES_SWITCH, phi, phi_direct, phi_series
 
 mpmath.mp.dps = 50
@@ -18,15 +18,6 @@ def mp_phi(u):
 def test_one_minus_exp_exact_endpoints():
     assert one_minus_exp(0.0) == 0.0
     assert one_minus_exp(math.inf) == 1.0
-
-
-def test_expm1_remainders_against_mpmath():
-    for x in (1e-8, 1e-4, 0.01, 0.3, 0.49):
-        want = float(mpmath.expm1(x) - x)
-        assert expm1_minus_x(x) == pytest.approx(want, rel=1e-11)
-        want = float(mpmath.expm1(-x) + x)
-        assert expm1_neg_plus_x(x) == pytest.approx(want, rel=1e-11)
-    assert expm1_neg_plus_x(0.0) == 0.0
 
 
 def test_x_cosh_x_minus_sinh_x_matches_mpmath():
