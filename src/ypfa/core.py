@@ -48,8 +48,8 @@ class PhysicalConstants:
     G: float = G_DEFAULT
 
     def __post_init__(self):
-        if not self.G > 0.0:
-            raise InputError(f"G must be > 0, got {self.G}")
+        if not 0.0 < self.G < math.inf:
+            raise InputError(f"G must be finite and > 0, got {self.G}")
 
 
 @dataclass(frozen=True)

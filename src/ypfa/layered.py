@@ -36,10 +36,11 @@ and its shell term returns 0 before Phi, which rejects u = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .core import (INFINITE, InputError, LayeredSlab, LayeredSphere, PhysicalConstants,
-                   SeparationLaw, YukawaParams)
+from .core import (INFINITE, DegenerateInputError, InputError, LayeredSlab, LayeredSphere,
+                   PhysicalConstants, SeparationLaw, YukawaParams)
 from .numerics import one_minus_exp
 from .yukawa import check_d2, eta, phi
 
@@ -221,7 +222,9 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams,
     e^(-a/lam) prefactor cancel identically, so the ratio stays finite even
     where the forces themselves underflow (lam down to 0.1 nm). The
     homogeneous comparator is eta at the coated (outer) radius. As
-    lam -> 0, eta_delta -> 1 + (coat thicknesses)/R.
+    lam -> 0, eta_delta -> 1 + (coat thicknesses)/R. A sphere-side PFA
+    stack factor that is zero or subnormal leaves no ratio and raises
+    DegenerateInputError.
     """
     sphere = cfg.sphere
     lam = p.lam
@@ -229,6 +232,12 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams,
     if sphere.inner_coat.thickness == 0.0 and sphere.outer_coat.thickness == 0.0:
         # Bare sphere: the layered and homogeneous constructions coincide.
         return EtaDeltaResult(eta_delta=eta_hom, eta_homogeneous=eta_hom, ratio=1.0)
-    value = (sphere_shell_factor(sphere, lam)
-             / (sphere.core_radius * virtual_stack_factor(sphere, cfg.d2, lam)))
+    pfa_side = sphere.core_radius * virtual_stack_factor(sphere, cfg.d2, lam)
+    if not pfa_side >= sys.float_info.min:
+        # the exact side carries the same e^(-coat/lam) factor: no ratio left
+        raise DegenerateInputError(
+            f"eta_delta is undefined at lambda = {lam:g} m: the sphere-side PFA stack "
+            "factor is zero or underflows (every sphere density zero, or only the core "
+            "has mass and e^(-coat thickness/lambda) underflows)")
+    value = sphere_shell_factor(sphere, lam) / pfa_side
     return EtaDeltaResult(eta_delta=value, eta_homogeneous=eta_hom, ratio=value / eta_hom)

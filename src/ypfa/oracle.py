@@ -7,19 +7,23 @@ Everything in this module is written from the raw interaction kernels
 numerical code with the closed-form modules: at runtime it imports only
 ``core``. Where a reduction is used instead of raw multidimensional
 quadrature (the infinite-sheet potential 2 pi alpha G sigma lam e^(-h/lam),
-the uniform-ball exterior kernel), it is (a) derived independently here and
-(b) itself validated against raw quadrature by one of the checks below, so
-the chain of trust bottoms out at the point kernels.
+the uniform-ball exterior kernel, the polar-angle integral of a spherical
+ring over a slab, Int_-1^1 e^((r t - C)/lam) dt =
+(lam/r) e^((r - C)/lam) (1 - e^(-2r/lam))), it is (a) derived independently
+here and (b) itself validated against raw quadrature (the ring reduction by
+tests/test_oracle.py::test_ring_reduction_against_raw_kernel), so the chain
+of trust bottoms out at the point kernels.
 
 The integrator is a worst-interval-first adaptive Gauss-Kronrod 7/15 rule
 with |K15 - G7| as the per-panel error estimate. As in QUADPACK's QAG, the
 initial mesh is only {lo, hi} plus a geometric ladder at each known boundary
 layer, and adaptivity refines from there; dropping the former uniform fill to
 8 (outer) or 4 (inner) panels cut a full oracle-verify from 4,432,155 to
-1,751,700 integrand evaluations at unchanged verdicts. Subdivision order and
-the final accumulation order (panels sorted by left endpoint, compensated
-summation) are fixed, so results are bit-reproducible run to run and would
-remain so under concurrent panel evaluation.
+1,751,700 integrand evaluations at unchanged verdicts, and the ring reduction
+cut it further to 1,156,035. Subdivision order is fixed and the sums are
+math.fsum, which is correctly rounded and so independent of panel order:
+results are bit-reproducible run to run and would remain so under
+concurrent panel evaluation.
 
 Sign conventions match the rest of the package: attractive forces/energies
 are negative.
@@ -148,37 +152,50 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
 
     Returns (value, error_estimate, subdivisions_used, converged). The panel
     with the largest error bound is bisected next (ties broken towards the
-    leftmost panel), and the final sums run over panels sorted by left
-    endpoint with math.fsum, making the result independent of evaluation
-    order. sharp_edges is an optional list of (position, decay scale) hints
-    that seed the initial mesh (see _initial_mesh).
+    leftmost panel), and both sums are math.fsum, which is correctly rounded
+    and so independent of evaluation order. A non-finite error sum stops at
+    once with converged False: bisecting cannot make it finite. sharp_edges
+    is an optional list of (position, decay scale) hints that seed the
+    initial mesh (see _initial_mesh).
     """
     if not hi > lo:
         raise InputError(f"empty integration range [{lo}, {hi}]")
     edges = _initial_mesh(lo, hi, sharp_edges)
-    panels: list[tuple[float, float, float, float]] = []
-    for a, b in zip(edges, edges[1:]):
+    # panel i is [lefts[i], rights[i]] with K15 value vals[i] and error errs[i]
+    lefts = edges[:-1]
+    rights = edges[1:]
+    vals: list[float] = []
+    errs: list[float] = []
+    for a, b in zip(lefts, rights):
         val, err = _gk_panel(f, a, b)
-        panels.append((a, b, val, err))
+        vals.append(val)
+        errs.append(err)
+    rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
     subdivisions = 0
     while True:
-        total_val = math.fsum(p[2] for p in panels)
-        total_err = math.fsum(p[3] for p in panels)
-        if total_err <= max(spec.rel_tol * abs(total_val), spec.abs_tol):
-            converged = True
-            break
+        total_val = math.fsum(vals)
+        total_err = math.fsum(errs)
+        if not math.isfinite(total_err):
+            return total_val, total_err, subdivisions, False
+        if total_err <= max(rel_tol * abs(total_val), abs_tol):
+            return total_val, total_err, subdivisions, True
         if subdivisions >= spec.max_subdivisions:
-            converged = False
-            break
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        a, b, _, _ = panels[worst]
+            return total_val, total_err, subdivisions, False
+        worst_err = max(errs)
+        worst = errs.index(worst_err)
+        if errs.count(worst_err) > 1:
+            worst = min((i for i, e in enumerate(errs) if e == worst_err),
+                        key=lefts.__getitem__)
+        a, b = lefts[worst], rights[worst]
         mid = 0.5 * (a + b)
-        panels[worst] = (a, mid, *_gk_panel(f, a, mid))
-        panels.append((mid, b, *_gk_panel(f, mid, b)))
+        rights[worst] = mid
+        vals[worst], errs[worst] = _gk_panel(f, a, mid)
+        val, err = _gk_panel(f, mid, b)
+        lefts.append(mid)
+        rights.append(b)
+        vals.append(val)
+        errs.append(err)
         subdivisions += 1
-    panels.sort(key=lambda p: p[0])
-    return (math.fsum(p[2] for p in panels), math.fsum(p[3] for p in panels),
-            subdivisions, converged)
 
 
 class _Nested:
@@ -245,6 +262,18 @@ def _ball_force_coefficient(radius: float, rho: float, alpha: float, lam: float,
         raise InputError("two-sphere oracle needs R/lambda <= 700 (cosh overflow)")
     return (4.0 * math.pi * alpha * g * rho * lam * lam
             * (radius * math.cosh(x) - lam * math.sinh(x)))
+
+
+def _ring_polar_integral(r: float, height: float, lam: float) -> float:
+    """Int_-1^1 e^((r t - height)/lam) dt, for 0 < r <= height.
+
+    The polar-angle integral of a spherical ring of radius r centred at
+    height above a slab whose potential decays as e^(-z/lam): the
+    antiderivative (lam/r) e^((r t - height)/lam) taken between t = -1 and 1
+    is (lam/r) e^((r - height)/lam) (1 - e^(-2r/lam)), with every exponent
+    <= 0 (see the module docstring for its validation).
+    """
+    return lam / r * math.exp((r - height) / lam) * -math.expm1(-2.0 * r / lam)
 
 
 # --------------------------------------------------------------------------
@@ -328,12 +357,13 @@ def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
     lam = p.lam
     d1_eff = min(d1, _EXP_CUTOFF * lam)
     d2_eff = min(d2, _EXP_CUTOFF * lam)
+    coupling = -2.0 * math.pi * p.alpha * c.G
     nested = _Nested(q)
 
     def layer1(z1: float) -> float:
-        return nested.integral(
-            lambda z2: -2.0 * math.pi * p.alpha * c.G * math.exp(-(a + z1 + z2) / lam),
-            0.0, d2_eff, sharp_edges=[(0.0, lam)])
+        gap = a + z1
+        return nested.integral(lambda z2: coupling * math.exp(-(gap + z2) / lam),
+                               0.0, d2_eff, sharp_edges=[(0.0, lam)])
 
     return nested.report(integrate_adaptive(layer1, 0.0, d1_eff, q, sharp_edges=[(0.0, lam)]),
                          scale=rho1 * rho2)
@@ -382,13 +412,14 @@ def oracle_layered_stack_potential(z: float, slab, p: YukawaParams,
 def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
                                c: PhysicalConstants = PhysicalConstants(),
                                q: QuadratureSpec = QuadratureSpec()) -> OracleReport:
-    """Layered sphere / layered slab energy (J) by 2D spherical quadrature.
+    """Layered sphere / layered slab energy (J) by spherical quadrature.
 
     For each shell region, integrates rho_j r^2 V(z) over radius r and
     t = cos(theta), where z = a + R_out + r t is the element height above
     the slab top. The stack potential uses this module's sheet-kernel closed
-    form; the exponent (r t - centre)/lam is assembled jointly so nothing
-    overflows at small lambda.
+    form, so the t-integral is elementary (_ring_polar_integral) and each
+    region is one adaptive integral over r. Every exponent is <= 0, so
+    nothing overflows at small lambda.
     """
     sphere, slab = cfg.sphere, cfg.slab
     lam = p.lam
@@ -405,19 +436,14 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
         depth += layer.thickness
     prefactor = -2.0 * math.pi * p.alpha * c.G * lam * lam * stack
 
-    nested = _Nested(q)
-
     def region_energy(lo: float, hi: float, rho: float) -> tuple[float, float, int, bool]:
         if not hi > lo or rho == 0.0:
             return 0.0, 0.0, 0, True
 
         def ring(r: float) -> float:
-            # e^(r t / lam) concentrates near t = 1 with width lam/r
-            hint = [(1.0, lam / r)] if r > 0.0 else None
-            inner = nested.integral(
-                lambda t: math.exp((r * t - centre_height) / lam), -1.0, 1.0,
-                sharp_edges=hint)
-            return 2.0 * math.pi * rho * r * r * prefactor * inner
+            # Gauss-Kronrod nodes are interior, so r > 0 here
+            return (2.0 * math.pi * rho * r * r * prefactor
+                    * _ring_polar_integral(r, centre_height, lam))
 
         return integrate_adaptive(ring, lo, hi, q, sharp_edges=[(hi, lam)])
 
@@ -431,7 +457,7 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
         err_total += err
         nsub_total += nsub
         ok = ok and converged
-    return nested.report((total, err_total, nsub_total, ok))
+    return OracleReport(total, err_total, nsub_total, ok)
 
 
 # --------------------------------------------------------------------------
@@ -535,39 +561,56 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
     z, m2 = probe.z, probe.mass
     rd, d1 = disk.radius, disk.thickness
 
+    # radial_at(u) is the integrand over the disk radius r at depth u
     if kernel == "newton":
         prefactor = -c.G * disk.density * m2
 
-        def radial(r: float, u: float) -> float:
-            s2 = r * r + u * u
-            return r * u / (s2 * math.sqrt(s2))
+        def radial_at(u: float) -> Callable[[float], float]:
+            u2 = u * u
+
+            def radial(r: float) -> float:
+                s2 = r * r + u2
+                return r * u / (s2 * math.sqrt(s2))
+            return radial
     elif kernel == "power":
         if n is None:
             raise InputError("power kernel needs the exponent n")
         prefactor = -disk.density * m2  # coupling K applied by the caller
+        power = n + 1.0
 
-        def radial(r: float, u: float) -> float:
-            s = math.sqrt(r * r + u * u)
-            return r * u / s ** (n + 1.0)
+        def radial_at(u: float) -> Callable[[float], float]:
+            u2 = u * u
+
+            def radial(r: float) -> float:
+                return r * u / math.sqrt(r * r + u2) ** power
+            return radial
     elif kernel == "yukawa":
         if p is None:
             raise InputError("yukawa kernel needs YukawaParams")
         prefactor = -p.alpha * c.G * disk.density * m2
         lam = p.lam
 
-        def radial(r: float, u: float) -> float:
-            s2 = r * r + u * u
-            s = math.sqrt(s2)
-            return r * u * math.exp(-s / lam) * (1.0 / (lam * s2) + 1.0 / (s2 * s))
+        def radial_at(u: float) -> Callable[[float], float]:
+            u2 = u * u
+
+            def radial(r: float) -> float:
+                s2 = r * r + u2
+                s = math.sqrt(s2)
+                return r * u * math.exp(-s / lam) * (1.0 / (lam * s2) + 1.0 / (s2 * s))
+            return radial
     elif kernel == "yukawa_potential":
         if p is None:
             raise InputError("yukawa_potential kernel needs YukawaParams")
         prefactor = -p.alpha * c.G * disk.density * m2
         lam = p.lam
 
-        def radial(r: float, u: float) -> float:
-            s = math.sqrt(r * r + u * u)
-            return r * math.exp(-s / lam) / s
+        def radial_at(u: float) -> Callable[[float], float]:
+            u2 = u * u
+
+            def radial(r: float) -> float:
+                s = math.sqrt(r * r + u2)
+                return r * math.exp(-s / lam) / s
+            return radial
     else:
         raise InputError(f"unknown disk kernel {kernel!r}")
 
@@ -578,7 +621,7 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
         # radial mass sits near r ~ u (power kernels) or within the Yukawa
         # decay shell r ~ sqrt(u lam)
         scale = math.sqrt(u * p.lam) if yukawa_like else u
-        return 2.0 * math.pi * nested.integral(lambda r: radial(r, u), 0.0, rd,
+        return 2.0 * math.pi * nested.integral(radial_at(u), 0.0, rd,
                                                sharp_edges=[(0.0, scale)])
 
     outer_scale = p.lam if yukawa_like else z

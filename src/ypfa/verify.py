@@ -296,10 +296,11 @@ def check_two_spheres(c, quick):
 def run_suite(c: PhysicalConstants = PhysicalConstants(), quick: bool = False,
               tolerance_override: float | None = None) -> list[CheckResult]:
     """Run every check family; returns their results in a fixed order."""
-    if tolerance_override is not None and tolerance_override < MIN_CHECK_TOLERANCE:
+    if tolerance_override is not None and not tolerance_override >= MIN_CHECK_TOLERANCE:
         raise InputError(
-            f"tolerance override {tolerance_override:g} is tighter than the "
-            f"oracle's own rel_tol {MIN_CHECK_TOLERANCE:g}; unsatisfiable")
+            f"tolerance override {tolerance_override:g} must be >= the "
+            f"oracle's own rel_tol {MIN_CHECK_TOLERANCE:g}; a tighter or nan "
+            "tolerance is unsatisfiable")
     results: list[CheckResult] = []
     results.append(check_slab_slab_pressure(c, quick))
     results.append(check_sphere_slab_exact(c, quick))

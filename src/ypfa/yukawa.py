@@ -63,8 +63,12 @@ class SphereSlabConfig:
             raise InputError(f"separation must be > 0, got {self.separation}")
         if not self.sphere_radius > 0.0:
             raise InputError(f"sphere radius must be > 0, got {self.sphere_radius}")
+        if not self.sphere_density >= 0.0:
+            raise InputError(f"sphere density must be >= 0, got {self.sphere_density}")
         if not self.slab_thickness > 0.0:
             raise InputError(f"slab thickness must be > 0, got {self.slab_thickness}")
+        if not self.slab_density >= 0.0:
+            raise InputError(f"slab density must be >= 0, got {self.slab_density}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,17 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, so a hang fails on the timeout
+    instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ypfa.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_eta_sweep_single_point(tmp_path):
     out = tmp_path / "eta.csv"
     cfg = tmp_path / "cfg"
@@ -46,14 +57,8 @@ def test_eta_sweep_underflowing_series_terminates(tmp_path):
     # Run in a subprocess so a regression to the endless loop fails on the
     # timeout instead of hanging the suite.
     out = tmp_path / "x.csv"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from ypfa.cli import main; sys.exit(main(sys.argv[1:]))",
-         "eta-sweep", "--lambda-min", "1e170", "--lambda-max", "1e171",
-         "--lambda-points", "2", "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=60)
+    done = run_subprocess("eta-sweep", "--lambda-min", "1e170", "--lambda-max", "1e171",
+                          "--lambda-points", "2", "--output", str(out))
     assert done.returncode == 0, done.stderr
     rows = read(out).splitlines()[1:]
     assert len(rows) == 2
@@ -309,6 +314,31 @@ def test_oracle_verify_unsatisfiable_tolerance():
     assert run("oracle-verify", "--quick", "--tolerance", "1e-12") == 1
 
 
+@pytest.mark.parametrize("argv,quantity", [
+    (["oracle-verify", "--quick"], "G must be finite"),
+    (["limits", "--residuals", RESIDUALS], "G must be finite"),
+], ids=["oracle-verify", "limits"])
+def test_infinite_gravitational_constant_fails(tmp_path, argv, quantity):
+    # unchecked, G = inf sends the slab-slab oracle bisecting toward 10^6
+    # panels and makes limits write alpha_bound = 0 on every row
+    cfg = tmp_path / "cfg"
+    cfg.write_text("constants.G = inf\n")
+    out = tmp_path / "out.csv"
+    output = ["--output", str(out)] if argv[0] == "limits" else []
+    done = run_subprocess(*argv, "--config", str(cfg), *output)
+    assert done.returncode == 1, done.stderr
+    assert quantity in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_oracle_verify_nan_tolerance_is_an_input_error():
+    done = run_subprocess("oracle-verify", "--quick", "--tolerance=nan")
+    assert done.returncode == 1, done.stderr
+    assert "tolerance override nan" in done.stderr
+    assert "FAILED" not in done.stderr
+
+
 def test_unknown_preset(tmp_path):
     assert run("eta-sweep", "--preset", "fig99", "--output",
                str(tmp_path / "x.csv")) == 1
@@ -452,4 +482,23 @@ def test_nan_or_infinite_geometry_fails(tmp_path, capsys, argv, setting, quantit
     out = tmp_path / "out.csv"
     assert run(*argv, "--config", str(cfg), "--output", str(out)) == 1
     assert quantity in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,settings,cause", [
+    (["limits", "--residuals", RESIDUALS], ["sphere.density = nan"], "sphere density"),
+    (["limits", "--residuals", RESIDUALS], ["slab.density = -5"], "slab density"),
+    (["eta-layered-sweep", "--preset", "fig3-left", "--lambda-points", "2"],
+     ["sphere.core_density = 0", "sphere.inner_coat.density = 0",
+      "sphere.outer_coat.density = 0"], "eta_delta is undefined"),
+    (["eta-layered-sweep", "--preset", "fig3-left", "--lambda-points", "2"],
+     ["sphere.inner_coat.density = 0", "sphere.outer_coat.density = 0",
+      "sphere.outer_coat.thickness = 1 mm"], "eta_delta is undefined"),
+], ids=["sphere-density-nan", "slab-density-negative", "massless-sphere", "massless-thick-coat"])
+def test_bad_density_or_massless_sphere_side_fails(tmp_path, capsys, argv, settings, cause):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("\n".join(settings) + "\n")
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--config", str(cfg), "--output", str(out)) == 1
+    assert cause in capsys.readouterr().err
     assert not out.exists()

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from ypfa import (INFINITE, InputError, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
-                  PhysicalConstants, SphereSlabConfig, YukawaParams, eta, eta_delta,
+from ypfa import (INFINITE, DegenerateInputError, InputError, Layer, LayeredConfig, LayeredSlab,
+                  LayeredSphere, PhysicalConstants, SphereSlabConfig, YukawaParams, eta, eta_delta,
                   layered_epfa_energy, layered_epfa_force, layered_pfa_force, layered_pfa_terms,
                   layered_slab_potential, oracle_layered_sphere_slab,
                   oracle_layered_stack_potential, slab_slab_pressure,
@@ -268,6 +268,19 @@ def test_layered_forces_equal_their_product_form(coated_sphere, coated_stack):
                 assert layered_pfa_force(cfg, p, c) == _product_pfa(cfg, p, c)
                 zeros += energy == 0.0
     assert zeros >= 2
+
+
+@pytest.mark.parametrize("core_density,outer_coat,lam", [
+    (0.0, Layer(180e-9, 0.0), 1e-6),  # no mass anywhere: 0/0 at every lam
+    (4100.0, Layer(1e-3, 0.0), 1e-9),  # e^(-1 mm / 1 nm) underflows to 0
+    (4100.0, Layer(700e-9, 0.0), 1e-9),  # e^(-710) leaves a subnormal factor
+])
+def test_eta_delta_massless_sphere_side_is_degenerate(coated_stack, core_density, outer_coat,
+                                                      lam):
+    sphere = LayeredSphere(core_radius=150e-6, core_density=core_density,
+                           inner_coat=Layer(10e-9, 0.0), outer_coat=outer_coat)
+    with pytest.raises(DegenerateInputError, match="eta_delta is undefined"):
+        eta_delta(LayeredConfig(1e-7, sphere, coated_stack, 100.0), YukawaParams(1.0, lam))
 
 
 @pytest.mark.parametrize("d2", [0.0, -1e-6, math.nan])

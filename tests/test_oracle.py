@@ -5,14 +5,15 @@ import mpmath
 import pytest
 
 import ypfa.oracle
-from ypfa import (InputError, PhysicalConstants, QuadratureSpec, SphereSlabConfig,
-                  YukawaParams, oracle_disk_point, oracle_layered_stack_potential,
+from ypfa import (InputError, LayeredConfig, PhysicalConstants, QuadratureSpec,
+                  SphereSlabConfig, YukawaParams, oracle_disk_point,
+                  oracle_layered_sphere_slab, oracle_layered_stack_potential,
                   oracle_slab_slab_pressure, oracle_slicing_equivalence,
                   oracle_sphere_slab_yukawa, oracle_two_spheres, slab_slab_pressure)
 from ypfa.disk import AxisProbe
 from ypfa.numerics import x_cosh_x_minus_sinh_x
-from ypfa.oracle import _initial_mesh, integrate_adaptive
-from ypfa.verify import _SPEC_2D, _scaled_disk
+from ypfa.oracle import _gk_panel, _initial_mesh, _ring_polar_integral, integrate_adaptive
+from ypfa.verify import _SPEC_2D, _layered_sphere, _layered_stack, _scaled_disk
 
 mpmath.mp.dps = 40
 
@@ -51,6 +52,81 @@ def test_engine_nonconvergence_is_reported():
     _, _, nsub, ok = integrate_adaptive(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, spec)
     assert not ok
     assert nsub == 3
+
+
+def test_engine_nonfinite_error_stops_at_once():
+    # an infinite integrand gives K15 = inf and G7 = nan (0 * inf), so the
+    # error sum is nan and bisecting cannot help; the budget is capped so a
+    # regression fails on nsub instead of bisecting toward 10^6 panels
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.inf
+
+    spec = QuadratureSpec(max_subdivisions=50)
+    value, err, nsub, ok = integrate_adaptive(f, 0.0, 1.0, spec)
+    assert not ok
+    assert nsub == 0
+    assert calls == 15
+    assert value == math.inf and math.isnan(err)
+
+
+def _panel_tuple_reference(f, lo, hi, spec, sharp_edges=None):
+    """integrate_adaptive as it was written with (a, b, value, error) panel
+    tuples, a keyed max and a final sort by left endpoint; kept to pin the
+    parallel-list loop bit for bit."""
+    edges = _initial_mesh(lo, hi, sharp_edges)
+    panels = []
+    for a, b in zip(edges, edges[1:]):
+        val, err = _gk_panel(f, a, b)
+        panels.append((a, b, val, err))
+    subdivisions = 0
+    while True:
+        total_val = math.fsum(p[2] for p in panels)
+        total_err = math.fsum(p[3] for p in panels)
+        if total_err <= max(spec.rel_tol * abs(total_val), spec.abs_tol):
+            converged = True
+            break
+        if subdivisions >= spec.max_subdivisions:
+            converged = False
+            break
+        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
+        a, b, _, _ = panels[worst]
+        mid = 0.5 * (a + b)
+        panels[worst] = (a, mid, *_gk_panel(f, a, mid))
+        panels.append((mid, b, *_gk_panel(f, mid, b)))
+        subdivisions += 1
+    panels.sort(key=lambda p: p[0])
+    return (math.fsum(p[2] for p in panels), math.fsum(p[3] for p in panels),
+            subdivisions, converged)
+
+
+@pytest.mark.parametrize("f,lo,hi,spec,hints", [
+    (lambda x: x * x, 0.0, 1.0, QuadratureSpec(), None),
+    (lambda x: math.exp(-x / 1e-5), 0.0, 1.0, QuadratureSpec(), [(0.0, 1e-5)]),
+    (lambda x: math.cos(40 * x) * math.exp(-x), 0.0, 3.0, QuadratureSpec(), None),
+    # symmetric about 0: mirrored panels tie exactly in |K15 - G7| seven
+    # times, and only the leftmost-tie rule reproduces the call order
+    (lambda x: math.sqrt(abs(x)), -1.0, 1.0, QuadratureSpec(1e-10, 1e-300), None),
+    (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, QuadratureSpec(1e-13, 1e-300, 40), None),
+    (lambda x: math.exp((x - 3e-4) / 1e-7), 0.0, 2e-4,
+     QuadratureSpec(1e-9, 1e-300), [(2e-4, 1e-7)]),
+], ids=["poly", "boundary-layer", "oscillatory", "symmetric-ties", "capped", "ring-radius"])
+def test_engine_matches_panel_tuple_reference(f, lo, hi, spec, hints):
+    calls = {"new": [], "reference": []}
+
+    def logged(log):
+        def g(x):
+            log.append(x)
+            return f(x)
+        return g
+
+    got = integrate_adaptive(logged(calls["new"]), lo, hi, spec, sharp_edges=hints)
+    want = _panel_tuple_reference(logged(calls["reference"]), lo, hi, spec, hints)
+    assert got == want
+    assert calls["new"] == calls["reference"]
 
 
 def test_engine_deterministic():
@@ -108,6 +184,27 @@ def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
                                q=_SPEC_2D, p=YukawaParams(1.0, 5e-6))
     assert report.converged
     assert calls <= 22290 // 2
+
+
+def test_layered_epfa_oracle_integrand_evaluations(monkeypatch):
+    # the verify layered configuration with the smallest lam and radius took
+    # 28,755 integrand calls while the polar angle was integrated
+    # numerically; one radial integral per shell region needs 180
+    calls = 0
+    original = ypfa.oracle.integrate_adaptive
+
+    def counting(f, *args, **kwargs):
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(ypfa.oracle, "integrate_adaptive", counting)
+    cfg = LayeredConfig(separation=1e-7, sphere=_layered_sphere(0.5), slab=_layered_stack())
+    report = oracle_layered_sphere_slab(cfg, YukawaParams(1.0, 2e-7), q=_SPEC_2D)
+    assert report.converged
+    assert calls == 180
 
 
 # ------------------------------------------------------ tolerance contract
@@ -298,6 +395,67 @@ def test_sheet_potential_reduction_against_raw_kernel():
                                          sharp_edges=[(0.0, math.sqrt(h * lam))])
     assert ok
     assert value == pytest.approx(2.0 * math.pi * lam * math.exp(-h / lam), rel=1e-10)
+
+
+def test_ring_reduction_against_raw_kernel():
+    # the polar-angle integral of a spherical ring over a slab:
+    # Int_-1^1 e^((r t - C)/lam) dt = (lam/r) e^((r - C)/lam) (1 - e^(-2r/lam))
+    lam, spec = 1e-6, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+    for exponent in range(-3, 4):
+        r = lam * 10.0 ** exponent
+        height = r + 3e-7  # the ring's lowest point 0.3 lam above the slab
+        hints = [(1.0, lam / r)] if lam < 2.0 * r else None
+        value, _, _, ok = integrate_adaptive(
+            lambda t: math.exp((r * t - height) / lam), -1.0, 1.0, spec, sharp_edges=hints)
+        assert ok
+        assert value == pytest.approx(_ring_polar_integral(r, height, lam), rel=1e-10), r
+
+
+def _raw_layered_sphere_slab(cfg, p, q):
+    """Layered sphere / slab energy by the raw 2D (r, t) quadrature: the
+    polar angle integrated numerically inside the radial integral."""
+    sphere, slab, lam = cfg.sphere, cfg.slab, p.lam
+    r_core = sphere.core_radius
+    r_mid = r_core + sphere.inner_coat.thickness
+    r_out = r_mid + sphere.outer_coat.thickness
+    centre_height = cfg.separation + r_out
+    stack, depth = 0.0, 0.0
+    for layer in (slab.top, slab.middle, slab.base):
+        stack += layer.density * math.exp(-depth / lam) * -math.expm1(-layer.thickness / lam)
+        depth += layer.thickness
+    prefactor = -2.0 * math.pi * p.alpha * C.G * lam * lam * stack
+    inner_spec = q.tighter()
+    total, converged = 0.0, True
+    for lo, hi, rho in ((0.0, r_core, sphere.core_density),
+                        (r_core, r_mid, sphere.inner_coat.density),
+                        (r_mid, r_out, sphere.outer_coat.density)):
+        if not hi > lo or rho == 0.0:
+            continue
+
+        def ring(r, rho=rho):
+            nonlocal converged
+            inner, _, _, ok = integrate_adaptive(
+                lambda t: math.exp((r * t - centre_height) / lam), -1.0, 1.0, inner_spec,
+                sharp_edges=[(1.0, lam / r)])
+            converged = converged and ok
+            return 2.0 * math.pi * rho * r * r * prefactor * inner
+
+        value, _, _, ok = integrate_adaptive(ring, lo, hi, q, sharp_edges=[(hi, lam)])
+        total += value
+        converged = converged and ok
+    return total, converged
+
+
+@pytest.mark.parametrize("a,lam,scale", [
+    (1e-7, 1e-9, 1.0), (5e-7, 2e-7, 0.5), (2e-6, 1e-5, 2.0), (1e-7, 1e-3, 1.0),
+])
+def test_layered_sphere_oracle_matches_raw_polar_quadrature(a, lam, scale):
+    cfg = LayeredConfig(separation=a, sphere=_layered_sphere(scale), slab=_layered_stack())
+    p = YukawaParams(1.0, lam)
+    raw, raw_ok = _raw_layered_sphere_slab(cfg, p, _SPEC_2D)
+    reduced = oracle_layered_sphere_slab(cfg, p, C, _SPEC_2D)
+    assert raw_ok and reduced.converged
+    assert reduced.check_against(raw) <= 1e-9
 
 
 def test_ball_kernel_reduction_against_raw_kernel():
