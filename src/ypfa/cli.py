@@ -36,7 +36,7 @@ from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere
                    PhysicalConstants, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta
-from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve, limit_shift
+from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
 from .sweeps import SweepGrid, map_ordered, resolve_workers, write_csv
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, eta
@@ -333,13 +333,11 @@ def cmd_limits(args) -> int:
                                     slab_thickness=_scalar(settings, "slab.thickness"),
                                     slab_density=_scalar(settings, "slab.density"))
     grid = _lambda_grid(args)
-    header = ["lambda_m", "alpha_bound", "best_separation_m", "method"]
-    rows = [[point.lam, point.alpha_bound, point.best_separation, point.method]
+    width = 5 if args.method == "epfa" else 4  # only epfa rows carry shift_vs_pfa
+    header = ("lambda_m", "alpha_bound", "best_separation_m", "method", "shift_vs_pfa")[:width]
+    rows = [(point.lam, point.alpha_bound, point.best_separation, point.method,
+             point.shift_vs_pfa)[:width]
             for point in exclusion_curve(grid, bounds, geometry, args.method, constants, d2)]
-    if args.method == "epfa":
-        header.append("shift_vs_pfa")
-        for row in rows:
-            row.append(limit_shift(row[0], geometry, d2, constants))
     return _emit(args, settings, header, rows,
                  {"lambda": grid.__dict__, "method": args.method, "geometry": args.geometry},
                  {"rows_above_pfa_reliable_lambda":

@@ -34,7 +34,9 @@ from .numerics import gauss_legendre, one_minus_exp, pow_diff, xlnx_diff
 POLE_GUARD = 1e-6
 
 _EDGE_PANEL_ORDER = 16
-_EDGE_MAX_PANELS = 2048
+#: exp of an exponent below this is 0.0 in double precision (e^-745.2 is the
+#: smallest subnormal), so the edge integrand contributes nothing past it
+_EDGE_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -225,28 +227,36 @@ def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams,
 def _edge_integral_scaled(z: float, disk: Disk, lam: float) -> float:
     """e^(z/lam) * integral_z^(z+D1) e^(-sqrt(u^2+R_d^2)/lam) du.
 
-    The integrand exponent (z - sqrt(u^2+R_d^2))/lam is <= 0 on the whole
-    panel, so the scaled form never overflows. No elementary antiderivative
-    exists; fixed-order Gauss-Legendre panels (width ~ lam/2 so each spans
-    at most ~2 e-foldings) evaluate it deterministically to ~1e-15.
+    Taken over the offset v = u - z in [0, D1], so nodes and panel widths keep
+    full relative precision however large z is. The exponent
+    (z - sqrt(u^2+R_d^2))/lam is <= 0, falls by at most one e-folding per lam
+    of v, and has branch points at u = +-i R_d, sqrt(z^2+R_d^2) from the
+    lower end. Fixed-order Gauss-Legendre panels graded geometrically from
+    v = 0, the first min(lam, sqrt(z^2+R_d^2)) wide and each next one twice
+    as wide, therefore evaluate it deterministically to the rounding of the
+    exponent itself (1e-15 relative for O(1) exponents): every panel is no
+    wider than its distance from both features. The ladder stops once the
+    exponent is below _EDGE_UNDERFLOW, where every remaining term is 0.0.
     """
     d1, rd = disk.thickness, disk.radius
     if math.isinf(rd):
         return 0.0
-    panels = max(4, min(_EDGE_MAX_PANELS, math.ceil(2.0 * d1 / lam)))
     nodes, weights = gauss_legendre(_EDGE_PANEL_ORDER)
-    width = d1 / panels
+
+    def exponent(v: float) -> float:
+        # (z - sqrt(u^2 + rd^2))/lam at u = z + v, in conjugate form
+        u = z + v
+        return -(rd * rd + v * (v + 2.0 * z)) / (z + math.sqrt(u * u + rd * rd)) / lam
+
     total = 0.0
-    for i in range(panels):
-        mid = z + (i + 0.5) * width
-        half = 0.5 * width
-        acc = 0.0
-        for t, w in zip(nodes, weights):
-            u = mid + half * t
-            # z - sqrt(u^2 + rd^2), conjugate form (u >= z > 0)
-            expo = -(rd * rd + (u - z) * (u + z)) / (z + math.sqrt(u * u + rd * rd))
-            acc += w * math.exp(expo / lam)
-        total += acc * half
+    lo, hi = 0.0, min(lam, math.hypot(z, rd), d1)
+    while exponent(lo) >= _EDGE_UNDERFLOW:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total += half * math.fsum(w * math.exp(exponent(mid + half * t))
+                                  for t, w in zip(nodes, weights))
+        if hi == d1:
+            break
+        lo, hi = hi, min(2.0 * hi, d1)
     return total
 
 

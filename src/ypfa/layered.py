@@ -214,6 +214,23 @@ def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams,
     return layered_pfa_law(cfg, p, c)(cfg.separation)
 
 
+def _bare(sphere: LayeredSphere) -> bool:
+    """No coats: the layered and homogeneous constructions coincide."""
+    return sphere.inner_coat.thickness == 0.0 and sphere.outer_coat.thickness == 0.0
+
+
+def _exact_over_pfa(sphere: LayeredSphere, shell: float, virtual: float, lam: float) -> float:
+    """Psi_sphere / (R_core S_virtual), refused where the PFA side is zero or subnormal."""
+    pfa_side = sphere.core_radius * virtual
+    if not pfa_side >= sys.float_info.min:
+        # the exact side carries the same e^(-coat/lam) factor: no ratio left
+        raise DegenerateInputError(
+            f"eta_delta is undefined at lambda = {lam:g} m: the sphere-side PFA stack "
+            "factor is zero or underflows (every sphere density zero, or only the core "
+            "has mass and e^(-coat thickness/lambda) underflows)")
+    return shell / pfa_side
+
+
 def eta_delta(cfg: LayeredConfig, p: YukawaParams,
               c: PhysicalConstants = PhysicalConstants()) -> EtaDeltaResult:
     """Layered exact/PFA force ratio and its homogeneous counterpart.
@@ -229,15 +246,22 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams,
     sphere = cfg.sphere
     lam = p.lam
     eta_hom = eta(sphere.outer_radius, cfg.d2, lam).eta
-    if sphere.inner_coat.thickness == 0.0 and sphere.outer_coat.thickness == 0.0:
-        # Bare sphere: the layered and homogeneous constructions coincide.
+    if _bare(sphere):
         return EtaDeltaResult(eta_delta=eta_hom, eta_homogeneous=eta_hom, ratio=1.0)
-    pfa_side = sphere.core_radius * virtual_stack_factor(sphere, cfg.d2, lam)
-    if not pfa_side >= sys.float_info.min:
-        # the exact side carries the same e^(-coat/lam) factor: no ratio left
-        raise DegenerateInputError(
-            f"eta_delta is undefined at lambda = {lam:g} m: the sphere-side PFA stack "
-            "factor is zero or underflows (every sphere density zero, or only the core "
-            "has mass and e^(-coat thickness/lambda) underflows)")
-    value = sphere_shell_factor(sphere, lam) / pfa_side
+    value = _exact_over_pfa(sphere, sphere_shell_factor(sphere, lam),
+                            virtual_stack_factor(sphere, cfg.d2, lam), lam)
     return EtaDeltaResult(eta_delta=value, eta_homogeneous=eta_hom, ratio=value / eta_hom)
+
+
+def layered_pfa_over_epfa(cfg: LayeredConfig, pfa: SeparationLaw, epfa: SeparationLaw) -> float:
+    """F_pfa/F_epfa = 1/eta_delta from layered_pfa_law and layered_epfa_force_law at one lam.
+
+    Both laws carry S_slab first and their sphere-side factor last, S_virtual
+    and Psi_sphere, so this is 1/eta_delta bit for bit, and it raises
+    DegenerateInputError where eta_delta does. A bare sphere takes eta_delta's
+    route through eta too: the laws' own ratio differs there in the last bits.
+    """
+    sphere, lam = cfg.sphere, pfa.lam
+    if _bare(sphere):
+        return 1.0 / eta(sphere.outer_radius, cfg.d2, lam).eta
+    return 1.0 / _exact_over_pfa(sphere, epfa.factors[1], pfa.factors[1], lam)

@@ -13,9 +13,10 @@ curve by the separation-independent factor 1/eta (homogeneous) or
 
 For a laterally infinite slab every one of these forces (the exact one
 being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda): the
-separation enters only through the exponential. alpha_limit therefore builds
-one SeparationLaw per lambda and evaluates each residual row with a single
-exp, bit-identical to calling the force function with that separation.
+separation enters only through the exponential. Each lambda therefore gets
+one pfa and one epfa SeparationLaw, which give both the bound (one exp per
+residual row, bit-identical to the force functions) and shift_vs_pfa =
+F_pfa/F_epfa from their curvature factors; limit_shift is that pair's ratio.
 
 Residuals are taken as given; no interpolation between tabulated
 separations and no statistical machinery. The bundled
@@ -28,11 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants, SeparationLaw,
-                   YukawaParams)
-from .layered import LayeredConfig, eta_delta, layered_epfa_force_law, layered_pfa_law
+from .core import INFINITE, DegenerateInputError, InputError, PhysicalConstants, YukawaParams
+from .layered import LayeredConfig, layered_epfa_force_law, layered_pfa_law, layered_pfa_over_epfa
 from .sweeps import SweepGrid
-from .yukawa import SphereSlabConfig, eta, sphere_slab_exact_law, sphere_slab_pfa_law
+from .yukawa import (SphereSlabConfig, sphere_slab_exact_law, sphere_slab_pfa_law,
+                     sphere_slab_pfa_over_exact)
 
 #: Above roughly this Yukawa range the parallel-plate-mapped model deviates
 #: appreciably from the exact force; sweep manifests flag these rows.
@@ -101,19 +102,22 @@ class ExclusionPoint:
     alpha_bound: float
     best_separation: float
     method: str
+    shift_vs_pfa: float | None = None  # alpha_epfa/alpha_pfa, epfa method only
 
 
-def _unit_alpha_law(lam: float, geometry, method: str, c: PhysicalConstants,
-                    d2: float) -> SeparationLaw:
-    params = YukawaParams(alpha=1.0, lam=lam)
+def _unit_alpha_laws(lam: float, geometry, c: PhysicalConstants, d2: float):
+    """(pfa law, epfa law, shift) at lam for alpha = 1.
+
+    shift() is F_pfa/F_epfa from the laws' curvature factors, called only on
+    demand: it can fail where a bound exists, and vice versa.
+    """
+    p = YukawaParams(alpha=1.0, lam=lam)
     if isinstance(geometry, LayeredConfig):
-        if method == "pfa":
-            return layered_pfa_law(geometry, params, c)
-        return layered_epfa_force_law(geometry, params, c)
+        pfa, epfa = layered_pfa_law(geometry, p, c), layered_epfa_force_law(geometry, p, c)
+        return pfa, epfa, lambda: layered_pfa_over_epfa(geometry, pfa, epfa)
     if isinstance(geometry, SphereSlabConfig):
-        if method == "pfa":
-            return sphere_slab_pfa_law(geometry, d2, params, c)
-        return sphere_slab_exact_law(geometry, params, c)
+        pfa, epfa = sphere_slab_pfa_law(geometry, d2, p, c), sphere_slab_exact_law(geometry, p, c)
+        return pfa, epfa, lambda: sphere_slab_pfa_over_exact(pfa, epfa)
     raise InputError(f"unsupported geometry {type(geometry).__name__}")
 
 
@@ -124,14 +128,15 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
 
     Separations whose unit-alpha force underflows to zero cannot constrain
     alpha and are skipped; if none constrains it the input is degenerate.
-    ``d2`` is homogeneous-only: it is used for the pfa method on a
-    SphereSlabConfig, while a LayeredConfig always uses its own d2.
+    ``d2`` is homogeneous-only: the PFA virtual plate of a SphereSlabConfig,
+    while a LayeredConfig always uses its own d2.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
     if not lam > 0.0:
         raise InputError(f"lambda must be > 0, got {lam}")
-    law = _unit_alpha_law(lam, geometry, method, c, d2)
+    pfa, epfa, shift = _unit_alpha_laws(lam, geometry, c, d2)
+    law = pfa if method == "pfa" else epfa
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
         force = abs(law(separation))
@@ -145,7 +150,7 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
             "no separation yields a nonzero unit-alpha force (zero densities "
             "or lambda far below every separation)")
     return ExclusionPoint(lam=lam, alpha_bound=best[0], best_separation=best[1],
-                          method=method)
+                          method=method, shift_vs_pfa=shift() if method == "epfa" else None)
 
 
 def exclusion_curve(lambda_grid: SweepGrid, bounds: ResidualBound, geometry,
@@ -161,12 +166,8 @@ def limit_shift(lam: float, geometry, d2: float = INFINITE,
     """Factor by which the exact-force analysis weakens the pfa-claimed bound.
 
     alpha_epfa / alpha_pfa = F_pfa / F_epfa = 1/eta (homogeneous geometry)
-    or 1/eta_delta (layered); separation-independent. Equals e^2/2 at
-    lambda = R for a homogeneous sphere over a half-space. ``d2`` is
-    homogeneous-only, as in alpha_limit: a LayeredConfig uses its own d2.
+    or 1/eta_delta (layered), the ratio of alpha_limit's law pair. Equals
+    e^2/2 at lambda = R for a homogeneous sphere over a half-space. ``d2``
+    is homogeneous-only, as in alpha_limit: a LayeredConfig uses its own d2.
     """
-    if isinstance(geometry, LayeredConfig):
-        return 1.0 / eta_delta(geometry, YukawaParams(alpha=1.0, lam=lam), c).eta_delta
-    if isinstance(geometry, SphereSlabConfig):
-        return 1.0 / eta(geometry.sphere_radius, d2, lam).eta
-    raise InputError(f"unsupported geometry {type(geometry).__name__}")
+    return _unit_alpha_laws(lam, geometry, c, d2)[2]()

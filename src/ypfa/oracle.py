@@ -153,8 +153,9 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     Returns (value, error_estimate, subdivisions_used, converged). The panel
     with the largest error bound is bisected next (ties broken towards the
     leftmost panel), and both sums are math.fsum, which is correctly rounded
-    and so independent of evaluation order. A non-finite error sum stops at
-    once with converged False: bisecting cannot make it finite. sharp_edges
+    and so independent of evaluation order. A non-finite error sum, or panel
+    values fsum cannot add (inf - inf, overflow), stops at once with
+    converged False: bisecting cannot make it finite. sharp_edges
     is an optional list of (position, decay scale) hints that seed the
     initial mesh (see _initial_mesh).
     """
@@ -173,8 +174,11 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
     subdivisions = 0
     while True:
-        total_val = math.fsum(vals)
-        total_err = math.fsum(errs)
+        try:
+            total_val = math.fsum(vals)
+            total_err = math.fsum(errs)
+        except (ValueError, OverflowError):  # inf - inf, or a finite sum past DBL_MAX
+            total_val, total_err = sum(vals), math.inf
         if not math.isfinite(total_err):
             return total_val, total_err, subdivisions, False
         if total_err <= max(rel_tol * abs(total_val), abs_tol):

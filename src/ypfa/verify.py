@@ -172,8 +172,7 @@ def check_layered_pfa_assembly(c, quick):
         slab_layers = [(stack.base, stack.top.thickness + stack.middle.thickness),
                        (stack.middle, stack.top.thickness),
                        (stack.top, 0.0)]
-        side_layers = [(Layer(cfg.d2 if not math.isinf(cfg.d2) else INFINITE,
-                              sphere.core_density),
+        side_layers = [(Layer(cfg.d2, sphere.core_density),
                         sphere.inner_coat.thickness + sphere.outer_coat.thickness),
                        (sphere.inner_coat, sphere.outer_coat.thickness),
                        (sphere.outer_coat, 0.0)]
@@ -217,19 +216,12 @@ def check_disk_power(c, quick):
         disk = _scaled_disk(scale)
         n = exponents[idx % len(exponents)]
         label = f"z={z:g} scale={scale:g}"
-        closed = disk_power_force(probe, disk, PowerLawParams(k=c.G, n=n))
-        report = oracle_disk_point(probe, disk, "power", c, _SPEC_2D, n=n)
-        generic.append((f"{label} n={n:g}", closed,
-                        replace(report, value=report.value * c.G,
-                                error_estimate=report.error_estimate * c.G)))
-        closed = disk_power_force(probe, disk, PowerLawParams(k=c.G, n=1.0))
-        report = oracle_disk_point(probe, disk, "power", c, _SPEC_2D, n=1.0)
-        n1.append((label, closed, replace(report, value=report.value * c.G,
-                                          error_estimate=report.error_estimate * c.G)))
-        closed = disk_power_force(probe, disk, PowerLawParams(k=c.G, n=3.0))
-        report = oracle_disk_point(probe, disk, "power", c, _SPEC_2D, n=3.0)
-        n3.append((label, closed, replace(report, value=report.value * c.G,
-                                          error_estimate=report.error_estimate * c.G)))
+        for exponent, rows, name in ((n, generic, f"{label} n={n:g}"), (1.0, n1, label),
+                                     (3.0, n3, label)):
+            closed = disk_power_force(probe, disk, PowerLawParams(k=c.G, n=exponent))
+            report = oracle_disk_point(probe, disk, "power", c, _SPEC_2D, n=exponent)
+            rows.append((name, closed, replace(report, value=report.value * c.G,
+                                               error_estimate=report.error_estimate * c.G)))
     return [_family("disk_power_force", 1e-8, generic),
             _family("disk_power_force_n1", 1e-8, n1),
             _family("disk_power_force_n3", 1e-8, n3)]

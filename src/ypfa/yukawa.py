@@ -180,6 +180,15 @@ def sphere_slab_pfa_law(cfg: SphereSlabConfig, d2: float, p: YukawaParams,
                          (one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(d2 / lam)))
 
 
+def sphere_slab_pfa_over_exact(pfa: SeparationLaw, exact: SeparationLaw) -> float:
+    """F_pfa/F_exact = 1/eta from two laws built above at one lam.
+
+    Both laws carry the slab factor first and their curvature factor last,
+    (1 - e^(-d2/lam)) and Phi(2R/lam), so this is 1/eta(R, d2, lam) bit for bit.
+    """
+    return 1.0 / (exact.factors[1] / pfa.factors[1])
+
+
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,
                             c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact (volume-integrated) Yukawa force on the sphere, in N (< 0)."""

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from ypfa import (Disk, InputError, PhysicalConstants, PoleProximityError, PowerLawParams,
@@ -199,6 +200,42 @@ def test_yukawa_edge_corrections_bound():
     s_near = math.sqrt(z * z + disk.radius ** 2)
     exponent = disk.radius ** 2 / ((z + s_near) * lam)
     assert exponent > 45.0
+
+
+def _mp_yukawa_potential(z, disk, lam):
+    """disk_yukawa_potential (alpha = 1, unit mass) at 80 digits on the same floats.
+
+    The edge integral runs over the offset v = u - z, scaled by its value at
+    v = 0 because mpmath's quadrature tolerance is absolute.
+    """
+    mp = mpmath.MPContext()
+    mp.dps = 80
+    z, rd, d1, lam = mp.mpf(z), mp.mpf(disk.radius), mp.mpf(disk.thickness), mp.mpf(lam)
+
+    def exponent(v):
+        return (z - mp.sqrt((z + v) ** 2 + rd * rd)) / lam
+
+    start = exponent(0)
+    breaks = [mp.mpf(0)]
+    while breaks[-1] * 2 + lam < d1:
+        breaks.append(breaks[-1] * 2 + lam)
+    edge, error = mp.quad(lambda v: mp.exp(exponent(v) - start), breaks + [d1], error=True)
+    assert error < mp.mpf(10) ** -40
+    inner = lam * (1 - mp.exp(-d1 / lam)) - mp.exp(start) * edge
+    return -2 * mp.pi * mp.mpf(C.G) * mp.mpf(disk.density) * lam * mp.exp(-z / lam) * inner
+
+
+@pytest.mark.parametrize("z,disk,lam", [
+    # a tiny disk radius and a thickness of 10^6 ranges, where 2048 uniform
+    # panels once gave half the edge integral
+    (100e-9, Disk(1e-9, 1e-3, 2330.0), 1e-9),
+    # the verify grid's largest edge term: scale 0.5, z = 2 um, lam = 50 um
+    (2e-6, Disk(150e-6, 1.75e-6, 2330.0), 50e-6),
+], ids=["thick-tiny-disk", "verify-grid"])
+def test_yukawa_potential_matches_mpmath(z, disk, lam):
+    got = disk_yukawa_potential(probe(z), disk, YukawaParams(1.0, lam))
+    want = _mp_yukawa_potential(z, disk, lam)
+    assert abs(got - want) <= 1e-12 * abs(want), (got, float(want))
 
 
 def test_xi_yukawa_infinite_plane_value():

@@ -1,9 +1,9 @@
 """Closed forms against 80-digit mpmath over the whole accepted length domain.
 
 Lengths are drawn log-uniform from 1e-10 to 1e4 m, coats may be absent and
-densities zero. The references use the same float radii as the code (the
-coat radii are the float sums r_core + t), so any difference is the closed
-form's own rounding or cancellation.
+densities zero; slab layers may also be INFINITE. The references use the
+same float radii as the code (the coat radii are the float sums r_core + t),
+so any difference is the closed form's own rounding or cancellation.
 """
 
 import math
@@ -11,9 +11,9 @@ import math
 import mpmath
 from hypothesis import assume, given, settings, strategies as st
 
-from ypfa import (INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere, YukawaParams, eta,
-                  eta_delta)
-from ypfa.layered import sphere_shell_factor
+from ypfa import (G_DEFAULT, INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
+                  YukawaParams, eta, eta_delta, slab_slab_pressure)
+from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
 REL = 1e-12
 #: Below this a float result is near the subnormal range and carries no
@@ -30,6 +30,11 @@ densities = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=math.log1
 coats = st.builds(Layer, st.one_of(st.just(0.0), lengths), densities)
 spheres = st.builds(LayeredSphere, lengths, densities, coats, coats)
 d2_values = st.one_of(st.just(INFINITE), lengths)
+slab_thicknesses = st.one_of(st.just(0.0), d2_values)
+# the base of a slab must be thicker than 0; the coats need not be
+slabs = st.builds(LayeredSlab, st.builds(Layer, d2_values, densities),
+                  st.builds(Layer, slab_thicknesses, densities),
+                  st.builds(Layer, slab_thicknesses, densities))
 
 SLAB = LayeredSlab(base=Layer(3.5e-6, 2330.0))
 domain = settings(max_examples=150, deadline=None)
@@ -65,6 +70,16 @@ def mp_shell_factor(sphere, lam):
     return (M(sphere.core_density) * term(0.0, r_core)
             + M(sphere.inner_coat.density) * term(r_core, r_mid)
             + M(sphere.outer_coat.density) * term(r_mid, r_out))
+
+
+def mp_slab_factor(slab, lam):
+    lam = M(lam)
+    top, mid, base = slab.top, slab.middle, slab.base
+    return (M(base.density) * mp.exp(-(M(top.thickness) + M(mid.thickness)) / lam)
+            * _one_minus_exp(M(base.thickness) / lam)
+            + M(mid.density) * mp.exp(-M(top.thickness) / lam)
+            * _one_minus_exp(M(mid.thickness) / lam)
+            + M(top.density) * _one_minus_exp(M(top.thickness) / lam))
 
 
 def mp_virtual_factor(sphere, d2, lam):
@@ -111,3 +126,23 @@ def test_eta_delta_matches_mpmath(sphere, d2, lam):
     assert_close(got.eta_homogeneous, want_hom)
     assert_close(got.ratio, want / want_hom)
 
+
+@domain
+@given(slabs, lengths)
+def test_slab_stack_factor_matches_mpmath(slab, lam):
+    assert_close(slab_stack_factor(slab, lam), mp_slab_factor(slab, lam))
+
+
+@domain
+@given(spheres, d2_values, lengths)
+def test_virtual_stack_factor_matches_mpmath(sphere, d2, lam):
+    assert_close(virtual_stack_factor(sphere, d2, lam), mp_virtual_factor(sphere, d2, lam))
+
+
+@domain
+@given(lengths, slab_thicknesses, densities, slab_thicknesses, densities, lengths)
+def test_slab_slab_pressure_matches_mpmath(a, d1, rho1, d2, rho2, lam):
+    lam_mp = M(lam)
+    want = (-2 * mp.pi * M(G_DEFAULT) * M(rho1) * M(rho2) * lam_mp ** 2 * mp.exp(-M(a) / lam_mp)
+            * _one_minus_exp(M(d1) / lam_mp) * _one_minus_exp(M(d2) / lam_mp))
+    assert_close(slab_slab_pressure(a, d1, rho1, d2, rho2, YukawaParams(1.0, lam)), want)

@@ -158,6 +158,26 @@ def test_limit_shift_uses_the_layered_configs_own_d2(layered_cfg):
     assert limit_shift(lam, cfg) == pytest.approx(ratio, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam,regime", [(0.1e-9, "direct"), (1e-6, "direct"),
+                                        (1.0, "series_small_u")])
+def test_shift_vs_pfa_is_the_law_pairs_ratio(geometry, layered_cfg, lam, regime):
+    # the epfa point's shift is 1/eta or 1/eta_delta bit for bit, on both Phi
+    # branches, and equals alpha_epfa/alpha_pfa; the 1 nm row keeps every
+    # force representable at lam = 0.1 nm
+    assert eta(geometry.sphere_radius, INFINITE, lam).regime == regime
+    bounds = ResidualBound(entries=((1e-9, 1e-30), (1e-7, 1e-16)))
+    p = YukawaParams(1.0, lam)
+    cases = [(geometry, d2, 1.0 / eta(geometry.sphere_radius, d2, lam).eta)
+             for d2 in (INFINITE, 10e-6)]
+    cases.append((layered_cfg, INFINITE, 1.0 / eta_delta(layered_cfg, p).eta_delta))
+    for cfg, d2, want in cases:
+        epfa = alpha_limit(lam, bounds, cfg, "epfa", d2=d2)
+        pfa = alpha_limit(lam, bounds, cfg, "pfa", d2=d2)
+        assert epfa.shift_vs_pfa == want == limit_shift(lam, cfg, d2=d2)
+        assert pfa.shift_vs_pfa is None
+        assert abs(epfa.alpha_bound / pfa.alpha_bound / want - 1.0) < 1e-12
+
+
 def test_argmin_stable_under_uniform_scaling(geometry):
     lam = 5e-7
     base = alpha_limit(lam, flat_bounds(1e-16), geometry, "epfa")

@@ -73,6 +73,26 @@ def test_engine_nonfinite_error_stops_at_once():
     assert value == math.inf and math.isnan(err)
 
 
+def test_engine_opposite_infinities_stop_without_raising():
+    # panels holding +inf and -inf make fsum of the values raise on inf - inf;
+    # the result must still be an unconverged report, not a ValueError
+    value, err, nsub, ok = integrate_adaptive(
+        lambda x: math.inf if x > 0.5 else -math.inf, 0.0, 1.0, QuadratureSpec(),
+        sharp_edges=[(0.5, 0.25)])
+    assert not ok
+    assert nsub == 0
+    assert math.isnan(value) and not math.isfinite(err)
+
+
+def test_engine_overflowing_panel_sum_stops_without_raising():
+    # panels [0, 1], [1, 3], [3, 4] hold 6e307, 1.2e308 and 6e307, each finite,
+    # but their sum passes DBL_MAX, where fsum raises OverflowError
+    value, _err, _nsub, ok = integrate_adaptive(
+        lambda x: 6e307, 0.0, 4.0, QuadratureSpec(), sharp_edges=[(2.0, 1.0)])
+    assert not ok
+    assert value == math.inf
+
+
 def _panel_tuple_reference(f, lo, hi, spec, sharp_edges=None):
     """integrate_adaptive as it was written with (a, b, value, error) panel
     tuples, a keyed max and a final sort by left endpoint; kept to pin the
