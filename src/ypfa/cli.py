@@ -254,9 +254,9 @@ def cmd_eta_layered_sweep(args) -> int:
     d2_values = _d2_values(args, settings)
     gap = _scalar(settings, "gap")
     grid = _lambda_grid(args)
-    tasks = [(lam, radius, d2, LayeredConfig(separation=gap, sphere=sphere_for(radius),
-                                             slab=slab, d2=d2))
-             for lam in grid.values() for radius in radii for d2 in d2_values]
+    configs = [(radius, d2, LayeredConfig(gap, sphere_for(radius), slab, d2))
+               for radius in radii for d2 in d2_values]
+    tasks = [(lam, *config) for lam in grid.values() for config in configs]
     rows = map_ordered(_row_eta_layered, tasks, resolve_workers(args.workers))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
                  rows, {"lambda": grid.__dict__, "radii": radii,
@@ -331,13 +331,13 @@ def cmd_limits(args) -> int:
                                     sphere_radius=_scalar(settings, "sphere.radius"),
                                     sphere_density=_scalar(settings, "sphere.density"),
                                     slab_thickness=_scalar(settings, "slab.thickness"),
-                                    slab_density=_scalar(settings, "slab.density"))
+                                    slab_density=_scalar(settings, "slab.density"), d2=d2)
     grid = _lambda_grid(args)
     width = 5 if args.method == "epfa" else 4  # only epfa rows carry shift_vs_pfa
     header = ("lambda_m", "alpha_bound", "best_separation_m", "method", "shift_vs_pfa")[:width]
     rows = [(point.lam, point.alpha_bound, point.best_separation, point.method,
              point.shift_vs_pfa)[:width]
-            for point in exclusion_curve(grid, bounds, geometry, args.method, constants, d2)]
+            for point in exclusion_curve(grid, bounds, geometry, args.method, constants)]
     return _emit(args, settings, header, rows,
                  {"lambda": grid.__dict__, "method": args.method, "geometry": args.geometry},
                  {"rows_above_pfa_reliable_lambda":

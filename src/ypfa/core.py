@@ -15,6 +15,7 @@ between worker processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 #: Distinguished "infinitely thick" value. exp(-INFINITE / x) == 0.0 exactly
@@ -65,6 +66,15 @@ class YukawaParams:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise InputError(f"Yukawa range must be > 0, got {self.lam}")
+
+    def lam_power(self, n: int) -> float:
+        """lam**n for a force prefactor, refused with the lam domain where it overflows."""
+        try:
+            return self.lam ** n
+        except OverflowError:
+            bound = sys.float_info.max ** (1.0 / n)
+            raise InputError(f"lambda = {self.lam:g} m is outside this force's domain: "
+                             f"lambda^{n} overflows above about {bound:.3g} m") from None
 
 
 @dataclass(frozen=True)

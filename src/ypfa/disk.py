@@ -126,9 +126,7 @@ def _power_force_generic(z: float, disk: Disk, k: float, m2: float, n: float) ->
             raise InputError("power-law force diverges on an infinite plane for n <= 1")
         t2 = 0.0
     else:
-        a_near = rd * rd + z * z
-        t2 = pow_diff(a_near, rd * rd + (z + d1) * (z + d1),
-                      d1 * (2.0 * z + d1), (3.0 - n) / 2.0)
+        t2 = pow_diff(rd * rd + z * z, d1 * (2.0 * z + d1), (3.0 - n) / 2.0)
     t1 = z ** (3.0 - n) * math.expm1((3.0 - n) * math.log1p(d1 / z))
     return 2.0 * math.pi * k * disk.density * m2 * (t1 + t2) / ((n - 1.0) * (n - 3.0))
 

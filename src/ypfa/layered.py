@@ -14,8 +14,8 @@ layered sphere above that slab factorizes the same way,
     F(a) = U(a) / lam,
 
 with Psi_sphere a sum of spherical-shell terms. The parallel-plate-mapped
-(PFA) force replaces Psi_sphere by R * S_virtual, where S_virtual is the
-stack factor of a virtual plate (thickness d2) coated like the sphere:
+(PFA) force replaces Psi_sphere by R * S_virtual, the stack factor of the
+virtual plate: a LayeredSlab of core material d2 thick, coated like the sphere:
 
     F_pfa(a) = -4 pi^2 alpha G lam^3 R e^(-a/lam) * S_slab * S_virtual.
 
@@ -39,8 +39,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import (INFINITE, DegenerateInputError, InputError, LayeredSlab, LayeredSphere,
-                   PhysicalConstants, SeparationLaw, YukawaParams)
+from .core import (INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
+                   LayeredSphere, PhysicalConstants, SeparationLaw, YukawaParams)
 from .numerics import one_minus_exp
 from .yukawa import check_d2, eta, phi
 
@@ -80,15 +80,9 @@ def _slab_summands(slab: LayeredSlab, lam: float) -> list[float]:
     ]
 
 
-def _virtual_summands(sphere: LayeredSphere, d2: float, lam: float) -> list[float]:
-    """Per-layer summands of S_virtual: virtual plate (core density), inner coat, outer coat."""
-    inner, outer = sphere.inner_coat, sphere.outer_coat
-    return [
-        sphere.core_density * math.exp(-(inner.thickness + outer.thickness) / lam)
-        * one_minus_exp(d2 / lam),
-        inner.density * math.exp(-outer.thickness / lam) * one_minus_exp(inner.thickness / lam),
-        outer.density * one_minus_exp(outer.thickness / lam),
-    ]
+def _virtual_plate(sphere: LayeredSphere, d2: float) -> LayeredSlab:
+    """The PFA's virtual plate: core material of thickness d2 wearing the sphere's coats."""
+    return LayeredSlab(Layer(d2, sphere.core_density), sphere.inner_coat, sphere.outer_coat)
 
 
 def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
@@ -97,8 +91,8 @@ def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
 
 
 def virtual_stack_factor(sphere: LayeredSphere, d2: float, lam: float) -> float:
-    """Stack factor of the virtual plate (thickness d2) wearing the sphere's coatings."""
-    return math.fsum(_virtual_summands(sphere, d2, lam))
+    """Stack factor S_virtual of the virtual plate (thickness d2) wearing the sphere's coats."""
+    return slab_stack_factor(_virtual_plate(sphere, d2), lam)
 
 
 def _shell_term(lo: float, hi: float, lam: float, r_out: float) -> float:
@@ -147,7 +141,7 @@ def layered_epfa_energy_law(cfg: LayeredConfig, p: YukawaParams,
                             c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact layered energy as a law in the separation (cfg.separation unused)."""
     lam = p.lam
-    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 4, lam,
+    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(4), lam,
                          (slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam)))
 
 
@@ -160,7 +154,7 @@ def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
 
 def _pfa_head(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants) -> float:
     """-4 pi^2 alpha G lam^3 R_core, the prefactor of every PFA layer pair."""
-    return -4.0 * math.pi ** 2 * p.alpha * c.G * p.lam ** 3 * cfg.sphere.core_radius
+    return -4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(3) * cfg.sphere.core_radius
 
 
 def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
@@ -192,7 +186,7 @@ def layered_pfa_terms(cfg: LayeredConfig, p: YukawaParams,
     """The nine layer-pair contributions to the PFA force (N each).
 
     Rows run over slab layers [base, middle, top], columns over the
-    sphere-side stack [core/virtual-plate, inner coat, outer coat]; each
+    virtual plate's [core material of thickness d2, inner coat, outer coat]; each
     entry is 2 pi R times that layer pair's parallel-plate energy per unit
     area at its standoff (= lam times its pressure, the profile being a
     pure exponential). The sum of all nine equals layered_pfa_force.
@@ -200,7 +194,7 @@ def layered_pfa_terms(cfg: LayeredConfig, p: YukawaParams,
     lam = p.lam
     pref = _pfa_head(cfg, p, c) * math.exp(-cfg.separation / lam)
     s1 = _slab_summands(cfg.slab, lam)
-    s2 = _virtual_summands(cfg.sphere, cfg.d2, lam)
+    s2 = _slab_summands(_virtual_plate(cfg.sphere, cfg.d2), lam)
     return [[pref * a * b for b in s2] for a in s1]
 
 
@@ -231,8 +225,7 @@ def _exact_over_pfa(sphere: LayeredSphere, shell: float, virtual: float, lam: fl
     return shell / pfa_side
 
 
-def eta_delta(cfg: LayeredConfig, p: YukawaParams,
-              c: PhysicalConstants = PhysicalConstants()) -> EtaDeltaResult:
+def eta_delta(cfg: LayeredConfig, p: YukawaParams) -> EtaDeltaResult:
     """Layered exact/PFA force ratio and its homogeneous counterpart.
 
     eta_delta = Psi_sphere / (R S_virtual): the slab stack and the

@@ -17,6 +17,7 @@ separation enters only through the exponential. Each lambda therefore gets
 one pfa and one epfa SeparationLaw, which give both the bound (one exp per
 residual row, bit-identical to the force functions) and shift_vs_pfa =
 F_pfa/F_epfa from their curvature factors; limit_shift is that pair's ratio.
+The virtual plate's d2 is a field of both geometry configs (layered: a LayeredSlab).
 
 Residuals are taken as given; no interpolation between tabulated
 separations and no statistical machinery. The bundled
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import INFINITE, DegenerateInputError, InputError, PhysicalConstants, YukawaParams
+from .core import DegenerateInputError, InputError, PhysicalConstants, YukawaParams
 from .layered import LayeredConfig, layered_epfa_force_law, layered_pfa_law, layered_pfa_over_epfa
 from .sweeps import SweepGrid
 from .yukawa import (SphereSlabConfig, sphere_slab_exact_law, sphere_slab_pfa_law,
@@ -105,7 +106,7 @@ class ExclusionPoint:
     shift_vs_pfa: float | None = None  # alpha_epfa/alpha_pfa, epfa method only
 
 
-def _unit_alpha_laws(lam: float, geometry, c: PhysicalConstants, d2: float):
+def _unit_alpha_laws(lam: float, geometry, c: PhysicalConstants):
     """(pfa law, epfa law, shift) at lam for alpha = 1.
 
     shift() is F_pfa/F_epfa from the laws' curvature factors, called only on
@@ -116,26 +117,21 @@ def _unit_alpha_laws(lam: float, geometry, c: PhysicalConstants, d2: float):
         pfa, epfa = layered_pfa_law(geometry, p, c), layered_epfa_force_law(geometry, p, c)
         return pfa, epfa, lambda: layered_pfa_over_epfa(geometry, pfa, epfa)
     if isinstance(geometry, SphereSlabConfig):
-        pfa, epfa = sphere_slab_pfa_law(geometry, d2, p, c), sphere_slab_exact_law(geometry, p, c)
+        pfa, epfa = sphere_slab_pfa_law(geometry, p, c), sphere_slab_exact_law(geometry, p, c)
         return pfa, epfa, lambda: sphere_slab_pfa_over_exact(pfa, epfa)
     raise InputError(f"unsupported geometry {type(geometry).__name__}")
 
 
 def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
-                c: PhysicalConstants = PhysicalConstants(),
-                d2: float = INFINITE) -> ExclusionPoint:
+                c: PhysicalConstants = PhysicalConstants()) -> ExclusionPoint:
     """Best alpha bound over all tabulated separations at one lambda.
 
     Separations whose unit-alpha force underflows to zero cannot constrain
     alpha and are skipped; if none constrains it the input is degenerate.
-    ``d2`` is homogeneous-only: the PFA virtual plate of a SphereSlabConfig,
-    while a LayeredConfig always uses its own d2.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    if not lam > 0.0:
-        raise InputError(f"lambda must be > 0, got {lam}")
-    pfa, epfa, shift = _unit_alpha_laws(lam, geometry, c, d2)
+    pfa, epfa, shift = _unit_alpha_laws(lam, geometry, c)
     law = pfa if method == "pfa" else epfa
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
@@ -147,27 +143,23 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
             best = (bound, separation)
     if best is None:
         raise DegenerateInputError(
-            "no separation yields a nonzero unit-alpha force (zero densities "
-            "or lambda far below every separation)")
+            "no separation yields a nonzero unit-alpha force (zero densities, lambda far "
+            "below every separation, or for pfa a virtual plate d2 far below lambda)")
     return ExclusionPoint(lam=lam, alpha_bound=best[0], best_separation=best[1],
                           method=method, shift_vs_pfa=shift() if method == "epfa" else None)
 
 
-def exclusion_curve(lambda_grid: SweepGrid, bounds: ResidualBound, geometry,
-                    method: str, c: PhysicalConstants = PhysicalConstants(),
-                    d2: float = INFINITE) -> list[ExclusionPoint]:
+def exclusion_curve(lambda_grid: SweepGrid, bounds: ResidualBound, geometry, method: str,
+                    c: PhysicalConstants = PhysicalConstants()) -> list[ExclusionPoint]:
     """alpha_limit mapped over the lambda grid, in grid order."""
-    return [alpha_limit(lam, bounds, geometry, method, c, d2)
-            for lam in lambda_grid.values()]
+    return [alpha_limit(lam, bounds, geometry, method, c) for lam in lambda_grid.values()]
 
 
-def limit_shift(lam: float, geometry, d2: float = INFINITE,
-                c: PhysicalConstants = PhysicalConstants()) -> float:
+def limit_shift(lam: float, geometry, c: PhysicalConstants = PhysicalConstants()) -> float:
     """Factor by which the exact-force analysis weakens the pfa-claimed bound.
 
     alpha_epfa / alpha_pfa = F_pfa / F_epfa = 1/eta (homogeneous geometry)
     or 1/eta_delta (layered), the ratio of alpha_limit's law pair. Equals
-    e^2/2 at lambda = R for a homogeneous sphere over a half-space. ``d2``
-    is homogeneous-only, as in alpha_limit: a LayeredConfig uses its own d2.
+    e^2/2 at lambda = R for a homogeneous sphere over a half-space.
     """
-    return _unit_alpha_laws(lam, geometry, c, d2)[2]()
+    return _unit_alpha_laws(lam, geometry, c)[2]()

@@ -43,8 +43,8 @@ def xlnx_diff(a: float, b: float, diff: float) -> float:
     return diff * math.log(b) + a * math.log1p(diff / a)
 
 
-def pow_diff(a: float, b: float, diff: float, p: float) -> float:
-    """a^p - b^p given diff = b - a >= 0 supplied exactly; a, b > 0.
+def pow_diff(a: float, diff: float, p: float) -> float:
+    """a^p - b^p for b = a + diff, given a > 0 and diff >= 0 supplied exactly.
 
     Written as -a^p expm1(p log1p(diff/a)) so nearby bases do not cancel.
     """

@@ -74,11 +74,6 @@ def map_ordered(func: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(func, items, chunksize=chunk))
 
 
-def format_number(x: float) -> str:
-    """Scientific notation, 12 significant digits; spells nan, inf and -inf."""
-    return f"{x:.11e}"
-
-
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> int:
     """Write rows (numbers or strings) as CSV; returns the row count.
 

@@ -15,12 +15,13 @@ The exact sphere-slab force is
     Phi(u) = 1 - 2/u + e^(-u) (1 + 2/u),
 
 while the PFA force replaces Phi by the thickness factor (1 - e^(-D2/lam))
-of a virtual upper plate of thickness D2 (a bookkeeping device of the
-parallel-plate mapping, not a physical part of the setup; D2 = INFINITE
-makes the factor exactly 1). eta = Phi/(1 - e^(-D2/lam)) is independent of
-the separation a. Both forces are built as a core.SeparationLaw (the
-``*_law`` builders), so a caller scanning many separations at one lam
-evaluates the prefactor once and one exponential per separation.
+of a virtual upper plate of thickness D2 = SphereSlabConfig.d2 (a
+bookkeeping device of the parallel-plate mapping, not a physical part of the
+setup; INFINITE makes the factor exactly 1; LayeredConfig.d2 is the layered
+one, a LayeredSlab wearing the sphere's coats). eta = Phi/(1 - e^(-D2/lam)),
+independent of the separation a, is written once (_phi_over_plate). Both
+forces are core.SeparationLaw builders (``*_law``): a caller scanning many
+separations at one lam evaluates the prefactor once, then one exp per gap.
 
 The naive Phi cancels catastrophically for u << 1, so ``phi`` reports one
 of two regimes: 'series_small_u' (Taylor series, u < 1e-3) and 'direct',
@@ -32,10 +33,11 @@ plain form above. All branches agree to machine precision where they meet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .core import (InputError, PhysicalConstants, ResonatorParams, SeparationLaw, YukawaParams,
-                   effective_radius)
+from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants,
+                   ResonatorParams, SeparationLaw, YukawaParams, effective_radius)
 from .numerics import one_minus_exp, x_cosh_x_minus_sinh_x
 
 #: Below this u = 2R/lambda the Taylor-series branch of Phi is used.
@@ -49,7 +51,7 @@ REGIME_DIRECT = "direct"
 class SphereSlabConfig:
     """Homogeneous sphere above a laterally infinite homogeneous slab.
 
-    separation is the closest gap between sphere surface and slab top.
+    separation is the sphere-slab gap, d2 the PFA virtual-plate thickness.
     """
 
     separation: float
@@ -57,6 +59,7 @@ class SphereSlabConfig:
     sphere_density: float
     slab_thickness: float
     slab_density: float
+    d2: float = INFINITE
 
     def __post_init__(self):
         if not self.separation > 0.0:
@@ -69,6 +72,7 @@ class SphereSlabConfig:
             raise InputError(f"slab thickness must be > 0, got {self.slab_thickness}")
         if not self.slab_density >= 0.0:
             raise InputError(f"slab density must be >= 0, got {self.slab_density}")
+        check_d2(self.d2)
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
 def _sphere_slab_head(cfg: SphereSlabConfig, p: YukawaParams, c: PhysicalConstants) -> float:
     """-4 pi^2 alpha G rho1 rho2 lam^3 R, shared by the exact and PFA forces."""
     return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
-            * p.lam ** 3 * cfg.sphere_radius)
+            * p.lam_power(3) * cfg.sphere_radius)
 
 
 def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams,
@@ -171,13 +175,20 @@ def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams,
                          (one_minus_exp(cfg.slab_thickness / lam), phi_value))
 
 
-def sphere_slab_pfa_law(cfg: SphereSlabConfig, d2: float, p: YukawaParams,
+def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams,
                         c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """PFA sphere-slab force as a law in the separation (cfg.separation unused)."""
-    check_d2(d2)
     lam = p.lam
     return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
-                         (one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(d2 / lam)))
+                         (one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(cfg.d2 / lam)))
+
+
+def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
+    """eta = Phi(2R/lam) / (1 - e^(-d2/lam)), refused where the plate factor underflows."""
+    if not plate >= sys.float_info.min:
+        raise DegenerateInputError(f"eta is undefined at lambda = {lam:g} m: the plate factor "
+                                   "1 - e^(-d2/lambda) is zero or subnormal (d2 << lambda)")
+    return phi_value / plate
 
 
 def sphere_slab_pfa_over_exact(pfa: SeparationLaw, exact: SeparationLaw) -> float:
@@ -186,7 +197,7 @@ def sphere_slab_pfa_over_exact(pfa: SeparationLaw, exact: SeparationLaw) -> floa
     Both laws carry the slab factor first and their curvature factor last,
     (1 - e^(-d2/lam)) and Phi(2R/lam), so this is 1/eta(R, d2, lam) bit for bit.
     """
-    return 1.0 / (exact.factors[1] / pfa.factors[1])
+    return 1.0 / _phi_over_plate(exact.factors[1], pfa.factors[1], pfa.lam)
 
 
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,
@@ -195,15 +206,14 @@ def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,
     return sphere_slab_exact_law(cfg, p, c)(cfg.separation)
 
 
-def sphere_slab_force_pfa(cfg: SphereSlabConfig, d2: float, p: YukawaParams,
+def sphere_slab_force_pfa(cfg: SphereSlabConfig, p: YukawaParams,
                           c: PhysicalConstants = PhysicalConstants()) -> float:
     """Parallel-plate-mapped sphere-slab force 2 pi R E_pp(a), in N (< 0).
 
-    d2 is the virtual upper-plate thickness of the mapping (INFINITE for the
-    half-space limit). With d2 INFINITE the PFA magnitude is always >= the
-    exact magnitude.
+    With cfg.d2 INFINITE (the half-space limit of the virtual plate) the
+    PFA magnitude is always >= the exact magnitude.
     """
-    return sphere_slab_pfa_law(cfg, d2, p, c)(cfg.separation)
+    return sphere_slab_pfa_law(cfg, p, c)(cfg.separation)
 
 
 def eta(radius: float, d2: float, lam: float) -> EtaResult:
@@ -213,7 +223,8 @@ def eta(radius: float, d2: float, lam: float) -> EtaResult:
 
     Independent of the separation by construction. For d2 = INFINITE,
     eta lies in (0, 1) and decreases monotonically with lam; for finite
-    d2 of order 10 lam or less it exceeds 1.
+    d2 of order 10 lam or less it exceeds 1. A zero or subnormal plate
+    factor (d2 << lam) raises DegenerateInputError.
     """
     if not radius > 0.0:
         raise InputError(f"radius must be > 0, got {radius}")
@@ -221,7 +232,7 @@ def eta(radius: float, d2: float, lam: float) -> EtaResult:
         raise InputError(f"lambda must be > 0, got {lam}")
     check_d2(d2)
     phi_value, regime = phi(2.0 * radius / lam)
-    return EtaResult(eta=phi_value / one_minus_exp(d2 / lam), regime=regime)
+    return EtaResult(eta=_phi_over_plate(phi_value, one_minus_exp(d2 / lam), lam), regime=regime)
 
 
 def pfa_force_from_energy(e_pp: float, r_bar: float) -> float:

@@ -1,6 +1,6 @@
 import pytest
 
-from ypfa import (Disk, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
+from ypfa import (INFINITE, Disk, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
                   SphereSlabConfig)
 
 
@@ -8,7 +8,7 @@ from ypfa import (Disk, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
 def homogeneous_cfg():
     return SphereSlabConfig(separation=100e-9, sphere_radius=150e-6,
                             sphere_density=4100.0, slab_thickness=3.5e-6,
-                            slab_density=2330.0)
+                            slab_density=2330.0, d2=INFINITE)
 
 
 @pytest.fixture

@@ -105,12 +105,12 @@ def test_criterion_7_two_sphere_construction_fails():
 def test_criterion_8_limit_shift_identity():
     geometry = SphereSlabConfig(separation=100e-9, sphere_radius=150e-6,
                                 sphere_density=4100.0, slab_thickness=3.5e-6,
-                                slab_density=2330.0)
+                                slab_density=2330.0, d2=INFINITE)
     bounds = ResidualBound(entries=tuple((a, 2e-16) for a in
                                          (100e-9, 200e-9, 450e-9, 1e-6)))
     worst = 0.0
     for lam in SweepGrid(min=10e-9, max=10e-6, points=13).values():
-        pfa = alpha_limit(lam, bounds, geometry, "pfa", d2=INFINITE)
+        pfa = alpha_limit(lam, bounds, geometry, "pfa")
         epfa = alpha_limit(lam, bounds, geometry, "epfa")
         ratio = epfa.alpha_bound / pfa.alpha_bound
         want = 1.0 / eta(geometry.sphere_radius, INFINITE, lam).eta
@@ -142,9 +142,9 @@ def test_criterion_9_property_suite():
     p = YukawaParams(1.0, 5e-8)
     hom_ratios, lay_ratios = [], []
     for a in (50e-9, 200e-9, 1e-6):
-        hom = SphereSlabConfig(a, 150e-6, 4100.0, 3.5e-6, 2330.0)
+        hom = SphereSlabConfig(a, 150e-6, 4100.0, 3.5e-6, 2330.0, INFINITE)
         hom_ratios.append(sphere_slab_force_exact(hom, p)
-                          / sphere_slab_force_pfa(hom, INFINITE, p))
+                          / sphere_slab_force_pfa(hom, p))
         lay = LayeredConfig(a, sphere, slab, INFINITE)
         lay_ratios.append(layered_epfa_force(lay, p) / layered_pfa_force(lay, p))
     for ratios, name in ((hom_ratios, "eta"), (lay_ratios, "eta_delta")):

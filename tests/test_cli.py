@@ -502,3 +502,37 @@ def test_bad_density_or_massless_sphere_side_fails(tmp_path, capsys, argv, setti
     assert run(*argv, "--config", str(cfg), "--output", str(out)) == 1
     assert cause in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta-sweep", "--lambda-points", "3"],
+    ["eta-sweep", "--lambda-points", "3", "--lambda-max", "10 m"],
+    ["eta-layered-sweep", "--lambda-points", "3", "--lambda-max", "10 m"],
+    ["limits", "--residuals", RESIDUALS, "--lambda-max", "10 m"],
+    ["limits", "--residuals", RESIDUALS],
+    ["limits", "--residuals", RESIDUALS, "--method", "pfa"],
+], ids=["eta-inf", "eta-zero-division", "layered-zero-division", "limits-zero-division",
+        "limits-zero-shift", "limits-pfa-zero-force"])
+def test_subnormal_d2_fails_without_traceback(tmp_path, argv):
+    # d2/lambda is subnormal or 0, so the virtual plate factor leaves no eta
+    out = tmp_path / "out.csv"
+    result = run_subprocess(*argv, "--d2", "5e-324 m", "--output", str(out))
+    assert result.returncode == 1, result.stderr
+    assert "d2" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry,lambda_max,power", [
+    ("homogeneous", "1e110 m", "lambda^3"),
+    ("layered", "1e80 m", "lambda^4"),
+])
+def test_limits_lambda_beyond_the_force_domain_fails(tmp_path, geometry, lambda_max, power):
+    out = tmp_path / "out.csv"
+    result = run_subprocess("limits", "--residuals", RESIDUALS, "--geometry", geometry,
+                            "--lambda-max", lambda_max, "--lambda-points", "3",
+                            "--output", str(out))
+    assert result.returncode == 1, result.stderr
+    assert "domain" in result.stderr and power + " overflows" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

@@ -82,6 +82,14 @@ def test_layered_sphere_outer_radius():
     assert sphere.outer_radius == pytest.approx(150e-6 + 190e-9, rel=1e-15)
 
 
+def test_lam_power_is_the_plain_power_until_it_overflows():
+    for n, finite, too_large in ((3, 5e102, 6e102), (4, 1e77, 1.2e77)):
+        for lam in (1e-10, 1.0, finite):
+            assert YukawaParams(1.0, lam).lam_power(n) == lam ** n
+        with pytest.raises(InputError, match=rf"domain: lambda\^{n} overflows above about"):
+            YukawaParams(1.0, too_large).lam_power(n)
+
+
 def test_infinite_thickness_is_exact():
     # the whole point of using IEEE inf: no rounding in (1 - e^(-D/lam))
     assert math.exp(-INFINITE) == 0.0

@@ -12,7 +12,7 @@ import mpmath
 from hypothesis import assume, given, settings, strategies as st
 
 from ypfa import (G_DEFAULT, INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
-                  YukawaParams, eta, eta_delta, slab_slab_pressure)
+                  YukawaParams, eta, eta_delta, layered_pfa_terms, slab_slab_pressure)
 from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
 REL = 1e-12
@@ -72,25 +72,35 @@ def mp_shell_factor(sphere, lam):
             + M(sphere.outer_coat.density) * term(r_mid, r_out))
 
 
-def mp_slab_factor(slab, lam):
+def mp_slab_summands(slab, lam):
+    """[base, middle, top] layer summands of the slab's stack factor."""
     lam = M(lam)
     top, mid, base = slab.top, slab.middle, slab.base
-    return (M(base.density) * mp.exp(-(M(top.thickness) + M(mid.thickness)) / lam)
-            * _one_minus_exp(M(base.thickness) / lam)
-            + M(mid.density) * mp.exp(-M(top.thickness) / lam)
-            * _one_minus_exp(M(mid.thickness) / lam)
-            + M(top.density) * _one_minus_exp(M(top.thickness) / lam))
+    return [M(base.density) * mp.exp(-(M(top.thickness) + M(mid.thickness)) / lam)
+            * _one_minus_exp(M(base.thickness) / lam),
+            M(mid.density) * mp.exp(-M(top.thickness) / lam)
+            * _one_minus_exp(M(mid.thickness) / lam),
+            M(top.density) * _one_minus_exp(M(top.thickness) / lam)]
 
 
-def mp_virtual_factor(sphere, d2, lam):
+def mp_slab_factor(slab, lam):
+    return mp.fsum(mp_slab_summands(slab, lam))
+
+
+def mp_virtual_summands(sphere, d2, lam):
+    """[core plate of thickness d2, inner coat, outer coat] summands of the virtual plate."""
     lam = M(lam)
     inner, outer = sphere.inner_coat, sphere.outer_coat
     plate = M(1) if d2 == INFINITE else _one_minus_exp(M(d2) / lam)
-    return (M(sphere.core_density) * mp.exp(-(M(inner.thickness) + M(outer.thickness)) / lam)
-            * plate
-            + M(inner.density) * mp.exp(-M(outer.thickness) / lam)
-            * _one_minus_exp(M(inner.thickness) / lam)
-            + M(outer.density) * _one_minus_exp(M(outer.thickness) / lam))
+    return [M(sphere.core_density) * mp.exp(-(M(inner.thickness) + M(outer.thickness)) / lam)
+            * plate,
+            M(inner.density) * mp.exp(-M(outer.thickness) / lam)
+            * _one_minus_exp(M(inner.thickness) / lam),
+            M(outer.density) * _one_minus_exp(M(outer.thickness) / lam)]
+
+
+def mp_virtual_factor(sphere, d2, lam):
+    return mp.fsum(mp_virtual_summands(sphere, d2, lam))
 
 
 def assert_close(got, want):
@@ -137,6 +147,18 @@ def test_slab_stack_factor_matches_mpmath(slab, lam):
 @given(spheres, d2_values, lengths)
 def test_virtual_stack_factor_matches_mpmath(sphere, d2, lam):
     assert_close(virtual_stack_factor(sphere, d2, lam), mp_virtual_factor(sphere, d2, lam))
+
+
+@domain
+@given(spheres, slabs, d2_values, lengths, lengths)
+def test_layered_pfa_terms_match_mpmath(sphere, slab, d2, a, lam):
+    lam_mp = M(lam)
+    head = (-4 * mp.pi ** 2 * M(G_DEFAULT) * lam_mp ** 3 * M(sphere.core_radius)
+            * mp.exp(-M(a) / lam_mp))
+    got = layered_pfa_terms(LayeredConfig(a, sphere, slab, d2), YukawaParams(1.0, lam))
+    for row, slab_part in zip(got, mp_slab_summands(slab, lam)):
+        for entry, plate_part in zip(row, mp_virtual_summands(sphere, d2, lam)):
+            assert_close(entry, head * slab_part * plate_part)
 
 
 @domain

@@ -131,11 +131,11 @@ def test_epfa_linear_in_alpha_and_density(layered_cfg):
 def test_pfa_no_coatings_reduces_to_homogeneous():
     cfg = LayeredConfig(separation=1e-7, sphere=bare_sphere(), slab=bare_slab(),
                         d2=INFINITE)
-    hom = SphereSlabConfig(1e-7, 150e-6, 4100.0, 3.5e-6, 2330.0)
+    hom = SphereSlabConfig(1e-7, 150e-6, 4100.0, 3.5e-6, 2330.0, INFINITE)
     for lam in (1e-8, 1e-6, 1e-4):
         p = YukawaParams(1.0, lam)
         assert layered_pfa_force(cfg, p) == pytest.approx(
-            sphere_slab_force_pfa(hom, INFINITE, p), rel=1e-15)
+            sphere_slab_force_pfa(hom, p), rel=1e-15)
 
 
 def test_pfa_nine_term_assembly(layered_cfg):

@@ -18,7 +18,7 @@ def flat_bounds(residual=1e-16):
 def geometry():
     return SphereSlabConfig(separation=100e-9, sphere_radius=150e-6,
                             sphere_density=4100.0, slab_thickness=3.5e-6,
-                            slab_density=2330.0)
+                            slab_density=2330.0, d2=INFINITE)
 
 
 def test_residual_bound_validation():
@@ -78,7 +78,7 @@ def test_alpha_limit_exponential_growth_toward_small_lambda(geometry):
 def test_alpha_limit_epfa_over_pfa_is_inverse_eta(geometry):
     bounds = flat_bounds()
     for lam in (1e-8, 1e-7, 1e-6, 1e-5):
-        pfa = alpha_limit(lam, bounds, geometry, "pfa", d2=INFINITE)
+        pfa = alpha_limit(lam, bounds, geometry, "pfa")
         epfa = alpha_limit(lam, bounds, geometry, "epfa")
         assert pfa.best_separation == epfa.best_separation
         ratio = epfa.alpha_bound / pfa.alpha_bound
@@ -103,7 +103,7 @@ def test_exclusion_curve_single_point_grid(geometry):
 
 def test_exclusion_curve_epfa_weaker_than_pfa(geometry):
     grid = SweepGrid(min=1e-8, max=1e-5, points=16)
-    pfa = exclusion_curve(grid, flat_bounds(), geometry, "pfa", d2=INFINITE)
+    pfa = exclusion_curve(grid, flat_bounds(), geometry, "pfa")
     epfa = exclusion_curve(grid, flat_bounds(), geometry, "epfa")
     for weak, strong in zip(epfa, pfa):
         assert weak.alpha_bound > strong.alpha_bound
@@ -125,7 +125,7 @@ def test_alpha_limit_underflow_is_degenerate_not_wrong(layered_cfg):
     # than return junk. The ratio at that lam is available via limit_shift.
     with pytest.raises(DegenerateInputError):
         alpha_limit(0.1e-9, flat_bounds(), layered_cfg, "epfa")
-    shift = limit_shift(0.1e-9, layered_cfg, d2=layered_cfg.d2)
+    shift = limit_shift(0.1e-9, layered_cfg)
     assert shift == pytest.approx(1 / 1.00126, abs=1e-4)
 
 
@@ -142,15 +142,15 @@ def test_limit_shift_values(geometry, layered_cfg):
     assert limit_shift(1e-11, geometry) == pytest.approx(1.0, abs=1e-6)
     at_radius = limit_shift(geometry.sphere_radius, geometry)
     assert at_radius == pytest.approx(math.e ** 2 / 2.0, rel=1e-12)
-    layered = limit_shift(0.1e-9, layered_cfg, d2=layered_cfg.d2)
+    layered = limit_shift(0.1e-9, layered_cfg)
     assert layered == pytest.approx(1 / 1.00126, abs=1e-4)
     expected = 1.0 / eta_delta(layered_cfg, YukawaParams(1.0, 0.1e-9)).eta_delta
     assert layered == expected
 
 
 def test_limit_shift_uses_the_layered_configs_own_d2(layered_cfg):
-    # the d2 argument is homogeneous-only; a LayeredConfig keeps its own, as
-    # in alpha_limit, so the shift is the ratio of the two bounds it reports
+    # d2 lives in the config, so the shift is the ratio of the two bounds
+    # alpha_limit reports for that same config
     cfg = replace(layered_cfg, d2=1e-6)
     lam = 1e-6
     ratio = (alpha_limit(lam, flat_bounds(), cfg, "epfa").alpha_bound
@@ -167,13 +167,13 @@ def test_shift_vs_pfa_is_the_law_pairs_ratio(geometry, layered_cfg, lam, regime)
     assert eta(geometry.sphere_radius, INFINITE, lam).regime == regime
     bounds = ResidualBound(entries=((1e-9, 1e-30), (1e-7, 1e-16)))
     p = YukawaParams(1.0, lam)
-    cases = [(geometry, d2, 1.0 / eta(geometry.sphere_radius, d2, lam).eta)
+    cases = [(replace(geometry, d2=d2), 1.0 / eta(geometry.sphere_radius, d2, lam).eta)
              for d2 in (INFINITE, 10e-6)]
-    cases.append((layered_cfg, INFINITE, 1.0 / eta_delta(layered_cfg, p).eta_delta))
-    for cfg, d2, want in cases:
-        epfa = alpha_limit(lam, bounds, cfg, "epfa", d2=d2)
-        pfa = alpha_limit(lam, bounds, cfg, "pfa", d2=d2)
-        assert epfa.shift_vs_pfa == want == limit_shift(lam, cfg, d2=d2)
+    cases.append((layered_cfg, 1.0 / eta_delta(layered_cfg, p).eta_delta))
+    for cfg, want in cases:
+        epfa = alpha_limit(lam, bounds, cfg, "epfa")
+        pfa = alpha_limit(lam, bounds, cfg, "pfa")
+        assert epfa.shift_vs_pfa == want == limit_shift(lam, cfg)
         assert pfa.shift_vs_pfa is None
         assert abs(epfa.alpha_bound / pfa.alpha_bound / want - 1.0) < 1e-12
 
@@ -185,7 +185,7 @@ def test_argmin_stable_under_uniform_scaling(geometry):
     assert base.best_separation == scaled.best_separation
 
 
-def _direct_alpha_limit(lam, bounds, geometry, method, d2):
+def _direct_alpha_limit(lam, bounds, geometry, method):
     """min over rows of residual / |F(a)|, rebuilding the geometry per row."""
     p = YukawaParams(alpha=1.0, lam=lam)
     best = None
@@ -194,7 +194,7 @@ def _direct_alpha_limit(lam, bounds, geometry, method, d2):
         if isinstance(geometry, LayeredConfig):
             force = layered_pfa_force(cfg, p) if method == "pfa" else layered_epfa_force(cfg, p)
         elif method == "pfa":
-            force = sphere_slab_force_pfa(cfg, d2, p)
+            force = sphere_slab_force_pfa(cfg, p)
         else:
             force = sphere_slab_force_exact(cfg, p)
         if abs(force) == 0.0:
@@ -207,11 +207,11 @@ def _direct_alpha_limit(lam, bounds, geometry, method, d2):
 @pytest.mark.parametrize("method", ["pfa", "epfa"])
 @pytest.mark.parametrize("layered", [False, True])
 def test_alpha_limit_equals_direct_minimum(geometry, layered_cfg, method, layered):
-    cfg, d2 = (layered_cfg, layered_cfg.d2) if layered else (geometry, 10e-6)
+    cfg = layered_cfg if layered else replace(geometry, d2=10e-6)
     bounds = ResidualBound(entries=((6e-8, 2e-16), (1e-7, 1.3e-16), (2.2e-7, 9e-17),
                                     (5e-7, 4e-17), (1e-6, 3e-17)))
     # at 1 nm the 1 um row underflows and is skipped; at 1 m Phi takes its series branch
     for lam in (1e-9, 2e-8, 1.7e-7, 4e-6, 150e-6, 1.0):
-        point = alpha_limit(lam, bounds, cfg, method, d2=d2)
+        point = alpha_limit(lam, bounds, cfg, method)
         assert (point.alpha_bound, point.best_separation) == \
-            _direct_alpha_limit(lam, bounds, cfg, method, d2)
+            _direct_alpha_limit(lam, bounds, cfg, method)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ypfa import InputError, SweepGrid
-from ypfa.sweeps import format_number, map_ordered, resolve_workers
+from ypfa.sweeps import map_ordered, resolve_workers, write_csv
 
 
 def test_grid_validation():
@@ -31,13 +31,18 @@ def test_grid_values():
     assert SweepGrid(min=3.0, max=9.0, points=1).values() == [3.0]
 
 
-def test_format_number():
-    assert format_number(1.5e-7) == "1.50000000000e-07"
-    assert format_number(math.inf) == "inf"
-    assert format_number(-math.inf) == "-inf"
-    assert format_number(math.nan) == "nan"
+def test_format_number(tmp_path):
+    path = tmp_path / "numbers.csv"
+    values = (1.5e-7, math.inf, -math.inf, math.nan, 2.0 / 3.0)
+    assert write_csv(str(path), ("x", "label"), [(x, "s") for x in values]) == 5
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == "x,label" and lines[-1] == ""
+    cells = [line.split(",") for line in lines[1:-1]]
+    assert [label for _, label in cells] == ["s"] * 5
+    written = [x for x, _ in cells]
+    assert written[:4] == ["1.50000000000e-07", "inf", "-inf", "nan"]
     # 12 significant digits survive the round trip
-    assert float(format_number(2.0 / 3.0)) == pytest.approx(2.0 / 3.0, rel=1e-11)
+    assert float(written[4]) == pytest.approx(2.0 / 3.0, rel=1e-11)
 
 
 def test_resolve_workers(monkeypatch):

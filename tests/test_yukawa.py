@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -62,7 +63,7 @@ def test_exact_force_tends_to_pfa_for_short_range(homogeneous_cfg):
     lam = 1e-9
     p = YukawaParams(1.0, lam)
     exact = sphere_slab_force_exact(homogeneous_cfg, p)
-    pfa = sphere_slab_force_pfa(homogeneous_cfg, INFINITE, p)
+    pfa = sphere_slab_force_pfa(homogeneous_cfg, p)
     ratio = exact / pfa
     assert abs(ratio - 1.0) == pytest.approx(lam / homogeneous_cfg.sphere_radius, rel=1e-4)
 
@@ -71,7 +72,7 @@ def test_pfa_overestimates_exact(homogeneous_cfg):
     for lam in (1e-8, 1e-7, 1e-6, 1e-4):
         p = YukawaParams(1.0, lam)
         exact = sphere_slab_force_exact(homogeneous_cfg, p)
-        pfa = sphere_slab_force_pfa(homogeneous_cfg, INFINITE, p)
+        pfa = sphere_slab_force_pfa(homogeneous_cfg, p)
         assert abs(pfa) >= abs(exact)
 
 
@@ -79,7 +80,7 @@ def test_force_ratio_equals_eta(homogeneous_cfg):
     for lam, d2 in ((1e-7, INFINITE), (1e-6, INFINITE), (5e-7, 2e-6), (1e-5, 1e-5)):
         p = YukawaParams(1.0, lam)
         ratio = (sphere_slab_force_exact(homogeneous_cfg, p)
-                 / sphere_slab_force_pfa(homogeneous_cfg, d2, p))
+                 / sphere_slab_force_pfa(replace(homogeneous_cfg, d2=d2), p))
         want = eta(homogeneous_cfg.sphere_radius, d2, lam).eta
         assert abs(ratio / want - 1.0) < 1e-14
 
@@ -90,9 +91,9 @@ def test_eta_independent_of_separation():
         p = YukawaParams(1.0, lam)
         want = eta(radius, INFINITE, lam).eta
         for a in (50e-9, 200e-9, 1e-6):
-            cfg = SphereSlabConfig(a, radius, 4100.0, 3.5e-6, 2330.0)
+            cfg = SphereSlabConfig(a, radius, 4100.0, 3.5e-6, 2330.0, INFINITE)
             ratio = (sphere_slab_force_exact(cfg, p)
-                     / sphere_slab_force_pfa(cfg, INFINITE, p))
+                     / sphere_slab_force_pfa(cfg, p))
             assert abs(ratio / want - 1.0) < 1e-12
 
 
@@ -155,7 +156,7 @@ def test_pfa_force_consistent_with_slab_energy(homogeneous_cfg):
                                   homogeneous_cfg.slab_density,
                                   INFINITE, homogeneous_cfg.sphere_density, p)
     via_energy = pfa_force_from_energy(lam * pressure, homogeneous_cfg.sphere_radius)
-    direct = sphere_slab_force_pfa(homogeneous_cfg, INFINITE, p)
+    direct = sphere_slab_force_pfa(homogeneous_cfg, p)
     assert abs(via_energy / direct - 1.0) < 1e-14
 
 
@@ -169,9 +170,9 @@ from hypothesis import example, given, strategies as st
 # few significant bits for a 1e-13 identity; the guard must skip it
 @example(a=6.430451979991535e-07, lam=1e-09, radius=1e-05)
 def test_force_ratio_identity_property(a, lam, radius):
-    cfg = SphereSlabConfig(a, radius, 4100.0, 3.5e-6, 2330.0)
+    cfg = SphereSlabConfig(a, radius, 4100.0, 3.5e-6, 2330.0, INFINITE)
     p = YukawaParams(1.0, lam)
-    pfa = sphere_slab_force_pfa(cfg, INFINITE, p)
+    pfa = sphere_slab_force_pfa(cfg, p)
     if abs(pfa) < sys.float_info.min:  # e^(-a/lam) underflow at extreme corner draws
         return
     ratio = sphere_slab_force_exact(cfg, p) / pfa
@@ -208,11 +209,11 @@ def _product_exact(cfg, p, c):
             * one_minus_exp(cfg.slab_thickness / lam) * phi_value)
 
 
-def _product_pfa(cfg, d2, p, c):
+def _product_pfa(cfg, p, c):
     lam = p.lam
     return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
             * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
-            * one_minus_exp(cfg.slab_thickness / lam) * one_minus_exp(d2 / lam))
+            * one_minus_exp(cfg.slab_thickness / lam) * one_minus_exp(cfg.d2 / lam))
 
 
 #: 2R/lam < 1e-3 (series Phi) from lam = 1 m up; lam = 0.1 nm underflows
@@ -232,7 +233,8 @@ def test_sphere_slab_forces_equal_their_product_form():
             assert exact == _product_exact(cfg, p, c)
             zeros += exact == 0.0
             for d2 in (INFINITE, 1e-6, 10.0):
-                assert sphere_slab_force_pfa(cfg, d2, p, c) == _product_pfa(cfg, d2, p, c)
+                pfa_cfg = replace(cfg, d2=d2)
+                assert sphere_slab_force_pfa(pfa_cfg, p, c) == _product_pfa(pfa_cfg, p, c)
     assert regimes == {"series_small_u", "direct"}
     assert zeros >= 2
 
@@ -242,4 +244,4 @@ def test_nonpositive_or_nan_d2_rejected(homogeneous_cfg, d2):
     with pytest.raises(InputError, match="d2"):
         eta(150e-6, d2, 1e-7)
     with pytest.raises(InputError, match="d2"):
-        sphere_slab_force_pfa(homogeneous_cfg, d2, YukawaParams(1.0, 1e-7))
+        replace(homogeneous_cfg, d2=d2)
