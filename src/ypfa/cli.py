@@ -1,7 +1,7 @@
 """Command-line front end: figure-grade sweeps, oracle verification, limits.
 
-Subcommands, with the flags each takes besides --config FILE
-------------------------------------------------------------
+Subcommands and their flags; all but oracle-verify also take --config FILE
+---------------------------------------------------------------------------
 eta-sweep           exact/PFA force ratio over a lambda grid (per R, per d2)
                     --output --preset --workers --lambda-min/max/points --d2
 eta-layered-sweep   the same for coated sphere/slab stacks; adds --plotted-radius
@@ -10,7 +10,7 @@ xi-power-sweep      finite-disk near/far force ratio for power-law forces
 xi-yukawa-sweep     log of the finite-disk near/far Yukawa force ratio
                     --output --preset --workers
 oracle-verify       closed forms vs adaptive-quadrature oracle, exit 2 on drift
-                    --output (optional) --tolerance --quick
+                    --output (optional) --quick
 limits              alpha exclusion bounds from a residual CSV
                     --output --residuals --method --geometry --lambda-min/max/points --d2
 
@@ -301,9 +301,7 @@ def cmd_xi_yukawa_sweep(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    settings = _settings(args)
-    constants = PhysicalConstants(G=_scalar(settings, "constants.G"))
-    results = run_suite(constants, quick=args.quick, tolerance_override=args.tolerance)
+    results = run_suite(quick=args.quick)
     report = format_report(results)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
@@ -395,10 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(commands, "oracle-verify", cmd_oracle_verify,
                    "closed forms vs quadrature oracle")
-    sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--output", help="also write the report here")
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="override the per-check tolerances")
     sub.add_argument("--quick", action="store_true",
                      help="one configuration per check family")
     sub = _command(commands, "limits", cmd_limits, "alpha-lambda exclusion bounds",

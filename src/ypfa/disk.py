@@ -14,7 +14,8 @@ only as a natural logarithm (LogRatio).
 
 Numerical notes: the sqrt differences in the Newtonian/power-law brackets
 lose ~10 digits for R_d >> z if taken literally; they are rewritten via
-conjugate forms and expm1/log1p throughout. Disk.radius may be INFINITE
+conjugate forms and expm1/log1p throughout, and the Yukawa bracket is summed
+as two non-negative parts, since its literal form cancels for R_d << z or lam. Disk.radius may be INFINITE
 where the limit exists (Newtonian, N = 3, Yukawa); the general power law
 requires a finite disk for N <= 1, where the infinite-plane force diverges.
 """
@@ -65,18 +66,6 @@ class XiInputs:
         if not self.sphere_radius > 0.0:
             raise InputError(f"sphere radius must be > 0, got {self.sphere_radius}")
 
-    @property
-    def beta(self) -> float:
-        return self.disk.thickness / self.sphere_radius
-
-    @property
-    def gamma(self) -> float:
-        return self.a / self.sphere_radius
-
-    @property
-    def kappa(self) -> float:
-        return self.disk.radius / self.sphere_radius
-
 
 @dataclass(frozen=True)
 class LogRatio:
@@ -92,20 +81,27 @@ class LogRatio:
             return math.inf
 
 
+def _slant_pieces(z: float, disk: Disk) -> tuple[float, float, float, float]:
+    """(s_near, s_far, p1, p2): the axis probe's distances to the rims of the
+    top and bottom faces, and p1 = s_near - z, p2 = s_far - (z + D1), both
+    >= 0, in conjugate form. The disk radius must be finite.
+    """
+    d1, rd = disk.thickness, disk.radius
+    s_near = math.sqrt(rd * rd + z * z)
+    s_far = math.sqrt(rd * rd + (z + d1) * (z + d1))
+    return s_near, s_far, rd * rd / (s_near + z), rd * rd / (s_far + z + d1)
+
+
 def _grav_bracket(z: float, disk: Disk) -> float:
     """D1 + sqrt(R_d^2+z^2) - sqrt(R_d^2+(z+D1)^2), cancellation-free.
 
     Rewritten as D1 (S - 2z - D1)/S with the two sqrt-minus-linear pieces in
     conjugate form; every summand is positive. Tends to D1 as R_d -> inf.
     """
-    d1, rd = disk.thickness, disk.radius
-    if math.isinf(rd):
-        return d1
-    s_near = math.sqrt(rd * rd + z * z)
-    s_far = math.sqrt(rd * rd + (z + d1) * (z + d1))
-    p1 = rd * rd / (s_near + z)            # = s_near - z
-    p2 = rd * rd / (s_far + z + d1)        # = s_far - (z + d1)
-    return d1 * (p1 + p2) / (s_near + s_far)
+    if math.isinf(disk.radius):
+        return disk.thickness
+    s_near, s_far, p1, p2 = _slant_pieces(z, disk)
+    return disk.thickness * (p1 + p2) / (s_near + s_far)
 
 
 def disk_gravity_force(probe: AxisProbe, disk: Disk,
@@ -193,20 +189,24 @@ def _yukawa_bracket(z: float, disk: Disk, lam: float) -> float:
     """Edge-corrected thickness factor C(z) of the exact disk Yukawa force.
 
         F(z) = -2 pi alpha G rho1 m2 lam e^(-z/lam) C(z),
-        C(z) = (1 - e^(-D1/lam)) - e^(x1) (1 - e^(-D1 (2z+D1) / (S lam))),
+        C(z) = (1 - e^(-D1/lam)) - e^(-p1/lam) + e^(-(p2+D1)/lam)
+             = e^(-p2/lam) (1 - e^(-(p1-p2)/lam)) + (1 - e^(-D1/lam)) (1 - e^(-p2/lam)),
 
-    with x1 = (z - sqrt(z^2+R_d^2))/lam and S the sum of the two slant
-    distances. C -> (1 - e^(-D1/lam)) as R_d -> inf and, as lam -> inf,
-    to (D1/lam) times the Newtonian bracket. 0 < C <= 1.
+    with p1 = sqrt(z^2+R_d^2) - z >= p2 = sqrt((z+D1)^2+R_d^2) - (z+D1) from
+    _slant_pieces. The second line adds two non-negative parts, and p1 - p2
+    = R_d^2 D1 (1 + (2z+D1)/S) / ((s_near+z)(s_far+z+D1)), S = s_near + s_far,
+    is a product too, so nothing cancels when R_d << z or R_d << lam.
+    C -> (1 - e^(-D1/lam)) as R_d -> inf and, as lam -> inf, to (D1/lam)
+    times the Newtonian bracket. 0 < C <= 1.
     """
     d1, rd = disk.thickness, disk.radius
     main = one_minus_exp(d1 / lam)
     if math.isinf(rd):
         return main
-    s_near = math.sqrt(z * z + rd * rd)
-    s_far = math.sqrt((z + d1) * (z + d1) + rd * rd)
-    x1 = -rd * rd / ((z + s_near) * lam)
-    return main - math.exp(x1) * one_minus_exp(d1 * (2.0 * z + d1) / ((s_near + s_far) * lam))
+    s_near, s_far, _, p2 = _slant_pieces(z, disk)
+    p1_minus_p2 = (rd * rd * d1 * (1.0 + (2.0 * z + d1) / (s_near + s_far))
+                   / ((s_near + z) * (s_far + z + d1)))
+    return math.exp(-p2 / lam) * one_minus_exp(p1_minus_p2 / lam) + main * one_minus_exp(p2 / lam)
 
 
 def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams,

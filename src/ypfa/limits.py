@@ -14,9 +14,10 @@ curve by the separation-independent factor 1/eta (homogeneous) or
 For a laterally infinite slab every one of these forces (the exact one
 being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda): the
 separation enters only through the exponential. Each lambda therefore gets
-one pfa and one epfa SeparationLaw, which give both the bound (one exp per
-residual row, bit-identical to the force functions) and shift_vs_pfa =
-F_pfa/F_epfa from their curvature factors; limit_shift is that pair's ratio.
+the SeparationLaw of its method, which gives the bound (one exp per residual
+row, bit-identical to the force functions); epfa then also builds the pfa
+law, and shift_vs_pfa = F_pfa/F_epfa comes from the pair's curvature
+factors. limit_shift is that pair's ratio.
 The virtual plate's d2 is a field of both geometry configs (layered: a LayeredSlab).
 
 Residuals are taken as given; no interpolation between tabulated
@@ -106,19 +107,18 @@ class ExclusionPoint:
     shift_vs_pfa: float | None = None  # alpha_epfa/alpha_pfa, epfa method only
 
 
-def _unit_alpha_laws(lam: float, geometry, c: PhysicalConstants):
-    """(pfa law, epfa law, shift) at lam for alpha = 1.
+def _unit_alpha_laws(geometry):
+    """(pfa builder, epfa builder, ratio) for the geometry's alpha = 1 laws.
 
-    shift() is F_pfa/F_epfa from the laws' curvature factors, called only on
-    demand: it can fail where a bound exists, and vice versa.
+    Each builder takes (geometry, params, constants) and is called only for a
+    law that is read, so a pfa run never pays for or fails on the epfa law;
+    ratio(pfa, epfa) is F_pfa/F_epfa from the pair's curvature factors.
     """
-    p = YukawaParams(alpha=1.0, lam=lam)
     if isinstance(geometry, LayeredConfig):
-        pfa, epfa = layered_pfa_law(geometry, p, c), layered_epfa_force_law(geometry, p, c)
-        return pfa, epfa, lambda: layered_pfa_over_epfa(geometry, pfa, epfa)
+        return (layered_pfa_law, layered_epfa_force_law,
+                lambda pfa, epfa: layered_pfa_over_epfa(geometry, pfa, epfa))
     if isinstance(geometry, SphereSlabConfig):
-        pfa, epfa = sphere_slab_pfa_law(geometry, p, c), sphere_slab_exact_law(geometry, p, c)
-        return pfa, epfa, lambda: sphere_slab_pfa_over_exact(pfa, epfa)
+        return sphere_slab_pfa_law, sphere_slab_exact_law, sphere_slab_pfa_over_exact
     raise InputError(f"unsupported geometry {type(geometry).__name__}")
 
 
@@ -128,11 +128,13 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
 
     Separations whose unit-alpha force underflows to zero cannot constrain
     alpha and are skipped; if none constrains it the input is degenerate.
+    epfa builds the pfa law for shift_vs_pfa only after its bound is found.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    pfa, epfa, shift = _unit_alpha_laws(lam, geometry, c)
-    law = pfa if method == "pfa" else epfa
+    p = YukawaParams(alpha=1.0, lam=lam)
+    pfa_law, epfa_law, pfa_over_epfa = _unit_alpha_laws(geometry)
+    law = (pfa_law if method == "pfa" else epfa_law)(geometry, p, c)
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
         force = abs(law(separation))
@@ -145,8 +147,9 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
         raise DegenerateInputError(
             "no separation yields a nonzero unit-alpha force (zero densities, lambda far "
             "below every separation, or for pfa a virtual plate d2 far below lambda)")
+    shift = pfa_over_epfa(pfa_law(geometry, p, c), law) if method == "epfa" else None
     return ExclusionPoint(lam=lam, alpha_bound=best[0], best_separation=best[1],
-                          method=method, shift_vs_pfa=shift() if method == "epfa" else None)
+                          method=method, shift_vs_pfa=shift)
 
 
 def exclusion_curve(lambda_grid: SweepGrid, bounds: ResidualBound, geometry, method: str,
@@ -162,4 +165,6 @@ def limit_shift(lam: float, geometry, c: PhysicalConstants = PhysicalConstants()
     or 1/eta_delta (layered), the ratio of alpha_limit's law pair. Equals
     e^2/2 at lambda = R for a homogeneous sphere over a half-space.
     """
-    return _unit_alpha_laws(lam, geometry, c)[2]()
+    p = YukawaParams(alpha=1.0, lam=lam)
+    pfa_law, epfa_law, pfa_over_epfa = _unit_alpha_laws(geometry)
+    return pfa_over_epfa(pfa_law(geometry, p, c), epfa_law(geometry, p, c))

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
-                   PhysicalConstants, PowerLawParams, YukawaParams)
+from .core import (INFINITE, Disk, Layer, LayeredSlab, LayeredSphere, PhysicalConstants,
+                   PowerLawParams, YukawaParams)
 from .disk import AxisProbe, disk_gravity_force, disk_power_force, disk_yukawa_force, \
     disk_yukawa_potential
 from .layered import LayeredConfig, layered_epfa_energy, layered_pfa_force, \
@@ -30,10 +30,6 @@ from .yukawa import SphereSlabConfig, slab_slab_pressure, sphere_slab_force_exac
 _SPEC_1D = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
 _SPEC_2D = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-300)
 _SPEC_2D_TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
-
-#: worst oracle rel_tol used by any quadrature-backed family; tolerance
-#: overrides below this are unsatisfiable.
-MIN_CHECK_TOLERANCE = _SPEC_2D.rel_tol
 
 
 @dataclass(frozen=True)
@@ -285,14 +281,9 @@ def check_two_spheres(c, quick):
     return [failure, recorded]
 
 
-def run_suite(c: PhysicalConstants = PhysicalConstants(), quick: bool = False,
-              tolerance_override: float | None = None) -> list[CheckResult]:
+def run_suite(c: PhysicalConstants = PhysicalConstants(),
+              quick: bool = False) -> list[CheckResult]:
     """Run every check family; returns their results in a fixed order."""
-    if tolerance_override is not None and not tolerance_override >= MIN_CHECK_TOLERANCE:
-        raise InputError(
-            f"tolerance override {tolerance_override:g} must be >= the "
-            f"oracle's own rel_tol {MIN_CHECK_TOLERANCE:g}; a tighter or nan "
-            "tolerance is unsatisfiable")
     results: list[CheckResult] = []
     results.append(check_slab_slab_pressure(c, quick))
     results.append(check_sphere_slab_exact(c, quick))
@@ -304,9 +295,6 @@ def run_suite(c: PhysicalConstants = PhysicalConstants(), quick: bool = False,
     results.extend(check_disk_yukawa(c, quick))
     results.append(check_slicing_equivalence(c, quick))
     results.extend(check_two_spheres(c, quick))
-    if tolerance_override is not None:
-        results = [replace(r, tolerance=tolerance_override) if r.sense == "within" else r
-                   for r in results]
     return results
 
 

@@ -1,9 +1,10 @@
 """Closed forms against 80-digit mpmath over the whole accepted length domain.
 
 Lengths are drawn log-uniform from 1e-10 to 1e4 m, coats may be absent and
-densities zero; slab layers may also be INFINITE. The references use the
-same float radii as the code (the coat radii are the float sums r_core + t),
-so any difference is the closed form's own rounding or cancellation.
+densities zero; slab layers and disk radii may also be INFINITE. The
+references use the same float radii as the code (the coat radii are the
+float sums r_core + t), so any difference is the closed form's own rounding
+or cancellation.
 """
 
 import math
@@ -11,8 +12,9 @@ import math
 import mpmath
 from hypothesis import assume, given, settings, strategies as st
 
-from ypfa import (G_DEFAULT, INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
-                  YukawaParams, eta, eta_delta, layered_pfa_terms, slab_slab_pressure)
+from ypfa import (G_DEFAULT, INFINITE, AxisProbe, Disk, Layer, LayeredConfig, LayeredSlab,
+                  LayeredSphere, YukawaParams, disk_gravity_force, disk_yukawa_force, eta,
+                  eta_delta, layered_pfa_terms, slab_slab_pressure)
 from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
 REL = 1e-12
@@ -35,6 +37,7 @@ slab_thicknesses = st.one_of(st.just(0.0), d2_values)
 slabs = st.builds(LayeredSlab, st.builds(Layer, d2_values, densities),
                   st.builds(Layer, slab_thicknesses, densities),
                   st.builds(Layer, slab_thicknesses, densities))
+disks = st.builds(Disk, d2_values, lengths, densities)
 
 SLAB = LayeredSlab(base=Layer(3.5e-6, 2330.0))
 domain = settings(max_examples=150, deadline=None)
@@ -168,3 +171,33 @@ def test_slab_slab_pressure_matches_mpmath(a, d1, rho1, d2, rho2, lam):
     want = (-2 * mp.pi * M(G_DEFAULT) * M(rho1) * M(rho2) * lam_mp ** 2 * mp.exp(-M(a) / lam_mp)
             * _one_minus_exp(M(d1) / lam_mp) * _one_minus_exp(M(d2) / lam_mp))
     assert_close(slab_slab_pressure(a, d1, rho1, d2, rho2, YukawaParams(1.0, lam)), want)
+
+
+def mp_rim_distances(z, disk):
+    """The axis probe's distances sqrt(R_d^2 + h^2) to the rims of the top and bottom faces."""
+    z, rd, d1 = M(z), M(disk.radius), M(disk.thickness)
+    return mp.sqrt(rd * rd + z * z), mp.sqrt(rd * rd + (z + d1) ** 2)
+
+
+@domain
+@given(lengths, disks)
+def test_disk_gravity_force_matches_mpmath(z, disk):
+    bracket = M(disk.thickness)
+    if disk.radius != INFINITE:
+        near, far = mp_rim_distances(z, disk)
+        bracket += near - far
+    want = -2 * mp.pi * M(G_DEFAULT) * M(disk.density) * bracket
+    assert_close(disk_gravity_force(AxisProbe(z), disk), want)
+
+
+@domain
+@given(lengths, disks, lengths)
+def test_disk_yukawa_force_matches_mpmath(z, disk, lam):
+    lam_mp = M(lam)
+    # e^(-z/lam) C(z): the top and bottom faces minus the rim at each
+    bracket = mp.exp(-M(z) / lam_mp) - mp.exp(-(M(z) + M(disk.thickness)) / lam_mp)
+    if disk.radius != INFINITE:
+        near, far = mp_rim_distances(z, disk)
+        bracket += mp.exp(-far / lam_mp) - mp.exp(-near / lam_mp)
+    want = -2 * mp.pi * M(G_DEFAULT) * M(disk.density) * lam_mp * bracket
+    assert_close(disk_yukawa_force(AxisProbe(z), disk, YukawaParams(1.0, lam)), want)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import ypfa.limits
 from ypfa import (INFINITE, DegenerateInputError, InputError, LayeredConfig, ResidualBound,
                   SphereSlabConfig, SweepGrid, YukawaParams, alpha_limit, eta, eta_delta,
                   exclusion_curve, layered_epfa_force, layered_pfa_force, limit_shift,
@@ -156,6 +157,22 @@ def test_limit_shift_uses_the_layered_configs_own_d2(layered_cfg):
     ratio = (alpha_limit(lam, flat_bounds(), cfg, "epfa").alpha_bound
              / alpha_limit(lam, flat_bounds(), cfg, "pfa").alpha_bound)
     assert limit_shift(lam, cfg) == pytest.approx(ratio, rel=1e-12)
+
+
+def test_pfa_method_builds_only_the_pfa_law(geometry, layered_cfg, monkeypatch):
+    # a pfa bound reads no epfa law, so a failing epfa builder cannot stop it
+    cases = [(cfg, alpha_limit(1e-6, flat_bounds(), cfg, "pfa"))
+             for cfg in (geometry, layered_cfg)]
+
+    def refuse(*args, **kwargs):
+        raise InputError("epfa law built")
+
+    monkeypatch.setattr(ypfa.limits, "sphere_slab_exact_law", refuse)
+    monkeypatch.setattr(ypfa.limits, "layered_epfa_force_law", refuse)
+    for cfg, want in cases:
+        assert alpha_limit(1e-6, flat_bounds(), cfg, "pfa") == want
+        with pytest.raises(InputError, match="epfa law built"):
+            alpha_limit(1e-6, flat_bounds(), cfg, "epfa")
 
 
 @pytest.mark.parametrize("lam,regime", [(0.1e-9, "direct"), (1e-6, "direct"),
