@@ -8,11 +8,10 @@ coupling-strength exclusion bounds.
 
 __version__ = "0.1.0"
 
-from .core import (G_DEFAULT, INFINITE, NO_LAYER, CurvatureRadii, DegenerateInputError, Disk,
-                   InputError, Layer, LayeredSlab, LayeredSphere, PhysicalConstants,
-                   PoleProximityError, PowerLawParams, ResonatorParams, YukawaParams,
-                   effective_radius)
-from .disk import (AxisProbe, LogRatio, XiInputs, disk_gravity_force, disk_power_force,
+from .core import (G_DEFAULT, INFINITE, NO_LAYER, DegenerateInputError, Disk, InputError, Layer,
+                   LayeredSlab, LayeredSphere, PhysicalConstants, PoleProximityError,
+                   PowerLawParams, YukawaParams)
+from .disk import (AxisProbe, XiInputs, disk_gravity_force, disk_power_force,
                    disk_yukawa_force, disk_yukawa_potential, xi_gravity, xi_power, xi_yukawa)
 from .layered import (EtaDeltaResult, LayeredConfig, eta_delta, layered_epfa_energy,
                       layered_epfa_force, layered_pfa_force, layered_pfa_terms,
@@ -23,6 +22,5 @@ from .oracle import (OracleReport, QuadratureSpec, oracle_disk_point,
                      oracle_slab_slab_pressure, oracle_slicing_equivalence,
                      oracle_sphere_slab_yukawa, oracle_two_spheres)
 from .sweeps import SweepGrid
-from .yukawa import (EtaResult, SphereSlabConfig, eta, pfa_force_from_energy,
-                     pressure_from_frequency_shift, slab_slab_pressure,
-                     sphere_slab_force_exact, sphere_slab_force_pfa, yukawa_pair_energy)
+from .yukawa import (EtaResult, SphereSlabConfig, eta, slab_slab_pressure, sphere_slab_force_exact,
+                     sphere_slab_force_pfa)

@@ -228,7 +228,7 @@ def _row_xi_power(task):
 
 def _row_xi_yukawa(task):
     rd, lam, inputs = task
-    return rd, lam, xi_yukawa(inputs, YukawaParams(1.0, lam)).ln_value
+    return rd, lam, xi_yukawa(inputs, YukawaParams(1.0, lam))
 
 
 # ---------------------------------------------------------------- commands

@@ -138,18 +138,6 @@ class LayeredSphere:
 
 
 @dataclass(frozen=True)
-class CurvatureRadii:
-    """Principal curvature radii of a (possibly aspherical) surface."""
-
-    r_x: float
-    r_y: float
-
-    def __post_init__(self):
-        if not (self.r_x > 0.0 and self.r_y > 0.0):
-            raise InputError(f"curvature radii must be > 0, got {self.r_x}, {self.r_y}")
-
-
-@dataclass(frozen=True)
 class Disk:
     """Finite disk: radius (may be INFINITE), thickness, density.
 
@@ -187,18 +175,6 @@ class PowerLawParams:
 
 
 @dataclass(frozen=True)
-class ResonatorParams:
-    """Mechanical resonator used in frequency-shift force measurements."""
-
-    mass: float
-    curvature: CurvatureRadii
-
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise InputError(f"resonator mass must be > 0, got {self.mass}")
-
-
-@dataclass(frozen=True)
 class SeparationLaw:
     """A force or energy prefactor(lam) * e^(-a/lam) as a function of the gap a.
 
@@ -219,8 +195,3 @@ class SeparationLaw:
         for factor in self.factors:
             value *= factor
         return value / self.over
-
-
-def effective_radius(c: CurvatureRadii) -> float:
-    """Geometric mean sqrt(r_x * r_y) of the principal curvature radii."""
-    return math.sqrt(c.r_x * c.r_y)

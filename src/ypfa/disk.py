@@ -9,8 +9,8 @@ is validated against 2D quadrature of its point kernel by the oracle module.
 The finite-size figures of merit are the ratios of the force at the closest
 point of a sphere of radius R (z = a) to the farthest point (z = a + 2R):
 xi_gravity, xi_power, xi_yukawa. The Yukawa ratio reaches e^(2R/lambda)
-(~ e^3000 for micron-scale spheres at lambda = 0.1 um), so it is exposed
-only as a natural logarithm (LogRatio).
+(~ e^3000 for micron-scale spheres at lambda = 0.1 um), so xi_yukawa
+returns its natural logarithm.
 
 Numerical notes: the sqrt differences in the Newtonian/power-law brackets
 lose ~10 digits for R_d >> z if taken literally; they are rewritten via
@@ -65,20 +65,6 @@ class XiInputs:
             raise InputError(f"gap must be > 0, got {self.a}")
         if not self.sphere_radius > 0.0:
             raise InputError(f"sphere radius must be > 0, got {self.sphere_radius}")
-
-
-@dataclass(frozen=True)
-class LogRatio:
-    """Natural log of a positive ratio too extreme to hold as a float."""
-
-    ln_value: float
-
-    def ratio(self) -> float:
-        """exp(ln_value); +inf when not representable."""
-        try:
-            return math.exp(self.ln_value)
-        except OverflowError:
-            return math.inf
 
 
 def _slant_pieces(z: float, disk: Disk) -> tuple[float, float, float, float]:
@@ -275,7 +261,7 @@ def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
             * math.exp(-probe.z / lam) * inner)
 
 
-def xi_yukawa(x: XiInputs, p: YukawaParams) -> LogRatio:
+def xi_yukawa(x: XiInputs, p: YukawaParams) -> float:
     """ln of the Yukawa near/far ratio, 2R/lam + ln C(a) - ln C(a+2R).
 
     Computed in log space throughout: the ratio itself reaches e^(2R/lam)
@@ -285,4 +271,4 @@ def xi_yukawa(x: XiInputs, p: YukawaParams) -> LogRatio:
     far_z = x.a + 2.0 * x.sphere_radius
     ln_bracket_ratio = (math.log(_yukawa_bracket(x.a, x.disk, lam))
                         - math.log(_yukawa_bracket(far_z, x.disk, lam)))
-    return LogRatio(ln_value=2.0 * x.sphere_radius / lam + ln_bracket_ratio)
+    return 2.0 * x.sphere_radius / lam + ln_bracket_ratio

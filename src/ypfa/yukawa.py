@@ -1,11 +1,11 @@
 """Homogeneous-body Yukawa closed forms for the sphere-slab geometry.
 
-Point-pair energy, slab-slab pressure, the exact sphere-slab force, the
-parallel-plate-mapped (PFA) force, and their ratio eta.
+Slab-slab pressure, the exact sphere-slab force, the parallel-plate-mapped
+(PFA) force, and their ratio eta.
 
 Sign conventions:
 - energies and attractive forces/pressures are negative;
-- the pair potential is U(r) = -alpha G m1 m2 e^(-r/lam) / r.
+- every force integrates the pair potential U(r) = -alpha G m1 m2 e^(-r/lam) / r.
 
 The exact sphere-slab force is
 
@@ -36,8 +36,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants,
-                   ResonatorParams, SeparationLaw, YukawaParams, effective_radius)
+from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants, SeparationLaw,
+                   YukawaParams)
 from .numerics import one_minus_exp, x_cosh_x_minus_sinh_x
 
 #: Below this u = 2R/lambda the Taylor-series branch of Phi is used.
@@ -136,14 +136,6 @@ def phi(u: float) -> tuple[float, str]:
     return phi_direct(u), REGIME_DIRECT
 
 
-def yukawa_pair_energy(m1: float, m2: float, r: float, p: YukawaParams,
-                       c: PhysicalConstants = PhysicalConstants()) -> float:
-    """Yukawa potential energy of two point masses at distance r (J)."""
-    if not r > 0.0:
-        raise InputError(f"pair distance must be > 0, got {r}")
-    return -p.alpha * c.G * m1 * m2 * math.exp(-r / p.lam) / r
-
-
 def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
                        p: YukawaParams, c: PhysicalConstants = PhysicalConstants()) -> float:
     """Yukawa pressure between two parallel slabs separated by gap a (Pa).
@@ -233,25 +225,3 @@ def eta(radius: float, d2: float, lam: float) -> EtaResult:
     check_d2(d2)
     phi_value, regime = phi(2.0 * radius / lam)
     return EtaResult(eta=_phi_over_plate(phi_value, one_minus_exp(d2 / lam), lam), regime=regime)
-
-
-def pfa_force_from_energy(e_pp: float, r_bar: float) -> float:
-    """Sphere-plane force from parallel-plate energy per unit area: 2 pi R_bar e_pp."""
-    if not r_bar > 0.0:
-        raise InputError(f"effective radius must be > 0, got {r_bar}")
-    return 2.0 * math.pi * r_bar * e_pp
-
-
-def pressure_from_frequency_shift(delta_nu_sq: float, res: ResonatorParams) -> float:
-    """Equivalent parallel-plate pressure from a squared frequency shift (Pa).
-
-    Inverts delta_nu^2 = (R_bar / 2 pi m) P_pp.
-    """
-    r_bar = effective_radius(res.curvature)
-    return 2.0 * math.pi * res.mass * delta_nu_sq / r_bar
-
-
-def frequency_shift_from_pressure(p_pp: float, res: ResonatorParams) -> float:
-    """Forward map delta_nu^2 = (R_bar / 2 pi m) P_pp; inverse of the above."""
-    r_bar = effective_radius(res.curvature)
-    return r_bar * p_pp / (2.0 * math.pi * res.mass)

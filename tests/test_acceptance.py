@@ -41,7 +41,7 @@ def test_criterion_1_layered_ratio_short_range_value():
 def test_criterion_2_log_ratio_infinite_plane():
     inputs = XiInputs(a=100e-9, sphere_radius=150e-6,
                       disk=Disk(radius=300e-6, thickness=3.5e-6, density=2330.0))
-    value = xi_yukawa(inputs, YukawaParams(1.0, 0.1e-6)).ln_value
+    value = xi_yukawa(inputs, YukawaParams(1.0, 0.1e-6))
     ok = abs(value / 3000.0 - 1.0) <= 1e-9
     report(2, ok, f"ln xi_yukawa = {value!r}, target 3000 to 1e-9 relative")
 

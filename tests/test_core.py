@@ -3,29 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ypfa import (INFINITE, CurvatureRadii, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
-                  PhysicalConstants, PowerLawParams, SphereSlabConfig, YukawaParams,
-                  effective_radius)
+from ypfa import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
+                  PhysicalConstants, PowerLawParams, SphereSlabConfig, YukawaParams)
 from ypfa.config import format_si, parse_config_text, parse_quantity
-
-
-def test_effective_radius_examples():
-    assert effective_radius(CurvatureRadii(150e-6, 150e-6)) == 150e-6
-    assert effective_radius(CurvatureRadii(100e-6, 225e-6)) == pytest.approx(150e-6, rel=1e-15)
-    assert effective_radius(CurvatureRadii(151.3e-6, 151.3e-6)) == pytest.approx(
-        151.3e-6, rel=1e-15)
-
-
-@given(st.floats(min_value=1e-9, max_value=1e3), st.floats(min_value=1e-9, max_value=1e3))
-def test_effective_radius_symmetric(rx, ry):
-    assert effective_radius(CurvatureRadii(rx, ry)) == effective_radius(CurvatureRadii(ry, rx))
-
-
-def test_effective_radius_rejects_nonpositive():
-    with pytest.raises(InputError):
-        CurvatureRadii(0.0, 1.0)
-    with pytest.raises(InputError):
-        CurvatureRadii(1.0, -2.0)
 
 
 def test_type_invariants():

@@ -7,7 +7,7 @@ from ypfa import (Disk, InputError, PhysicalConstants, PoleProximityError, Power
                   XiInputs, YukawaParams, disk_gravity_force, disk_power_force,
                   disk_yukawa_force, disk_yukawa_potential, oracle_disk_point, xi_gravity,
                   xi_power, xi_yukawa)
-from ypfa.disk import AxisProbe, LogRatio
+from ypfa.disk import AxisProbe
 
 C = PhysicalConstants()
 
@@ -241,12 +241,12 @@ def test_yukawa_potential_matches_mpmath(z, disk, lam):
 def test_xi_yukawa_infinite_plane_value():
     infinite = Disk(radius=math.inf, thickness=3.5e-6, density=2330.0)
     result = xi_yukawa(xi_inputs(infinite), YukawaParams(1.0, 0.1e-6))
-    assert result.ln_value == 2 * 150e-6 / 0.1e-6 == 3000.0
+    assert result == 2 * 150e-6 / 0.1e-6 == 3000.0
 
 
 def test_xi_yukawa_finite_disk_still_3000(reference_disk):
     result = xi_yukawa(xi_inputs(reference_disk), YukawaParams(1.0, 0.1e-6))
-    assert result.ln_value == pytest.approx(3000.0, rel=1e-9)
+    assert result == pytest.approx(3000.0, rel=1e-9)
 
 
 def test_xi_yukawa_insensitive_to_disk_radius_at_short_range():
@@ -254,13 +254,13 @@ def test_xi_yukawa_insensitive_to_disk_radius_at_short_range():
     near = xi_yukawa(xi_inputs(Disk(2 * 150e-6, 3.5e-6, 2330.0)), YukawaParams(1.0, lam))
     far = xi_yukawa(xi_inputs(Disk(100 * 150e-6, 3.5e-6, 2330.0)), YukawaParams(1.0, lam))
     scale = 2 * 150e-6 / lam
-    assert abs(near.ln_value - far.ln_value) / scale <= 1e-6
+    assert abs(near - far) / scale <= 1e-6
 
 
 def test_xi_yukawa_long_range_limit():
     infinite = Disk(radius=math.inf, thickness=3.5e-6, density=2330.0)
     result = xi_yukawa(xi_inputs(infinite), YukawaParams(1.0, 1.0))
-    assert result.ln_value == 2 * 150e-6 / 1.0  # -> 0 as lam grows
+    assert result == 2 * 150e-6 / 1.0  # -> 0 as lam grows
 
 
 def test_xi_yukawa_radius_dependence_at_long_range(reference_disk):
@@ -268,9 +268,5 @@ def test_xi_yukawa_radius_dependence_at_long_range(reference_disk):
     lam = 1000e-6
     small = xi_yukawa(xi_inputs(Disk(150e-6, 3.5e-6, 2330.0)), YukawaParams(1.0, lam))
     large = xi_yukawa(xi_inputs(Disk(100 * 150e-6, 3.5e-6, 2330.0)), YukawaParams(1.0, lam))
-    assert abs(small.ln_value - large.ln_value) > 0.1
+    assert abs(small - large) > 0.1
 
-
-def test_log_ratio_representation():
-    assert LogRatio(1.5).ratio() == pytest.approx(math.exp(1.5), rel=1e-15)
-    assert LogRatio(3000.0).ratio() == math.inf

@@ -2,44 +2,14 @@ import math
 import sys
 from dataclasses import replace
 
-import mpmath
 import pytest
 
-from ypfa import (INFINITE, CurvatureRadii, InputError, PhysicalConstants,
-                  ResonatorParams, SphereSlabConfig, YukawaParams, eta,
-                  pfa_force_from_energy, pressure_from_frequency_shift,
-                  slab_slab_pressure, sphere_slab_force_exact, sphere_slab_force_pfa,
-                  yukawa_pair_energy)
+from ypfa import (INFINITE, InputError, PhysicalConstants, SphereSlabConfig, YukawaParams, eta,
+                  slab_slab_pressure, sphere_slab_force_exact, sphere_slab_force_pfa)
 from ypfa.numerics import one_minus_exp
-from ypfa.yukawa import frequency_shift_from_pressure, phi
-
-mpmath.mp.dps = 50
+from ypfa.yukawa import phi
 
 C = PhysicalConstants()
-
-
-def test_pair_energy_at_r_equals_lambda():
-    lam = 2.5e-7
-    got = yukawa_pair_energy(1.0, 1.0, lam, YukawaParams(1.0, lam))
-    assert got == pytest.approx(-C.G * math.exp(-1.0) / lam, rel=1e-15)
-
-
-def test_pair_energy_zero_coupling():
-    assert yukawa_pair_energy(2.0, 3.0, 1e-6, YukawaParams(0.0, 1e-7)) == 0.0
-
-
-def test_pair_energy_multiprecision_oracle():
-    # independent 50-digit evaluation of -alpha G m1 m2 e^(-r/lam)/r
-    r, lam = 1e-6, 1e-7
-    want = float(-mpmath.mpf(C.G) * mpmath.e ** (-mpmath.mpf(r) / mpmath.mpf(lam))
-                 / mpmath.mpf(r))
-    got = yukawa_pair_energy(1.0, 1.0, r, YukawaParams(1.0, lam))
-    assert got == pytest.approx(want, rel=1e-15)
-
-
-def test_pair_energy_rejects_nonpositive_distance():
-    with pytest.raises(InputError):
-        yukawa_pair_energy(1.0, 1.0, 0.0, YukawaParams(1.0, 1e-7))
 
 
 def test_slab_slab_vanishing_slab():
@@ -141,12 +111,6 @@ def test_forces_scale_exactly():
     assert sphere_slab_force_exact(doubled_slab, YukawaParams(1.0, 1e-7)) == 2.0 * base
 
 
-def test_pfa_force_from_energy():
-    assert pfa_force_from_energy(0.0, 150e-6) == 0.0
-    assert pfa_force_from_energy(1e-9, 150e-6) == pytest.approx(
-        2 * math.pi * 1.5e-13, rel=1e-15)
-
-
 def test_pfa_force_consistent_with_slab_energy(homogeneous_cfg):
     # F_pfa == 2 pi R E_pp with E_pp = lam * P for the exponential profile
     lam = 2e-7
@@ -155,7 +119,7 @@ def test_pfa_force_consistent_with_slab_energy(homogeneous_cfg):
                                   homogeneous_cfg.slab_thickness,
                                   homogeneous_cfg.slab_density,
                                   INFINITE, homogeneous_cfg.sphere_density, p)
-    via_energy = pfa_force_from_energy(lam * pressure, homogeneous_cfg.sphere_radius)
+    via_energy = 2.0 * math.pi * homogeneous_cfg.sphere_radius * lam * pressure
     direct = sphere_slab_force_pfa(homogeneous_cfg, p)
     assert abs(via_energy / direct - 1.0) < 1e-14
 
@@ -187,16 +151,6 @@ def test_slab_pressure_decays_with_gap(a, lam):
     near = slab_slab_pressure(a, 3.5e-6, 2330.0, INFINITE, 4100.0, p)
     far = slab_slab_pressure(2 * a, 3.5e-6, 2330.0, INFINITE, 4100.0, p)
     assert near <= far <= 0.0  # attractive, magnitude shrinking with gap
-
-
-def test_pressure_frequency_shift_roundtrip():
-    res = ResonatorParams(mass=1e-9, curvature=CurvatureRadii(151.3e-6, 151.3e-6))
-    assert pressure_from_frequency_shift(0.0, res) == 0.0
-    got = pressure_from_frequency_shift(1.0, res)
-    assert got == pytest.approx(2 * math.pi * 1e-9 / 151.3e-6, rel=1e-15)
-    for pressure in (1e-7, 3.7, -2.2e4):
-        back = pressure_from_frequency_shift(frequency_shift_from_pressure(pressure, res), res)
-        assert abs(back / pressure - 1.0) < 1e-14
 
 
 # The one-line product forms the sphere-slab forces had before they were
