@@ -100,16 +100,18 @@ def _shell_term(lo: float, hi: float, lam: float, r_out: float) -> float:
 
     With h(v) = v cosh v - sinh v, c = (lo+hi)/(2 lam), d = (hi-lo)/(2 lam),
     h(c+d) - h(c-d) = 2c sinh c sinh d + 2 cosh c h(d) and e^(-d) h(d) = d Phi(2d)/2,
-        T = lam e^((hi-r_out)/lam) [c (1-e^(-2c))(1-e^(-2d)) + (1+e^(-2c)) d Phi(2d)]:
-    two non-negative summands, every exponent <= 0 (hi <= r_out).
+        T = e^((hi-r_out)/lam) [lam c (1-e^(-2c))(1-e^(-2d)) + (1+e^(-2c)) lam d Phi(2d)]:
+    two non-negative summands, every exponent <= 0 (hi <= r_out). lam c and
+    lam d are the exact lengths (lo+hi)/2 and (hi-lo)/2, so the parts are of
+    order R^3/lam^2, not (R/lam)^3, and stay normal up to lam ~ 1e148 m for
+    R ~ 100 um.
     """
-    d = (hi - lo) / (2.0 * lam)
-    if d == 0.0:
+    two_d = (hi - lo) / lam
+    if two_d == 0.0:
         return 0.0
-    c = (lo + hi) / (2.0 * lam)
-    w = one_minus_exp(2.0 * c)
-    return lam * math.exp((hi - r_out) / lam) * (
-        c * w * one_minus_exp(2.0 * d) + (2.0 - w) * d * phi(2.0 * d)[0])
+    w = one_minus_exp((lo + hi) / lam)
+    return math.exp((hi - r_out) / lam) * (
+        (lo + hi) / 2.0 * w * one_minus_exp(two_d) + (2.0 - w) * (hi - lo) / 2.0 * phi(two_d)[0])
 
 
 def sphere_shell_factor(sphere: LayeredSphere, lam: float) -> float:
@@ -234,7 +236,8 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams) -> EtaDeltaResult:
     homogeneous comparator is eta at the coated (outer) radius. As
     lam -> 0, eta_delta -> 1 + (coat thicknesses)/R. A sphere-side PFA
     stack factor that is zero or subnormal leaves no ratio and raises
-    DegenerateInputError.
+    DegenerateInputError, as does a coated sphere's eta_delta or eta that is
+    zero or subnormal (lam above about 1e148 m for R ~ 100 um).
     """
     sphere = cfg.sphere
     lam = p.lam
@@ -243,6 +246,10 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams) -> EtaDeltaResult:
         return EtaDeltaResult(eta_delta=eta_hom, eta_homogeneous=eta_hom, ratio=1.0)
     value = _exact_over_pfa(sphere, sphere_shell_factor(sphere, lam),
                             virtual_stack_factor(sphere, cfg.d2, lam), lam)
+    if not min(value, eta_hom) >= sys.float_info.min:
+        raise DegenerateInputError(
+            f"eta_delta/eta is undefined at lambda = {lam:g} m: eta_delta or eta is zero or "
+            "subnormal (lambda >> sphere radius)")
     return EtaDeltaResult(eta_delta=value, eta_homogeneous=eta_hom, ratio=value / eta_hom)
 
 
