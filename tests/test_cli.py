@@ -221,6 +221,52 @@ def test_xi_yukawa_sweep_short_range_rows_are_3000(tmp_path):
     assert all(line.split(",")[2] == "3.00000000000e+03" for line in lines)
 
 
+THICK_DISK = "disk.thickness = inf\n"
+
+
+def test_xi_yukawa_sweep_thick_disk_is_finite(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(THICK_DISK + "sweep.lambdas = 10 um\nrd_grid_factors = 1, 2, 2\n")
+    out = tmp_path / "xi.csv"
+    assert run("xi-yukawa-sweep", "--config", str(cfg), "--output", str(out)) == 0
+    cells = [line.split(",")[2] for line in read(out).splitlines()[1:]]
+    assert len(cells) == 2
+    assert all(math.isfinite(float(cell)) for cell in cells), cells
+
+
+def test_xi_power_sweep_thick_disk(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(THICK_DISK)
+    out = tmp_path / "xi.csv"
+    # fig4-right's exponents from 0.25: the force diverges for n <= 1
+    done = run_subprocess("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
+                          "--output", str(out))
+    assert done.returncode == 1, done.stderr
+    assert "diverges for n = 0.25" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+    cfg.write_text(THICK_DISK + "n_grid = 1.5, 2, 2.5, 3, 4\n")
+    assert run("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
+               "--output", str(out)) == 0
+    cells = [line.split(",")[2] for line in read(out).splitlines()[1:]]
+    assert len(cells) == 5 * 4
+    assert all(math.isfinite(float(cell)) for cell in cells), cells
+    manifest = json.loads(read(str(out) + ".manifest.json"))
+    assert manifest["counters"]["rows_near_pole"] == 0
+
+
+def test_eta_layered_sweep_long_range_without_normal_ratio(tmp_path):
+    out = tmp_path / "far.csv"
+    assert run("eta-layered-sweep", "--lambda-max", "1e110 m", "--lambda-points", "3",
+               "--output", str(out)) == 0
+    assert read(out).splitlines()[-1].split(",")[3] == "1.52594951648e-228"
+    done = run_subprocess("eta-layered-sweep", "--lambda-max", "1e200 m", "--lambda-points", "3",
+                          "--output", str(out))
+    assert done.returncode == 1, done.stderr
+    assert "lambda = 1e+200 m" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_xi_yukawa_sweep_empty_lambda_list(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("sweep.lambdas =\n")

@@ -117,6 +117,87 @@ def test_power_infinite_plane_diverges_for_small_exponent():
         disk_power_force(probe(), infinite, PowerLawParams(k=1.0, n=1.0))
 
 
+# --------------------------------------------------- infinitely thick disks
+
+THICK = Disk(radius=100e-6, thickness=math.inf, density=2330.0)
+HALF_SPACE = Disk(radius=math.inf, thickness=math.inf, density=2330.0)
+mp80 = mpmath.MPContext()
+mp80.dps = 80
+
+
+def mp_rim_gap(z, rd):
+    """sqrt(R_d^2 + z^2) - z at 80 digits on the same floats."""
+    z, rd = mp80.mpf(z), mp80.mpf(rd)
+    return mp80.sqrt(rd * rd + z * z) - z
+
+
+def test_thick_disk_gravity_and_yukawa_limits_match_mpmath():
+    # D1 -> inf: the gravity bracket tends to p1 = sqrt(R_d^2+z^2) - z and the
+    # Yukawa bracket to 1 - e^(-p1/lam)
+    z, lam = 1e-6, 10e-6
+    p1 = mp_rim_gap(z, THICK.radius)
+    want_gravity = -2 * mp80.pi * mp80.mpf(C.G) * 2330 * p1
+    want_yukawa = (-2 * mp80.pi * mp80.mpf(C.G) * 2330 * lam * mp80.exp(-mp80.mpf(z) / lam)
+                   * (1 - mp80.exp(-p1 / lam)))
+    got_gravity = disk_gravity_force(probe(z), THICK)
+    got_yukawa = disk_yukawa_force(probe(z), THICK, YukawaParams(1.0, lam))
+    assert abs(got_gravity - want_gravity) <= 1e-15 * abs(want_gravity)
+    assert abs(got_yukawa - want_yukawa) <= 1e-15 * abs(want_yukawa)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.5, 3.0, 4.0])
+def test_thick_disk_power_law_matches_mpmath(n):
+    # D1 -> inf: the bracket tends to (R_d^2+z^2)^((3-n)/2) - z^(3-n), or to
+    # log1p(R_d^2/z^2) at n = 3
+    z, rd = 1e-6, THICK.radius
+    got = disk_power_force(probe(z), THICK, PowerLawParams(k=1.0, n=n))
+    z_mp, rd_mp, n_mp = mp80.mpf(z), mp80.mpf(rd), mp80.mpf(n)
+    if n == 3.0:
+        want = -mp80.pi / 2 * 2330 * mp80.log(1 + rd_mp ** 2 / z_mp ** 2)
+    else:
+        want = (2 * mp80.pi * 2330 * ((rd_mp ** 2 + z_mp ** 2) ** ((3 - n_mp) / 2)
+                                      - z_mp ** (3 - n_mp)) / ((n_mp - 1) * (n_mp - 3)))
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("n,rel", [(2.5, 2e-10), (3.0, 1e-15)])
+def test_thick_disk_power_law_is_the_deep_disk_limit(n, rel):
+    # the generic form at D1 = 1e6 m is itself only good to 2e-10 at n = 2.5
+    deep = Disk(radius=100e-6, thickness=1e6, density=2330.0)
+    pl = PowerLawParams(k=1.0, n=n)
+    got = disk_power_force(probe(1e-6), THICK, pl)
+    assert got == pytest.approx(disk_power_force(probe(1e-6), deep, pl), rel=rel)
+
+
+@pytest.mark.parametrize("disk,n", [(THICK, 0.5), (THICK, 1.0), (HALF_SPACE, 2.0),
+                                    (HALF_SPACE, 2.5), (HALF_SPACE, 3.0)],
+                         ids=["thick-0.5", "thick-1", "half-space-2", "half-space-2.5",
+                              "half-space-3"])
+def test_power_law_divergence_is_an_input_error(disk, n):
+    with pytest.raises(InputError, match="diverges"):
+        disk_power_force(probe(), disk, PowerLawParams(k=1.0, n=n))
+
+
+def test_half_space_newtonian_force_is_an_input_error():
+    with pytest.raises(InputError, match="diverges"):
+        disk_gravity_force(probe(), HALF_SPACE)
+
+
+def test_half_space_converges_above_n3():
+    # the bracket is -z^(3-n): F = 2 pi K rho m2 (-1/z) / 3 at n = 4
+    z = 1e-6
+    got = disk_power_force(probe(z), HALF_SPACE, PowerLawParams(k=1.0, n=4.0))
+    assert got == pytest.approx(-2 * math.pi * 2330.0 / (3 * z), rel=1e-15)
+
+
+def test_thick_disk_ratios_are_finite():
+    inputs = xi_inputs(THICK)
+    for value in (xi_gravity(inputs), xi_power(inputs, 2.5), xi_power(inputs, 3.0),
+                  xi_yukawa(inputs, YukawaParams(1.0, 10e-6)),
+                  disk_yukawa_potential(probe(), THICK, YukawaParams(1.0, 10e-6))):
+        assert math.isfinite(value) and value != 0.0
+
+
 def test_xi_power_consistency_and_trends(reference_disk):
     inputs = xi_inputs(reference_disk)
     assert xi_power(inputs, 2.0) == pytest.approx(xi_gravity(inputs), rel=1e-12)
@@ -202,26 +283,30 @@ def test_yukawa_edge_corrections_bound():
     assert exponent > 45.0
 
 
-def _mp_yukawa_potential(z, disk, lam):
+def mp_yukawa_potential(z, disk, lam):
     """disk_yukawa_potential (alpha = 1, unit mass) at 80 digits on the same floats.
 
     The edge integral runs over the offset v = u - z, scaled by its value at
-    v = 0 because mpmath's quadrature tolerance is absolute.
+    v = 0 because mpmath's quadrature tolerance is absolute. The disk radius
+    and thickness may be INFINITE.
     """
     mp = mpmath.MPContext()
     mp.dps = 80
     z, rd, d1, lam = mp.mpf(z), mp.mpf(disk.radius), mp.mpf(disk.thickness), mp.mpf(lam)
+    inner = lam * (1 - mp.exp(-d1 / lam))
+    if rd != mp.inf:
+        def exponent(v):
+            return (z - mp.sqrt((z + v) ** 2 + rd * rd)) / lam
 
-    def exponent(v):
-        return (z - mp.sqrt((z + v) ** 2 + rd * rd)) / lam
-
-    start = exponent(0)
-    breaks = [mp.mpf(0)]
-    while breaks[-1] * 2 + lam < d1:
-        breaks.append(breaks[-1] * 2 + lam)
-    edge, error = mp.quad(lambda v: mp.exp(exponent(v) - start), breaks + [d1], error=True)
-    assert error < mp.mpf(10) ** -40
-    inner = lam * (1 - mp.exp(-d1 / lam)) - mp.exp(start) * edge
+        start = exponent(0)
+        # an infinite thickness ends on [last break, inf]
+        top = d1 if d1 != mp.inf else 800 * lam
+        breaks = [mp.mpf(0)]
+        while breaks[-1] * 2 + lam < top:
+            breaks.append(breaks[-1] * 2 + lam)
+        edge, error = mp.quad(lambda v: mp.exp(exponent(v) - start), breaks + [d1], error=True)
+        assert error < mp.mpf(10) ** -40
+        inner -= mp.exp(start) * edge
     return -2 * mp.pi * mp.mpf(C.G) * mp.mpf(disk.density) * lam * mp.exp(-z / lam) * inner
 
 
@@ -231,11 +316,32 @@ def _mp_yukawa_potential(z, disk, lam):
     (100e-9, Disk(1e-9, 1e-3, 2330.0), 1e-9),
     # the verify grid's largest edge term: scale 0.5, z = 2 um, lam = 50 um
     (2e-6, Disk(150e-6, 1.75e-6, 2330.0), 50e-6),
-], ids=["thick-tiny-disk", "verify-grid"])
+    # lam (1 - e^(-D1/lam)) and the edge integral agree to 1e-24 here: their
+    # difference was off by a factor 4e7
+    (1.9043622151957442, Disk(1.6614009112831235e-10, 4.624730826755671e-06, 2330.0),
+     1659.3468723271692),
+], ids=["thick-tiny-disk", "verify-grid", "tiny-disk-far-probe"])
 def test_yukawa_potential_matches_mpmath(z, disk, lam):
     got = disk_yukawa_potential(probe(z), disk, YukawaParams(1.0, lam))
-    want = _mp_yukawa_potential(z, disk, lam)
+    want = mp_yukawa_potential(z, disk, lam)
     assert abs(got - want) <= 1e-12 * abs(want), (got, float(want))
+
+
+def test_xi_yukawa_near_unity_matches_mpmath():
+    # 2R/lam = 1.1e-12 and ln C(a) - ln C(a+2R) = 5e-17 against logs near -17:
+    # subtracting the logs once gave ln xi 0.35% off
+    a, radius, lam = 7166.714947318122, 1.4185335694760403e-09, 2523.195464567153
+    disk = Disk(0.00454750031229762, 1.071188396854783e-06, 2330.0)
+
+    def g(z):  # e^(-z/lam) C(z): the top and bottom faces minus the rim at each
+        z, rd, d1 = mp80.mpf(z), mp80.mpf(disk.radius), mp80.mpf(disk.thickness)
+        return (mp80.exp(-z / lam) - mp80.exp(-(z + d1) / lam)
+                + mp80.exp(-mp80.sqrt(rd * rd + (z + d1) ** 2) / lam)
+                - mp80.exp(-mp80.sqrt(rd * rd + z * z) / lam))
+
+    want = mp80.log(g(a)) - mp80.log(g(mp80.mpf(a) + 2 * mp80.mpf(radius)))
+    got = xi_yukawa(xi_inputs(disk, a=a, radius=radius), YukawaParams(1.0, lam))
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_xi_yukawa_infinite_plane_value():

@@ -1,7 +1,8 @@
 """Closed forms against 80-digit mpmath over the whole accepted length domain.
 
 Lengths are drawn log-uniform from 1e-10 to 1e4 m, coats may be absent and
-densities zero; slab layers and disk radii may also be INFINITE. The
+densities zero; slab layers, disk radii and disk thicknesses may also be
+INFINITE. The
 references use the same float radii as the code (the coat radii are the
 float sums r_core + t), so any difference is the closed form's own rounding
 or cancellation.
@@ -10,11 +11,14 @@ or cancellation.
 import math
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings, strategies as st
+from test_disk import mp_yukawa_potential
 
-from ypfa import (G_DEFAULT, INFINITE, AxisProbe, Disk, Layer, LayeredConfig, LayeredSlab,
-                  LayeredSphere, YukawaParams, disk_gravity_force, disk_yukawa_force, eta,
-                  eta_delta, layered_pfa_terms, slab_slab_pressure)
+from ypfa import (G_DEFAULT, INFINITE, AxisProbe, Disk, InputError, Layer, LayeredConfig,
+                  LayeredSlab, LayeredSphere, XiInputs, YukawaParams, disk_gravity_force,
+                  disk_yukawa_force, disk_yukawa_potential, eta, eta_delta, layered_pfa_terms,
+                  slab_slab_pressure, xi_yukawa)
 from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
 REL = 1e-12
@@ -37,7 +41,7 @@ slab_thicknesses = st.one_of(st.just(0.0), d2_values)
 slabs = st.builds(LayeredSlab, st.builds(Layer, d2_values, densities),
                   st.builds(Layer, slab_thicknesses, densities),
                   st.builds(Layer, slab_thicknesses, densities))
-disks = st.builds(Disk, d2_values, lengths, densities)
+disks = st.builds(Disk, d2_values, d2_values, densities)
 
 SLAB = LayeredSlab(base=Layer(3.5e-6, 2330.0))
 domain = settings(max_examples=150, deadline=None)
@@ -179,13 +183,29 @@ def mp_rim_distances(z, disk):
     return mp.sqrt(rd * rd + z * z), mp.sqrt(rd * rd + (z + d1) ** 2)
 
 
+def mp_yukawa_face_terms(z, disk, lam):
+    """e^(-z/lam) C(z): the top and bottom faces minus the rim at each (z may be an mpf)."""
+    lam_mp = M(lam)
+    bracket = mp.exp(-M(z) / lam_mp) - mp.exp(-(M(z) + M(disk.thickness)) / lam_mp)
+    if disk.radius != INFINITE:
+        near, far = mp_rim_distances(z, disk)
+        bracket += mp.exp(-far / lam_mp) - mp.exp(-near / lam_mp)
+    return bracket
+
+
 @domain
 @given(lengths, disks)
 def test_disk_gravity_force_matches_mpmath(z, disk):
-    bracket = M(disk.thickness)
-    if disk.radius != INFINITE:
+    if disk.radius == disk.thickness == INFINITE:
+        with pytest.raises(InputError, match="diverges"):
+            disk_gravity_force(AxisProbe(z), disk)
+        return
+    if disk.radius == INFINITE:
+        bracket = M(disk.thickness)
+    else:
         near, far = mp_rim_distances(z, disk)
-        bracket += near - far
+        # D1 + near - far, which tends to near - z as D1 -> inf
+        bracket = near - M(z) if disk.thickness == INFINITE else M(disk.thickness) + near - far
     want = -2 * mp.pi * M(G_DEFAULT) * M(disk.density) * bracket
     assert_close(disk_gravity_force(AxisProbe(z), disk), want)
 
@@ -193,11 +213,42 @@ def test_disk_gravity_force_matches_mpmath(z, disk):
 @domain
 @given(lengths, disks, lengths)
 def test_disk_yukawa_force_matches_mpmath(z, disk, lam):
-    lam_mp = M(lam)
-    # e^(-z/lam) C(z): the top and bottom faces minus the rim at each
-    bracket = mp.exp(-M(z) / lam_mp) - mp.exp(-(M(z) + M(disk.thickness)) / lam_mp)
-    if disk.radius != INFINITE:
-        near, far = mp_rim_distances(z, disk)
-        bracket += mp.exp(-far / lam_mp) - mp.exp(-near / lam_mp)
-    want = -2 * mp.pi * M(G_DEFAULT) * M(disk.density) * lam_mp * bracket
+    want = (-2 * mp.pi * M(G_DEFAULT) * M(disk.density) * M(lam)
+            * mp_yukawa_face_terms(z, disk, lam))
     assert_close(disk_yukawa_force(AxisProbe(z), disk, YukawaParams(1.0, lam)), want)
+
+
+@settings(max_examples=40, deadline=None)  # 80-digit quadrature: ~0.1 s per example
+@given(lengths, disks, lengths)
+def test_disk_yukawa_potential_matches_mpmath(z, disk, lam):
+    # test_disk's edge-integral reference, with G_DEFAULT as its constant
+    want = M(disk.density) * mp_yukawa_potential(z, Disk(disk.radius, disk.thickness, 1.0), lam)
+    assert_close(disk_yukawa_potential(AxisProbe(z), disk, YukawaParams(1.0, lam)), want)
+
+
+@domain
+@given(lengths, lengths, disks, lengths)
+def test_xi_yukawa_matches_mpmath(a, radius, disk, lam):
+    # xi_yukawa steps from a by the exact 2R (its far bracket sits at the
+    # float a + 2R, whose rounding shifts ln C by a few ulp only), so the
+    # reference puts the far pole at the exact a + 2R
+    far = M(a) + 2 * M(radius)
+    want = mp.log(mp_yukawa_face_terms(a, disk, lam)) - mp.log(mp_yukawa_face_terms(far, disk, lam))
+    assert_close(xi_yukawa(XiInputs(a, radius, disk), YukawaParams(1.0, lam)), want)
+
+
+def test_eta_delta_at_1e110_m_matches_mpmath():
+    # the coated shell terms are of order R^3/lam^2 here; built as (R/lam)^3
+    # times lam they underflowed and eta_delta printed 0
+    sphere = LayeredSphere(150e-6, 4100.0, Layer(10e-9, 7140.0), Layer(180e-9, 19280.0))
+    lam = 1e110
+    # v cosh v - sinh v ~ v^3/3 at v ~ 1e-114 needs 230 of the working digits
+    with mp.workdps(400):
+        want = mp_shell_factor(sphere, lam) / (M(sphere.core_radius)
+                                               * mp_virtual_factor(sphere, INFINITE, lam))
+        want_hom = mp_eta(sphere.outer_radius, INFINITE, lam)
+    got = eta_delta(LayeredConfig(1e-7, sphere, SLAB), YukawaParams(1.0, lam))
+    assert_close(got.eta_delta, want)
+    assert_close(got.eta_homogeneous, want_hom)
+    assert_close(got.ratio, want / want_hom)
+    assert 1.5e-228 < got.eta_delta < 1.6e-228

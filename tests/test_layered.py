@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -281,6 +282,14 @@ def test_eta_delta_massless_sphere_side_is_degenerate(coated_stack, core_density
                            inner_coat=Layer(10e-9, 0.0), outer_coat=outer_coat)
     with pytest.raises(DegenerateInputError, match="eta_delta is undefined"):
         eta_delta(LayeredConfig(1e-7, sphere, coated_stack, 100.0), YukawaParams(1.0, lam))
+
+
+@pytest.mark.parametrize("lam", [1e154, 1e200])
+def test_eta_delta_without_a_normal_ratio_is_degenerate(layered_cfg, lam):
+    # with d2 = INFINITE, eta is subnormal at 1e154 m (a ratio of 1.0145
+    # instead of 1.014727 came out) and 0 at 1e200 m, where the ratio divided by zero
+    with pytest.raises(DegenerateInputError, match="lambda = 1e[+]%d m" % math.log10(lam)):
+        eta_delta(replace(layered_cfg, d2=INFINITE), YukawaParams(1.0, lam))
 
 
 @pytest.mark.parametrize("d2", [0.0, -1e-6, math.nan])
