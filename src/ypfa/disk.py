@@ -261,38 +261,29 @@ def _rim_gap(u: float, rd: float) -> float:
     return rd * rd / (math.sqrt(u * u + rd * rd) + u)
 
 
-def _potential_depth_integral(z: float, disk: Disk, lam: float) -> float:
-    """integral_0^D1 e^(-v/lam) (1 - e^(-p(z+v)/lam)) dv, p(u) = sqrt(u^2+R_d^2) - u.
-
-    This is lam (1 - e^(-D1/lam)) minus the edge integral
-    e^(z/lam) integral_z^(z+D1) e^(-sqrt(u^2+R_d^2)/lam) du, taken over the
-    offset v = u - z with a non-negative integrand, so nothing cancels when
-    the disk is small (the two terms agree to R_d^2/(z lam)) and the nodes
-    keep full relative precision however large z is.
-    """
-    d1, rd = disk.thickness, disk.radius
-    if math.isinf(rd):
-        return lam * one_minus_exp(d1 / lam)
-    return _graded_integral(
-        lambda v: math.exp(-v / lam) * one_minus_exp(_rim_gap(z + v, rd) / lam),
-        min(lam, math.hypot(z, rd)), d1, lambda v: -v / lam)
-
-
 def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
                           c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact Yukawa potential energy of the axis probe (J, < 0).
 
     U(z) = -2 pi alpha G rho1 m2 lam e^(-z/lam)
-           * [ lam (1 - e^(-D1/lam)) - Ie(z) ],
+           * integral_0^D1 e^(-v/lam) (1 - e^(-p(z+v)/lam)) dv,
 
-    where Ie is the finite-radius edge integral; the bracket has no
-    elementary form and is summed as one non-negative integral (see
-    _potential_depth_integral). -dU/dz equals disk_yukawa_force; for
-    R_d -> inf this is the laterally infinite slab potential.
+    p(u) = sqrt(u^2+R_d^2) - u. The integral over the depth v below the
+    probe is lam (1 - e^(-D1/lam)) minus the finite-radius edge integral,
+    which has no elementary form; its integrand is non-negative, so nothing
+    cancels when the disk is small (the two terms agree to R_d^2/(z lam)).
+    -dU/dz equals disk_yukawa_force; for R_d -> inf this is the laterally
+    infinite slab potential.
     """
-    lam = p.lam
+    lam, z, rd = p.lam, probe.z, disk.radius
+    if math.isinf(rd):
+        depth = lam * one_minus_exp(disk.thickness / lam)
+    else:
+        depth = _graded_integral(
+            lambda v: math.exp(-v / lam) * one_minus_exp(_rim_gap(z + v, rd) / lam),
+            min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam)
     return (-2.0 * math.pi * p.alpha * c.G * disk.density * probe.mass * lam
-            * math.exp(-probe.z / lam) * _potential_depth_integral(probe.z, disk, lam))
+            * math.exp(-z / lam) * depth)
 
 
 def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:
