@@ -10,17 +10,23 @@ quadrature (the infinite-sheet potential 2 pi alpha G sigma lam e^(-h/lam),
 the uniform-ball exterior kernel, the polar-angle integral of a spherical
 ring over a slab, Int_-1^1 e^((r t - C)/lam) dt =
 (lam/r) e^((r - C)/lam) (1 - e^(-2r/lam))), it is (a) derived independently
-here and (b) itself validated against raw quadrature (the ring reduction by
-tests/test_oracle.py::test_ring_reduction_against_raw_kernel), so the chain
-of trust bottoms out at the point kernels.
+here and (b) itself validated against raw quadrature (the sheet potential by
+tests/test_oracle.py::test_sheet_potential_reduction_against_raw_kernel, its
+integral through a slab, _slab_potential, by
+test_slab_potential_against_sheet_quadrature, the ring reduction by
+test_ring_reduction_against_raw_kernel), so the chain of trust bottoms out at
+the point kernels. Every oracle facing a slab reaches it through
+_slab_potential, so the slab-slab pressure is one integral over the second
+slab; only oracle_layered_stack_potential, its reference, integrates sheets.
 
 The integrator is a worst-interval-first adaptive Gauss-Kronrod 7/15 rule
 with |K15 - G7| as the per-panel error estimate. As in QUADPACK's QAG, the
 initial mesh is only {lo, hi} plus a geometric ladder at each known boundary
 layer, and adaptivity refines from there; dropping the former uniform fill to
 8 (outer) or 4 (inner) panels cut a full oracle-verify from 4,432,155 to
-1,751,700 integrand evaluations at unchanged verdicts, and the ring reduction
-cut it further to 1,156,035. Subdivision order is fixed and the sums are
+1,751,700 integrand evaluations at unchanged verdicts, the ring reduction
+cut it further to 1,156,035, and the 1D slab-slab integral (275,940 to
+2,790 evaluations) to 882,885. Subdivision order is fixed and the sums are
 math.fsum, which is correctly rounded and so independent of panel order:
 results are bit-reproducible run to run and would remain so under
 concurrent panel evaluation.
@@ -233,6 +239,13 @@ class _Nested:
                             nsub + self.subdivisions, ok and self.all_converged)
 
 
+def _summed(parts) -> OracleReport:
+    """Report for a sum of independent (value, error, subdivisions,
+    converged) integrals, added left to right; their error estimates add."""
+    values, errors, subdivisions, converged = zip(*parts)
+    return OracleReport(sum(values), sum(errors), sum(subdivisions), all(converged))
+
+
 # --------------------------------------------------------------------------
 # independently derived reduced kernels
 # --------------------------------------------------------------------------
@@ -245,7 +258,8 @@ def _slab_potential(z: float, d1: float, rho1: float, alpha: float, lam: float,
     sigma gives -2 pi alpha G sigma lam e^(-h/lam) (substitute
     s^2 = r^2 + h^2 in the radial integral); stacking sheets through the
     slab thickness integrates to the form below. Validated against the raw
-    sheet-kernel quadrature by oracle_layered_stack_potential's users.
+    sheet-kernel quadrature of oracle_layered_stack_potential by
+    tests/test_oracle.py::test_slab_potential_against_sheet_quadrature.
     """
     return (-2.0 * math.pi * alpha * g * rho1 * lam * lam
             * math.exp(-z / lam) * -math.expm1(-d1 / lam))
@@ -350,27 +364,20 @@ def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
                               rho2: float, p: YukawaParams,
                               c: PhysicalConstants = PhysicalConstants(),
                               q: QuadratureSpec = QuadratureSpec()) -> OracleReport:
-    """Yukawa pressure (Pa) between parallel slabs by double 1D quadrature.
+    """Yukawa pressure (Pa) between parallel slabs by one 1D quadrature.
 
-    Integrates the sheet-sheet force per unit area -2 pi alpha G e^(-h/lam)
-    over both thicknesses. An INFINITE thickness is truncated at 80 lam
-    (relative tail < 2e-35).
+    Slab 1 acts only through its sheet-integrated potential V1
+    (_slab_potential), whose force per unit mass -dV1/dz is V1/lam, so the
+    pressure is the integral of rho2 V1(a + z2)/lam over slab 2's thickness.
+    An INFINITE d2 is truncated at 80 lam (relative tail < 2e-35).
     """
     if not a > 0.0:
         raise InputError(f"gap must be > 0, got {a}")
     lam = p.lam
-    d1_eff = min(d1, _EXP_CUTOFF * lam)
-    d2_eff = min(d2, _EXP_CUTOFF * lam)
-    coupling = -2.0 * math.pi * p.alpha * c.G
-    nested = _Nested(q)
-
-    def layer1(z1: float) -> float:
-        gap = a + z1
-        return nested.integral(lambda z2: coupling * math.exp(-(gap + z2) / lam),
-                               0.0, d2_eff, sharp_edges=[(0.0, lam)])
-
-    return nested.report(integrate_adaptive(layer1, 0.0, d1_eff, q, sharp_edges=[(0.0, lam)]),
-                         scale=rho1 * rho2)
+    val, err, nsub, ok = integrate_adaptive(
+        lambda z2: rho2 * _slab_potential(a + z2, d1, rho1, p.alpha, lam, c.G) / lam,
+        0.0, min(d2, _EXP_CUTOFF * lam), q, sharp_edges=[(0.0, lam)])
+    return OracleReport(val, err, nsub, ok)
 
 
 # --------------------------------------------------------------------------
@@ -394,23 +401,17 @@ def oracle_layered_stack_potential(z: float, slab, p: YukawaParams,
     """Potential per unit mass (J/kg) at height z above a layered stack.
 
     1D adaptive quadrature of the sheet kernel through the piecewise-constant
-    density profile, one segment per layer.
+    density profile, one segment per layer. An INFINITE base is truncated
+    80 lam below its top (relative tail < 2e-35).
     """
     if not z > 0.0:
         raise InputError(f"height must be > 0, got {z}")
     lam = p.lam
-    total, err_total, nsub_total = 0.0, 0.0, 0
-    ok = True
-    for lo, hi, density in _stack_segments(slab):
-        val, err, nsub, converged = integrate_adaptive(
-            lambda depth: (-2.0 * math.pi * p.alpha * c.G * density * lam
-                           * math.exp(-(z + depth) / lam)),
-            lo, hi, q, sharp_edges=[(lo, lam)])
-        total += val
-        err_total += err
-        nsub_total += nsub
-        ok = ok and converged
-    return OracleReport(total, err_total, nsub_total, ok)
+    return _summed(integrate_adaptive(
+        lambda depth: (-2.0 * math.pi * p.alpha * c.G * density * lam
+                       * math.exp(-(z + depth) / lam)),
+        lo, min(hi, lo + _EXP_CUTOFF * lam), q, sharp_edges=[(lo, lam)])
+        for lo, hi, density in _stack_segments(slab))
 
 
 def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
@@ -432,13 +433,9 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
     r_out = r_mid + sphere.outer_coat.thickness
     centre_height = cfg.separation + r_out
 
-    # effective-density sum of the slab stack at this lambda (own derivation)
-    stack = 0.0
-    depth = 0.0
-    for layer in (slab.top, slab.middle, slab.base):
-        stack += layer.density * math.exp(-depth / lam) * -math.expm1(-layer.thickness / lam)
-        depth += layer.thickness
-    prefactor = -2.0 * math.pi * p.alpha * c.G * lam * lam * stack
+    # stack potential at the slab top; it decays as e^(-z/lam) above it
+    prefactor = math.fsum(_slab_potential(lo, hi - lo, rho, p.alpha, lam, c.G)
+                          for lo, hi, rho in _stack_segments(slab))
 
     def region_energy(lo: float, hi: float, rho: float) -> tuple[float, float, int, bool]:
         if not hi > lo or rho == 0.0:
@@ -451,17 +448,10 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
 
         return integrate_adaptive(ring, lo, hi, q, sharp_edges=[(hi, lam)])
 
-    total, err_total, nsub_total = 0.0, 0.0, 0
-    ok = True
-    for lo, hi, rho in ((0.0, r_core, sphere.core_density),
-                        (r_core, r_mid, sphere.inner_coat.density),
-                        (r_mid, r_out, sphere.outer_coat.density)):
-        val, err, nsub, converged = region_energy(lo, hi, rho)
-        total += val
-        err_total += err
-        nsub_total += nsub
-        ok = ok and converged
-    return OracleReport(total, err_total, nsub_total, ok)
+    return _summed(region_energy(lo, hi, rho)
+                   for lo, hi, rho in ((0.0, r_core, sphere.core_density),
+                                       (r_core, r_mid, sphere.inner_coat.density),
+                                       (r_mid, r_out, sphere.outer_coat.density)))
 
 
 # --------------------------------------------------------------------------
@@ -527,9 +517,8 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
             per_area = -2.0 * math.pi * c.G * rho1 * rho2 * chord1 * chord2
         else:
             gap = d - 0.5 * chord1 - 0.5 * chord2
-            per_area = (-2.0 * math.pi * p.alpha * c.G * rho1 * rho2 * lam * lam
-                        * math.exp(-gap / lam)
-                        * -math.expm1(-chord1 / lam) * -math.expm1(-chord2 / lam))
+            per_area = (rho2 * _slab_potential(gap, chord1, rho1, p.alpha, lam, c.G)
+                        * -math.expm1(-chord2 / lam))
         return 2.0 * math.pi * s * per_area
 
     hints = [(shadow, shadow / 8.0)]  # chord sqrt-edge at the shadow rim
@@ -558,10 +547,14 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
     u e^(-s/lam) (1/(lam s^2) + 1/s^3); 'yukawa_potential' the pair
     potential e^(-s/lam)/s, returning energy instead of force. The nested
     integration runs u = z - z1 over the thickness (outer) and the disk
-    radius (inner), with the axial 2 pi r Jacobian.
+    radius (inner), with the axial 2 pi r Jacobian. The Yukawa kernels
+    truncate an INFINITE thickness 80 lam below the probe (relative tail
+    < 2e-35); the power-law kernels need a finite one.
     """
     if math.isinf(disk.radius):
         raise InputError("the quadrature oracle requires a finite disk radius")
+    if math.isinf(disk.thickness) and kernel in ("newton", "power"):
+        raise InputError(f"the {kernel} quadrature oracle requires a finite disk thickness")
     z, m2 = probe.z, probe.mass
     rd, d1 = disk.radius, disk.thickness
 
@@ -629,5 +622,7 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
                                                sharp_edges=[(0.0, scale)])
 
     outer_scale = p.lam if yukawa_like else z
+    if yukawa_like:
+        d1 = min(d1, _EXP_CUTOFF * p.lam)
     return nested.report(integrate_adaptive(slab_layer, z, z + d1, q,
                                             sharp_edges=[(z, outer_scale)]), scale=prefactor)

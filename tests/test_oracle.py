@@ -10,9 +10,12 @@ from ypfa import (InputError, LayeredConfig, PhysicalConstants, QuadratureSpec,
                   oracle_layered_sphere_slab, oracle_layered_stack_potential,
                   oracle_slab_slab_pressure, oracle_slicing_equivalence,
                   oracle_sphere_slab_yukawa, oracle_two_spheres, slab_slab_pressure)
-from ypfa.disk import AxisProbe
+from ypfa.core import INFINITE, Disk, Layer, LayeredSlab
+from ypfa.disk import AxisProbe, disk_yukawa_force, disk_yukawa_potential
+from ypfa.layered import layered_slab_potential
 from ypfa.numerics import x_cosh_x_minus_sinh_x
-from ypfa.oracle import _gk_panel, _initial_mesh, _ring_polar_integral, integrate_adaptive
+from ypfa.oracle import (_gk_panel, _initial_mesh, _ring_polar_integral, _slab_potential,
+                         integrate_adaptive)
 from ypfa.verify import _SPEC_2D, _layered_sphere, _layered_stack, _scaled_disk
 
 mpmath.mp.dps = 40
@@ -204,6 +207,13 @@ def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
                                q=_SPEC_2D, p=YukawaParams(1.0, 5e-6))
     assert report.converged
     assert calls <= 22290 // 2
+
+
+def test_layered_stack_oracle_on_an_infinite_base():
+    slab, p = LayeredSlab(Layer(INFINITE, 2330.0)), YukawaParams(1.0, 1e-7)
+    report = oracle_layered_stack_potential(1e-7, slab, p)
+    assert report.converged
+    assert report.check_against(layered_slab_potential(1e-7, slab, p)) < 1e-13
 
 
 def test_layered_epfa_oracle_integrand_evaluations(monkeypatch):
@@ -417,6 +427,22 @@ def test_sheet_potential_reduction_against_raw_kernel():
     assert value == pytest.approx(2.0 * math.pi * lam * math.exp(-h / lam), rel=1e-10)
 
 
+def test_slab_potential_against_sheet_quadrature():
+    # _slab_potential is the stack of sheet potentials integrated through the
+    # thickness in closed form; a one-layer stack integrates the same sheet
+    # kernel numerically
+    lengths = (1e-9, 1e-7, 1e-5, 1e-3, 1e-2)
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    for z in lengths:
+        for d in lengths + (INFINITE,):
+            for lam in lengths:
+                report = oracle_layered_stack_potential(
+                    z, LayeredSlab(Layer(d, 2330.0)), YukawaParams(1.0, lam), C, spec)
+                assert report.converged
+                closed = _slab_potential(z, d, 2330.0, 1.0, lam, C.G)
+                assert report.check_against(closed) <= 1e-13, (z, d, lam)
+
+
 def test_ring_reduction_against_raw_kernel():
     # the polar-angle integral of a spherical ring over a slab:
     # Int_-1^1 e^((r t - C)/lam) dt = (lam/r) e^((r - C)/lam) (1 - e^(-2r/lam))
@@ -561,7 +587,6 @@ def test_two_spheres_rejects_overlap():
 # ---------------------------------------------------------------- disk ops
 
 def test_disk_oracle_rejects_infinite_radius():
-    from ypfa.core import Disk
     with pytest.raises(InputError):
         oracle_disk_point(AxisProbe(1e-7), Disk(math.inf, 3.5e-6, 2330.0), "newton")
 
@@ -575,3 +600,19 @@ def test_disk_oracle_deterministic(reference_disk):
     runs = [oracle_disk_point(AxisProbe(1e-7), reference_disk, "yukawa",
                               p=YukawaParams(1.0, 5e-6)) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("lam", [5e-7, 5e-6, 5e-5])
+@pytest.mark.parametrize("kernel,closed_form", [("yukawa", disk_yukawa_force),
+                                                ("yukawa_potential", disk_yukawa_potential)])
+def test_disk_oracle_on_an_infinitely_thick_disk(kernel, closed_form, lam):
+    probe, disk, p = AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0), YukawaParams(1.0, lam)
+    report = oracle_disk_point(probe, disk, kernel, p=p)
+    assert report.converged
+    assert report.check_against(closed_form(probe, disk, p)) < 1e-13
+
+
+@pytest.mark.parametrize("kernel", ["newton", "power"])
+def test_disk_oracle_power_laws_reject_infinite_thickness(kernel):
+    with pytest.raises(InputError, match="finite disk thickness"):
+        oracle_disk_point(AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0), kernel, n=2.0)
