@@ -18,6 +18,9 @@ test_ring_reduction_against_raw_kernel), so the chain of trust bottoms out at
 the point kernels. Every oracle facing a slab reaches it through
 _slab_potential, so the slab-slab pressure is one integral over the second
 slab; only oracle_layered_stack_potential, its reference, integrates sheets.
+The disk oracle integrates its radius over t = asinh(r/u) rather than r
+(r dr = r s dt with s = u cosh t); test_disk_radial_substitution_against_raw_kernel
+checks each of its t-form integrals against raw quadrature over r.
 
 The integrator is a worst-interval-first adaptive Gauss-Kronrod 7/15 rule
 with |K15 - G7| as the per-panel error estimate. As in QUADPACK's QAG, the
@@ -25,11 +28,12 @@ initial mesh is only {lo, hi} plus a geometric ladder at each known boundary
 layer, and adaptivity refines from there; dropping the former uniform fill to
 8 (outer) or 4 (inner) panels cut a full oracle-verify from 4,432,155 to
 1,751,700 integrand evaluations at unchanged verdicts, the ring reduction
-cut it further to 1,156,035, and the 1D slab-slab integral (275,940 to
-2,790 evaluations) to 882,885. Subdivision order is fixed and the sums are
-math.fsum, which is correctly rounded and so independent of panel order:
-results are bit-reproducible run to run and would remain so under
-concurrent panel evaluation.
+cut it further to 1,156,035, the 1D slab-slab integral (275,940 to 2,790
+evaluations) to 882,885, and the disk radius in t = asinh(r/u), whose
+power-law tails are exponentials in t, to 491,325. Subdivision order is
+fixed and the sums are math.fsum, which is correctly rounded and so
+independent of panel order: results are bit-reproducible run to run and
+would remain so under concurrent panel evaluation.
 
 Sign conventions match the rest of the package: attractive forces/energies
 are negative.
@@ -535,6 +539,39 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
 # point probe above a finite disk
 # --------------------------------------------------------------------------
 
+def _disk_radial(kernel: str, u: float, n: float | None,
+                 lam: float | None) -> Callable[[float], float]:
+    """Integrand over t = asinh(r/u) at depth u below an axis probe.
+
+    With r = u sinh t the slant distance is s = u cosh t and dr = s dt, so
+    r dr = r s dt: each integrand is the raw point kernel (with its r) times
+    s, written so that no length is squared. The power-law tails 1/s^N
+    become exponentials in t on a range asinh(R_d/u) of order 10.
+    """
+    if kernel == "newton":  # u r / s^3 * s
+        def radial(t: float) -> float:
+            return math.tanh(t) / math.cosh(t)
+    elif kernel == "power":  # u r / s^(N+1) * s
+        power = 2.0 - n
+
+        def radial(t: float) -> float:
+            cosh_t = math.cosh(t)
+            return math.tanh(t) / cosh_t * (u * cosh_t) ** power
+    elif kernel == "yukawa":  # u r e^(-s/lam) (1/(lam s^2) + 1/s^3) * s
+        u_lam = u / lam
+
+        def radial(t: float) -> float:
+            cosh_t = math.cosh(t)
+            x = u_lam * cosh_t
+            return math.tanh(t) / cosh_t * math.exp(-x) * (x + 1.0)
+    else:  # yukawa_potential: r e^(-s/lam) / s * s
+        u_lam = u / lam
+
+        def radial(t: float) -> float:
+            return u * math.sinh(t) * math.exp(-u_lam * math.cosh(t))
+    return radial
+
+
 def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
                       c: PhysicalConstants = PhysicalConstants(),
                       q: QuadratureSpec = QuadratureSpec(),
@@ -547,9 +584,14 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
     u e^(-s/lam) (1/(lam s^2) + 1/s^3); 'yukawa_potential' the pair
     potential e^(-s/lam)/s, returning energy instead of force. The nested
     integration runs u = z - z1 over the thickness (outer) and the disk
-    radius (inner), with the axial 2 pi r Jacobian. The Yukawa kernels
-    truncate an INFINITE thickness 80 lam below the probe (relative tail
-    < 2e-35); the power-law kernels need a finite one.
+    radius (inner), with the axial 2 pi r Jacobian. The inner variable is
+    t = asinh(r/u), so r dr = r s dt with s = u cosh t (_disk_radial); the
+    doubling ladder from r = 0 at scale u that seeded each r-integral cost
+    log2(R_d/u) panels, and in t the verify disk families fall from 806,130
+    to 414,570 evaluations. The Yukawa kernels truncate an INFINITE
+    thickness 80 lam below the probe (relative tail < 2e-35) and refuse a
+    lam for which that depth overflows; the power-law kernels need a finite
+    thickness.
     """
     if math.isinf(disk.radius):
         raise InputError("the quadrature oracle requires a finite disk radius")
@@ -557,72 +599,41 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
         raise InputError(f"the {kernel} quadrature oracle requires a finite disk thickness")
     z, m2 = probe.z, probe.mass
     rd, d1 = disk.radius, disk.thickness
+    if not rd / z <= 1e300:  # cosh(asinh(R_d/u)) must not overflow
+        raise InputError(f"the disk oracle needs R_d / z <= 1e300, got {rd:g} m / {z:g} m")
 
-    # radial_at(u) is the integrand over the disk radius r at depth u
     if kernel == "newton":
         prefactor = -c.G * disk.density * m2
-
-        def radial_at(u: float) -> Callable[[float], float]:
-            u2 = u * u
-
-            def radial(r: float) -> float:
-                s2 = r * r + u2
-                return r * u / (s2 * math.sqrt(s2))
-            return radial
     elif kernel == "power":
         if n is None:
             raise InputError("power kernel needs the exponent n")
         prefactor = -disk.density * m2  # coupling K applied by the caller
-        power = n + 1.0
-
-        def radial_at(u: float) -> Callable[[float], float]:
-            u2 = u * u
-
-            def radial(r: float) -> float:
-                return r * u / math.sqrt(r * r + u2) ** power
-            return radial
-    elif kernel == "yukawa":
+    elif kernel in ("yukawa", "yukawa_potential"):
         if p is None:
-            raise InputError("yukawa kernel needs YukawaParams")
+            raise InputError(f"{kernel} kernel needs YukawaParams")
         prefactor = -p.alpha * c.G * disk.density * m2
-        lam = p.lam
-
-        def radial_at(u: float) -> Callable[[float], float]:
-            u2 = u * u
-
-            def radial(r: float) -> float:
-                s2 = r * r + u2
-                s = math.sqrt(s2)
-                return r * u * math.exp(-s / lam) * (1.0 / (lam * s2) + 1.0 / (s2 * s))
-            return radial
-    elif kernel == "yukawa_potential":
-        if p is None:
-            raise InputError("yukawa_potential kernel needs YukawaParams")
-        prefactor = -p.alpha * c.G * disk.density * m2
-        lam = p.lam
-
-        def radial_at(u: float) -> Callable[[float], float]:
-            u2 = u * u
-
-            def radial(r: float) -> float:
-                s = math.sqrt(r * r + u2)
-                return r * math.exp(-s / lam) / s
-            return radial
     else:
         raise InputError(f"unknown disk kernel {kernel!r}")
 
     yukawa_like = kernel in ("yukawa", "yukawa_potential")
+    lam = p.lam if yukawa_like else None
+    if yukawa_like:
+        d1 = min(d1, _EXP_CUTOFF * lam)
+        if not math.isfinite(z + d1):
+            raise InputError("the disk oracle's depth range z + min(D1, 80 lam) "
+                             f"overflows for lam = {lam:g} m")
     nested = _Nested(q)
 
     def slab_layer(u: float) -> float:
-        # radial mass sits near r ~ u (power kernels) or within the Yukawa
-        # decay shell r ~ sqrt(u lam)
-        scale = math.sqrt(u * p.lam) if yukawa_like else u
-        return 2.0 * math.pi * nested.integral(radial_at(u), 0.0, rd,
+        # radial mass sits near r ~ u, t ~ 0.5 (power kernels) or within the
+        # Yukawa decay shell r ~ sqrt(u lam), t ~ sqrt(lam/u)
+        scale = min(0.5, math.sqrt(lam / u)) if yukawa_like else 0.5
+        return 2.0 * math.pi * nested.integral(_disk_radial(kernel, u, n, lam),
+                                               0.0, math.asinh(rd / u),
                                                sharp_edges=[(0.0, scale)])
 
-    outer_scale = p.lam if yukawa_like else z
-    if yukawa_like:
-        d1 = min(d1, _EXP_CUTOFF * p.lam)
+    # a Yukawa ladder at scale lam alone would never sample u <~ R_d for a
+    # long range, where the force comes from
+    outer_scale = min(lam, rd) if yukawa_like else z
     return nested.report(integrate_adaptive(slab_layer, z, z + d1, q,
                                             sharp_edges=[(z, outer_scale)]), scale=prefactor)

@@ -14,9 +14,9 @@ from ypfa.core import INFINITE, Disk, Layer, LayeredSlab
 from ypfa.disk import AxisProbe, disk_yukawa_force, disk_yukawa_potential
 from ypfa.layered import layered_slab_potential
 from ypfa.numerics import x_cosh_x_minus_sinh_x
-from ypfa.oracle import (_gk_panel, _initial_mesh, _ring_polar_integral, _slab_potential,
-                         integrate_adaptive)
-from ypfa.verify import _SPEC_2D, _layered_sphere, _layered_stack, _scaled_disk
+from ypfa.oracle import (_disk_radial, _gk_panel, _initial_mesh, _ring_polar_integral,
+                         _slab_potential, integrate_adaptive)
+from ypfa.verify import _SPEC_2D, _SPEC_2D_TIGHT, _layered_sphere, _layered_stack, _scaled_disk
 
 mpmath.mp.dps = 40
 
@@ -188,10 +188,8 @@ def test_initial_mesh_is_hint_ladders_only():
     assert _initial_mesh(0.0, 1.0, [(0.0, 2.0), (0.5, math.inf)]) == [0.0, 1.0]
 
 
-def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
-    # the verify disk-Yukawa configuration took 22,290 integrand calls when
-    # the hint ladders were topped up with a uniform fill; hint-seeded meshes
-    # need 2,850
+def _count_evals(monkeypatch, run):
+    """(result of run(), integrand calls made through integrate_adaptive)."""
     calls = 0
     original = ypfa.oracle.integrate_adaptive
 
@@ -203,10 +201,31 @@ def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
         return original(counted, *args, **kwargs)
 
     monkeypatch.setattr(ypfa.oracle, "integrate_adaptive", counting)
-    report = oracle_disk_point(AxisProbe(z=1e-7), _scaled_disk(1.0), "yukawa",
-                               q=_SPEC_2D, p=YukawaParams(1.0, 5e-6))
+    return run(), calls
+
+
+def _disk_oracle_evals(monkeypatch, kernel, spec, **extra):
+    """Integrand calls of a verify disk configuration (z = 100 nm, R_d = 300 um)."""
+    report, calls = _count_evals(monkeypatch, lambda: oracle_disk_point(
+        AxisProbe(z=1e-7), _scaled_disk(1.0), kernel, q=spec, **extra))
     assert report.converged
-    assert calls <= 22290 // 2
+    return calls
+
+
+def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
+    # the verify disk-Yukawa configuration took 22,290 integrand calls when
+    # the hint ladders were topped up with a uniform fill, and 2,850 from
+    # hint-seeded meshes over the radius r; over t = asinh(r/u) it needs 1,770
+    assert _disk_oracle_evals(monkeypatch, "yukawa", _SPEC_2D,
+                              p=YukawaParams(1.0, 5e-6)) == 1770
+
+
+@pytest.mark.parametrize("kernel,spec,n,evals", [("newton", _SPEC_2D_TIGHT, None, 12450),
+                                                 ("power", _SPEC_2D, 1.0, 8220)])
+def test_disk_power_law_oracle_integrand_evaluations(monkeypatch, kernel, spec, n, evals):
+    # over the radius r these verify configurations took 33,915 (newton)
+    # and 16,185 (power, n = 1) integrand calls
+    assert _disk_oracle_evals(monkeypatch, kernel, spec, n=n) == evals
 
 
 def test_layered_stack_oracle_on_an_infinite_base():
@@ -220,19 +239,9 @@ def test_layered_epfa_oracle_integrand_evaluations(monkeypatch):
     # the verify layered configuration with the smallest lam and radius took
     # 28,755 integrand calls while the polar angle was integrated
     # numerically; one radial integral per shell region needs 180
-    calls = 0
-    original = ypfa.oracle.integrate_adaptive
-
-    def counting(f, *args, **kwargs):
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return f(x)
-        return original(counted, *args, **kwargs)
-
-    monkeypatch.setattr(ypfa.oracle, "integrate_adaptive", counting)
     cfg = LayeredConfig(separation=1e-7, sphere=_layered_sphere(0.5), slab=_layered_stack())
-    report = oracle_layered_sphere_slab(cfg, YukawaParams(1.0, 2e-7), q=_SPEC_2D)
+    report, calls = _count_evals(monkeypatch, lambda: oracle_layered_sphere_slab(
+        cfg, YukawaParams(1.0, 2e-7), q=_SPEC_2D))
     assert report.converged
     assert calls == 180
 
@@ -457,6 +466,48 @@ def test_ring_reduction_against_raw_kernel():
         assert value == pytest.approx(_ring_polar_integral(r, height, lam), rel=1e-10), r
 
 
+def _raw_disk_radial(kernel, u, n, lam):
+    """The disk oracle's inner integrand over r, before the change of
+    variable to t = asinh(r/u): the point kernel with its r Jacobian."""
+    u2 = u * u
+    if kernel == "newton":
+        return lambda r: r * u / (r * r + u2) ** 1.5
+    if kernel == "power":
+        return lambda r: r * u / math.sqrt(r * r + u2) ** (n + 1.0)
+    if kernel == "yukawa":
+        def radial(r):
+            s2 = r * r + u2
+            s = math.sqrt(s2)
+            return r * u * math.exp(-s / lam) * (1.0 / (lam * s2) + 1.0 / (s2 * s))
+        return radial
+
+    def potential(r):
+        s = math.sqrt(r * r + u2)
+        return r * math.exp(-s / lam) / s
+    return potential
+
+
+@pytest.mark.parametrize("kernel,n,lam", [("newton", None, None)]
+                         + [("power", n, None) for n in (1.0, 1.5, 2.5, 3.0, 4.0)]
+                         + [(k, None, lam) for k in ("yukawa", "yukawa_potential")
+                            for lam in (5e-7, 5e-6, 5e-5)])
+def test_disk_radial_substitution_against_raw_kernel(kernel, n, lam):
+    # r = u sinh t, s = u cosh t, dr = s dt: each t-form inner integral over
+    # [0, asinh(R_d/u)] equals the r-form one over [0, R_d], at the verify
+    # grid's depths and disk radii
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    for u in (1e-7, 5e-7, 2e-6, 9e-6):
+        for rd in (150e-6, 300e-6, 600e-6):
+            r_hints = [(0.0, u)] + ([(0.0, math.sqrt(u * lam))] if lam else [])
+            raw, _, _, raw_ok = integrate_adaptive(_raw_disk_radial(kernel, u, n, lam),
+                                                   0.0, rd, spec, sharp_edges=r_hints)
+            value, _, _, ok = integrate_adaptive(_disk_radial(kernel, u, n, lam),
+                                                 0.0, math.asinh(rd / u), spec,
+                                                 sharp_edges=[(0.0, 0.5)])
+            assert raw_ok and ok
+            assert value == pytest.approx(raw, rel=1e-12), (u, rd)
+
+
 def _raw_layered_sphere_slab(cfg, p, q):
     """Layered sphere / slab energy by the raw 2D (r, t) quadrature: the
     polar angle integrated numerically inside the radial integral."""
@@ -616,3 +667,44 @@ def test_disk_oracle_on_an_infinitely_thick_disk(kernel, closed_form, lam):
 def test_disk_oracle_power_laws_reject_infinite_thickness(kernel):
     with pytest.raises(InputError, match="finite disk thickness"):
         oracle_disk_point(AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0), kernel, n=2.0)
+
+
+@pytest.mark.parametrize("exponent", range(0, 301, 20))
+def test_disk_oracle_force_on_a_thick_disk_at_long_range(exponent):
+    # the depth ladder must sample u <~ R_d, where the force comes from, at
+    # any lam the depth cut 80 lam can reach
+    probe, disk = AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0)
+    p = YukawaParams(1.0, 10.0 ** exponent)
+    report = oracle_disk_point(probe, disk, "yukawa", p=p)
+    assert report.converged
+    assert report.check_against(disk_yukawa_force(probe, disk, p)) < 1e-12
+
+
+def test_disk_oracle_potential_on_a_thick_disk_at_long_range():
+    # |V| grows about as ln lam; past lam ~ 1e150 m the closed form is not a
+    # reference, so only convergence and growth are checked there
+    probe, disk = AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0)
+    previous = 0.0
+    for exponent in list(range(0, 301, 25)) + [306]:
+        p = YukawaParams(1.0, 10.0 ** exponent)
+        report = oracle_disk_point(probe, disk, "yukawa_potential", p=p)
+        assert report.converged and math.isfinite(report.value), exponent
+        if exponent <= 150:
+            assert report.check_against(disk_yukawa_potential(probe, disk, p)) < 1e-12
+        assert abs(report.value) > previous, exponent
+        previous = abs(report.value)
+
+
+@pytest.mark.parametrize("kernel", ["newton", "power", "yukawa", "yukawa_potential"])
+def test_disk_oracle_refuses_a_subnormal_probe_height(kernel):
+    # R_d/z overflows, and cosh of t = asinh(R_d/u) with it
+    with pytest.raises(InputError, match="R_d / z"):
+        oracle_disk_point(AxisProbe(1e-320), Disk(3e-4, 3.5e-6, 2330.0), kernel,
+                          n=2.0, p=YukawaParams(1.0, 5e-6))
+
+
+@pytest.mark.parametrize("lam", [1e307, math.inf])
+def test_disk_oracle_refuses_an_overflowing_depth_cut(lam):
+    with pytest.raises(InputError, match="depth range"):
+        oracle_disk_point(AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0), "yukawa",
+                          p=YukawaParams(1.0, lam))
