@@ -70,16 +70,26 @@ class XiInputs:
             raise InputError(f"sphere radius must be > 0, got {self.sphere_radius}")
 
 
+def _rim(u: float, rd: float) -> tuple[float, float]:
+    """(s, p): the distance s = sqrt(u^2+R_d^2) from a point u above the
+    centre of a face to its rim, and p = s - u >= 0 in conjugate form.
+
+    No length is squared, so s and p are accurate to rounding wherever they
+    are representable; u = INFINITE gives s = inf and p = 0.
+    """
+    s = math.hypot(u, rd)
+    return s, rd * (rd / (s + u))
+
+
 def _slant_pieces(z: float, disk: Disk) -> tuple[float, float, float, float]:
     """(s_near, s_far, p1, p2): the axis probe's distances to the rims of the
     top and bottom faces, and p1 = s_near - z, p2 = s_far - (z + D1), both
-    >= 0, in conjugate form. The disk radius must be finite; an INFINITE
-    thickness gives s_far = inf and p2 = 0.
+    >= 0 (_rim). The disk radius must be finite; an INFINITE thickness gives
+    s_far = inf and p2 = 0.
     """
-    d1, rd = disk.thickness, disk.radius
-    s_near = math.sqrt(rd * rd + z * z)
-    s_far = math.sqrt(rd * rd + (z + d1) * (z + d1))
-    return s_near, s_far, rd * rd / (s_near + z), rd * rd / (s_far + z + d1)
+    s_near, p1 = _rim(z, disk.radius)
+    s_far, p2 = _rim(z + disk.thickness, disk.radius)
+    return s_near, s_far, p1, p2
 
 
 def _grav_bracket(z: float, disk: Disk) -> float:
@@ -111,11 +121,24 @@ def xi_gravity(x: XiInputs) -> float:
     return _grav_bracket(x.a, x.disk) / _grav_bracket(x.a + 2.0 * x.sphere_radius, x.disk)
 
 
+def _power_face(u: float, rd: float, n: float) -> float:
+    """(R_d^2+u^2)^((3-n)/2) - u^(3-n), taken without cancelling: the power-law
+    bracket of a disk of INFINITE thickness whose top face is u below the probe."""
+    return u ** (3.0 - n) * math.expm1((3.0 - n) / 2.0 * math.log1p((rd / u) ** 2))
+
+
 def _power_force_generic(z: float, disk: Disk, k: float, m2: float, n: float) -> float:
+    """The bracket t1 + t2 = B(z) - B(z + D1), B = _power_face.
+
+    t1 = (z+D1)^(3-n) - z^(3-n) and t2, the rims' difference, are each
+    large and nearly opposite once D1 passes the near slant distance; there
+    B(z + D1) is well below B(z) and their difference does not cancel.
+    """
     d1, rd = disk.thickness, disk.radius
     if math.isinf(d1):
-        # t1 + t2 -> (R_d^2+z^2)^((3-n)/2) - z^(3-n) as D1 -> inf, taken without cancelling
-        bracket = z ** (3.0 - n) * math.expm1((3.0 - n) / 2.0 * math.log1p((rd / z) ** 2))
+        bracket = _power_face(z, rd, n)
+    elif d1 > math.hypot(z, rd):
+        bracket = _power_face(z, rd, n) - _power_face(z + d1, rd, n)
     else:
         t2 = 0.0 if math.isinf(rd) else pow_diff(rd * rd + z * z, d1 * (2.0 * z + d1),
                                                  (3.0 - n) / 2.0)
@@ -256,34 +279,35 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     return total
 
 
-def _rim_gap(u: float, rd: float) -> float:
-    """sqrt(u^2+R_d^2) - u in conjugate form: how much farther the rim is than the face."""
-    return rd * rd / (math.sqrt(u * u + rd * rd) + u)
-
-
 def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
                           c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact Yukawa potential energy of the axis probe (J, < 0).
 
-    U(z) = -2 pi alpha G rho1 m2 lam e^(-z/lam)
-           * integral_0^D1 e^(-v/lam) (1 - e^(-p(z+v)/lam)) dv,
+    U(z) = -2 pi alpha G rho1 m2 e^(-z/lam)
+           * integral_0^D1 e^(-v/lam) lam (1 - e^(-p(z+v)/lam)) dv,
 
-    p(u) = sqrt(u^2+R_d^2) - u. The integral over the depth v below the
-    probe is lam (1 - e^(-D1/lam)) minus the finite-radius edge integral,
-    which has no elementary form; its integrand is non-negative, so nothing
-    cancels when the disk is small (the two terms agree to R_d^2/(z lam)).
-    -dU/dz equals disk_yukawa_force; for R_d -> inf this is the laterally
-    infinite slab potential.
+    p(u) = sqrt(u^2+R_d^2) - u (_rim). The integral over the depth v below
+    the probe is lam^2 (1 - e^(-D1/lam)) minus the finite-radius edge
+    integral, which has no elementary form; its integrand is non-negative,
+    so nothing cancels when the disk is small (the two terms agree to
+    R_d^2/(z lam)). lam (1 - e^(-p/lam)) is taken as p (1 - e^(-x))/x,
+    x = p/lam, which stays normal at any lam. -dU/dz equals
+    disk_yukawa_force; for R_d -> inf this is the laterally infinite slab
+    potential.
     """
     lam, z, rd = p.lam, probe.z, disk.radius
+    prefactor = -2.0 * math.pi * p.alpha * c.G * disk.density * probe.mass
     if math.isinf(rd):
-        depth = lam * one_minus_exp(disk.thickness / lam)
-    else:
-        depth = _graded_integral(
-            lambda v: math.exp(-v / lam) * one_minus_exp(_rim_gap(z + v, rd) / lam),
-            min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam)
-    return (-2.0 * math.pi * p.alpha * c.G * disk.density * probe.mass * lam
-            * math.exp(-z / lam) * depth)
+        return prefactor * lam * math.exp(-z / lam) * (lam * one_minus_exp(disk.thickness / lam))
+
+    def integrand(v: float) -> float:
+        # x = p/lam alone underflows past lam ~ 1e160 m, where U still grows as ln lam
+        gap = _rim(z + v, rd)[1]
+        x = gap / lam
+        return math.exp(-v / lam) * gap * (one_minus_exp(x) / x if x > 0.0 else 1.0)
+
+    return prefactor * math.exp(-z / lam) * _graded_integral(
+        integrand, min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam)
 
 
 def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:
@@ -304,15 +328,14 @@ def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:
     def integrand(v: float) -> float:
         u1 = z + v
         u2 = u1 + delta
-        s1, s2 = math.sqrt(u1 * u1 + rd * rd), math.sqrt(u2 * u2 + rd * rd)
-        p1, p2 = rd * rd / (s1 + u1), rd * rd / (s2 + u2)
+        (s1, p1), (s2, p2) = _rim(u1, rd), _rim(u2, rd)
         phi_drop = (0.5 * math.log1p(rd * rd * delta * (u1 + u2) / (u1 * u1 * s2 * s2))
                     + delta * (p1 + p2) / ((s1 + s2) * lam))
         return (math.exp(-v / lam - 0.5 * math.log1p((rd / u2) ** 2) - p2 / lam)
                 * one_minus_exp(phi_drop))
 
     return _graded_integral(integrand, min(lam, math.hypot(z, rd)), d1,
-                            lambda v: -(v + _rim_gap(z + delta + v, rd)) / lam) / lam
+                            lambda v: -(v + _rim(z + delta + v, rd)[1]) / lam) / lam
 
 
 #: xi_yukawa keeps ln C(a) - ln C(a+2R) from two logs while the result is at

@@ -5,35 +5,34 @@ Everything in this module is written from the raw interaction kernels
 (Yukawa pair potential -alpha G m1 m2 e^(-s/lam)/s, Newtonian 1/s, power law
 1/s^N) and its own geometry parameterizations. It deliberately shares no
 numerical code with the closed-form modules: at runtime it imports only
-``core``. Where a reduction is used instead of raw multidimensional
-quadrature (the infinite-sheet potential 2 pi alpha G sigma lam e^(-h/lam),
-the uniform-ball exterior kernel, the polar-angle integral of a spherical
-ring over a slab, Int_-1^1 e^((r t - C)/lam) dt =
-(lam/r) e^((r - C)/lam) (1 - e^(-2r/lam))), it is (a) derived independently
-here and (b) itself validated against raw quadrature (the sheet potential by
-tests/test_oracle.py::test_sheet_potential_reduction_against_raw_kernel, its
-integral through a slab, _slab_potential, by
-test_slab_potential_against_sheet_quadrature, the ring reduction by
-test_ring_reduction_against_raw_kernel), so the chain of trust bottoms out at
-the point kernels. Every oracle facing a slab reaches it through
-_slab_potential, so the slab-slab pressure is one integral over the second
-slab; only oracle_layered_stack_potential, its reference, integrates sheets.
-The disk oracle integrates its radius over t = asinh(r/u) rather than r
-(r dr = r s dt with s = u cosh t); test_disk_radial_substitution_against_raw_kernel
-checks each of its t-form integrals against raw quadrature over r.
+``core``. Each reduction used instead of raw multidimensional quadrature is
+derived independently here and validated in tests/test_oracle.py against
+the raw quadrature it replaces, so the chain of trust bottoms out at the
+point kernels:
+- the sheet potential 2 pi alpha G sigma lam e^(-h/lam)
+  (test_sheet_potential_reduction_against_raw_kernel) and its integral
+  through a slab, _slab_potential (test_slab_potential_against_sheet_quadrature);
+- an EPFA column's parallel-plate energy, _column_energy
+  (test_column_energy_against_depth_quadrature);
+- the uniform-ball exterior kernel (test_ball_kernel_reduction_against_raw_kernel)
+  and with it the force between two Yukawa balls as a point product
+  (test_two_spheres_yukawa_point_product_against_nested_quadrature);
+- a spherical ring's polar-angle integral over a slab, _ring_polar_integral
+  (test_ring_reduction_against_raw_kernel);
+- the disk radius over t = asinh(r/u), r dr = r s dt with s = u cosh t
+  (test_disk_radial_substitution_against_raw_kernel).
+Every oracle facing a slab reaches it through _slab_potential; only
+oracle_layered_stack_potential, its reference, integrates sheets. Only the
+disk oracle nests one quadrature inside another (_Nested): its radial
+integral has no elementary form.
 
 The integrator is a worst-interval-first adaptive Gauss-Kronrod 7/15 rule
 with |K15 - G7| as the per-panel error estimate. As in QUADPACK's QAG, the
 initial mesh is only {lo, hi} plus a geometric ladder at each known boundary
-layer, and adaptivity refines from there; dropping the former uniform fill to
-8 (outer) or 4 (inner) panels cut a full oracle-verify from 4,432,155 to
-1,751,700 integrand evaluations at unchanged verdicts, the ring reduction
-cut it further to 1,156,035, the 1D slab-slab integral (275,940 to 2,790
-evaluations) to 882,885, and the disk radius in t = asinh(r/u), whose
-power-law tails are exponentials in t, to 491,325. Subdivision order is
-fixed and the sums are math.fsum, which is correctly rounded and so
-independent of panel order: results are bit-reproducible run to run and
-would remain so under concurrent panel evaluation.
+layer, and adaptivity refines from there. Subdivision order is fixed and
+the sums are math.fsum, which is correctly rounded and so independent of
+panel order: results are bit-reproducible run to run and would remain so
+under concurrent panel evaluation.
 
 Sign conventions match the rest of the package: attractive forces/energies
 are negative.
@@ -269,6 +268,16 @@ def _slab_potential(z: float, d1: float, rho1: float, alpha: float, lam: float,
             * math.exp(-z / lam) * -math.expm1(-d1 / lam))
 
 
+def _column_energy(gap: float, chord: float, rho2: float, d1: float, rho1: float,
+                   alpha: float, lam: float, g: float) -> float:
+    """Energy per unit area (J/m^2) of a column of density rho2 over
+    [gap, gap + chord] above a slab: V = _slab_potential is e^(-z/lam) times
+    constants, so the column integral is rho2 lam V(gap) (1 - e^(-chord/lam)),
+    the parallel-plate energy of a chord-thick layer at that gap."""
+    return (rho2 * lam * _slab_potential(gap, d1, rho1, alpha, lam, g)
+            * -math.expm1(-chord / lam))
+
+
 def _ball_force_coefficient(radius: float, rho: float, alpha: float, lam: float,
                             g: float) -> float:
     """C such that a uniform ball attracts an exterior unit mass at distance s
@@ -332,34 +341,25 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
     """Sphere-slab energy (J) via both volume parameterizations.
 
     Horizontal slices at constant height z, and vertical columns over the
-    sphere's shadow (reduced to 1D in the axial radius by symmetry, with the
-    column integral evaluated adaptively). Both must agree: the slab
-    potential depends on z only.
+    sphere's shadow (reduced to 1D in the axial radius by symmetry), each
+    column contributing its parallel-plate energy (_column_energy): the
+    EPFA construction. Both must agree: the slab potential depends on z only.
     """
     horizontal = oracle_sphere_slab_yukawa(cfg, p, c, q)
 
     a, radius = cfg.separation, cfg.sphere_radius
-    centre = a + radius
-    nested = _Nested(q)
 
     def column(phi: float) -> float:
         # shadow radius s = R sin(phi): the substitution absorbs the
         # sqrt-type chord edge at the rim into a smooth cos factor
-        sin_phi = math.sin(phi)
-        half_chord = radius * math.cos(phi)
-        z_lo = centre - half_chord
-        z_hi = centre + half_chord
-        if z_hi <= z_lo:
-            return 0.0
-        column_energy = nested.integral(
-            lambda z: _slab_potential(z, cfg.slab_thickness, cfg.slab_density,
-                                      p.alpha, p.lam, c.G),
-            z_lo, z_hi, sharp_edges=[(z_lo, p.lam)])
-        jacobian = radius * radius * sin_phi * math.cos(phi)
-        return 2.0 * math.pi * jacobian * cfg.sphere_density * column_energy
+        cos_phi = math.cos(phi)
+        energy = _column_energy(a + radius - radius * cos_phi, 2.0 * radius * cos_phi,
+                                cfg.sphere_density, cfg.slab_thickness, cfg.slab_density,
+                                p.alpha, p.lam, c.G)
+        return 2.0 * math.pi * radius * radius * math.sin(phi) * cos_phi * energy
 
     # for lam << R the shadow mass sits below s ~ sqrt(2 R lam)
-    return horizontal, nested.report(integrate_adaptive(
+    return horizontal, OracleReport(*integrate_adaptive(
         column, 0.0, 0.5 * math.pi, q,
         sharp_edges=[(0.0, math.sqrt(2.0 * p.lam / radius))]))
 
@@ -470,9 +470,11 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
                        ) -> tuple[OracleReport, OracleReport]:
     """Force between two spheres: (exact, surface-element construction).
 
-    exact: Newton uses the point-mass theorem G M1 M2 / d^2 as reference;
-    Yukawa integrates the uniform-ball exterior kernel over the second
-    sphere (2D, by axial symmetry).
+    exact: Newton uses the point-mass theorem G M1 M2 / d^2 as reference.
+    Under Yukawa, ball 2 responds to ball 1's exterior field as a point too:
+    the force is -C1 B2 e^(-d/lam) (1/(lam d) + 1/d^2) with
+    C1 = _ball_force_coefficient(R1, rho1, alpha, lam, G) and
+    B2 = _ball_force_coefficient(R2, rho2, 1, lam, 1) (both R/lam >= 0.5).
 
     epfa: columns through both bodies; each (x, y) of the shadow contributes
     the parallel-slab force per unit area at the local gap with the local
@@ -493,22 +495,13 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
         m2 = 4.0 / 3.0 * math.pi * r2 ** 3 * rho2
         exact = OracleReport(-c.G * m1 * m2 / (d * d), 0.0, 0, True)
     else:
-        coeff = _ball_force_coefficient(r1, rho1, p.alpha, p.lam, c.G)
+        # e^(-d/lam) = e^(-R1/lam) e^(-R2/lam) e^(-gap/lam): each coefficient
+        # takes the factor that cancels its cosh(R/lam), so none overflows
         lam = p.lam
-        nested = _Nested(q)
-
-        def shell(u: float) -> float:
-            def over_angle(t: float) -> float:
-                s = math.sqrt(d * d + u * u + 2.0 * d * u * t)
-                g_mag = coeff * math.exp(-s / lam) * (1.0 / (lam * s) + 1.0 / (s * s))
-                return g_mag * (d + u * t) / s
-
-            # e^(-s/lam) peaks at t = -1; ds/dt = d u / s there
-            hint = [(-1.0, lam * (d - u) / (d * u))] if u > 0.0 else None
-            return -rho2 * 2.0 * math.pi * u * u * nested.integral(over_angle, -1.0, 1.0,
-                                                                   sharp_edges=hint)
-
-        exact = nested.report(integrate_adaptive(shell, 0.0, r2, q))
+        coeff1 = _ball_force_coefficient(r1, rho1, p.alpha, lam, c.G) * math.exp(-r1 / lam)
+        coeff2 = _ball_force_coefficient(r2, rho2, 1.0, lam, 1.0) * math.exp(-r2 / lam)
+        exact = OracleReport(-coeff1 * coeff2 * math.exp(-(d - r1 - r2) / lam)
+                             * (1.0 / (lam * d) + 1.0 / (d * d)), 0.0, 0, True)
 
     # surface-element (column) construction over the shadow
     shadow = min(r1, r2)
@@ -585,13 +578,11 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
     potential e^(-s/lam)/s, returning energy instead of force. The nested
     integration runs u = z - z1 over the thickness (outer) and the disk
     radius (inner), with the axial 2 pi r Jacobian. The inner variable is
-    t = asinh(r/u), so r dr = r s dt with s = u cosh t (_disk_radial); the
-    doubling ladder from r = 0 at scale u that seeded each r-integral cost
-    log2(R_d/u) panels, and in t the verify disk families fall from 806,130
-    to 414,570 evaluations. The Yukawa kernels truncate an INFINITE
-    thickness 80 lam below the probe (relative tail < 2e-35) and refuse a
-    lam for which that depth overflows; the power-law kernels need a finite
-    thickness.
+    t = asinh(r/u), so r dr = r s dt with s = u cosh t (_disk_radial), and
+    the power-law tails 1/s^N are exponentials in t. The Yukawa kernels
+    truncate an INFINITE thickness 80 lam below the probe (relative tail
+    < 2e-35) and refuse a lam for which that depth overflows; the power-law
+    kernels need a finite thickness.
     """
     if math.isinf(disk.radius):
         raise InputError("the quadrature oracle requires a finite disk radius")

@@ -162,11 +162,35 @@ def test_thick_disk_power_law_matches_mpmath(n):
 
 @pytest.mark.parametrize("n,rel", [(2.5, 2e-10), (3.0, 1e-15)])
 def test_thick_disk_power_law_is_the_deep_disk_limit(n, rel):
-    # the generic form at D1 = 1e6 m is itself only good to 2e-10 at n = 2.5
+    # 2e-10 is what the generic form at D1 = 1e6 m reached while it summed
+    # t1 + t2 there; test_generic_power_law_matches_mpmath now holds it to 1e-14
     deep = Disk(radius=100e-6, thickness=1e6, density=2330.0)
     pl = PowerLawParams(k=1.0, n=n)
     got = disk_power_force(probe(1e-6), THICK, pl)
     assert got == pytest.approx(disk_power_force(probe(1e-6), deep, pl), rel=rel)
+
+
+@pytest.mark.parametrize("d1", [1.0, 1e6])
+def test_power_n2_on_a_deep_disk_equals_gravity(d1):
+    # t1 + t2 cancelled once D1 passed the near slant distance: 1.3e-11 off
+    # the same n = 2 law at D1 = 1 m and 2.2e-5 at D1 = 1e6 m
+    disk = Disk(radius=100e-6, thickness=d1, density=2330.0)
+    got = disk_power_force(probe(1e-6), disk, PowerLawParams(k=C.G, n=2.0))
+    assert got == pytest.approx(disk_gravity_force(probe(1e-6), disk), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d1", [1e-6, 1e-4, 1.0, 1e6])
+def test_generic_power_law_matches_mpmath(d1):
+    # on both sides of the switch to B(z) - B(z + D1) at D1 = sqrt(z^2+R_d^2)
+    z, rd, n = 1e-6, 100e-6, 2.5
+    got = disk_power_force(probe(z), Disk(rd, d1, 2330.0), PowerLawParams(k=1.0, n=n))
+    z_mp, rd_mp, d1_mp, n_mp = mp80.mpf(z), mp80.mpf(rd), mp80.mpf(d1), mp80.mpf(n)
+
+    def face(u):  # (R_d^2+u^2)^((3-n)/2) - u^(3-n)
+        return (rd_mp ** 2 + u ** 2) ** ((3 - n_mp) / 2) - u ** (3 - n_mp)
+
+    want = 2 * mp80.pi * 2330 * (face(z_mp) - face(z_mp + d1_mp)) / ((n_mp - 1) * (n_mp - 3))
+    assert abs(got - want) <= 1e-14 * abs(want), (got, float(want))
 
 
 @pytest.mark.parametrize("disk,n", [(THICK, 0.5), (THICK, 1.0), (HALF_SPACE, 2.0),
@@ -188,6 +212,17 @@ def test_half_space_converges_above_n3():
     z = 1e-6
     got = disk_power_force(probe(z), HALF_SPACE, PowerLawParams(k=1.0, n=4.0))
     assert got == pytest.approx(-2 * math.pi * 2330.0 / (3 * z), rel=1e-15)
+
+
+@pytest.mark.parametrize("d1", [1e155, 1e200, 1e300])
+def test_very_thick_finite_disk_is_the_thick_disk_limit(d1):
+    # (z + D1)^2 overflowed from D1 ~ 1e155 m, and both forces were -0.0
+    deep, lam = Disk(radius=3e-4, thickness=d1, density=2330.0), YukawaParams(1.0, 10e-6)
+    thick = Disk(radius=3e-4, thickness=math.inf, density=2330.0)
+    assert disk_gravity_force(probe(), deep) == pytest.approx(
+        disk_gravity_force(probe(), thick), rel=1e-14, abs=0.0)
+    assert disk_yukawa_force(probe(), deep, lam) == pytest.approx(
+        disk_yukawa_force(probe(), thick, lam), rel=1e-14, abs=0.0)
 
 
 def test_thick_disk_ratios_are_finite():

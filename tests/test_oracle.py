@@ -14,8 +14,9 @@ from ypfa.core import INFINITE, Disk, Layer, LayeredSlab
 from ypfa.disk import AxisProbe, disk_yukawa_force, disk_yukawa_potential
 from ypfa.layered import layered_slab_potential
 from ypfa.numerics import x_cosh_x_minus_sinh_x
-from ypfa.oracle import (_disk_radial, _gk_panel, _initial_mesh, _ring_polar_integral,
-                         _slab_potential, integrate_adaptive)
+from ypfa.oracle import (_ball_force_coefficient, _column_energy, _disk_radial, _gk_panel,
+                         _initial_mesh, _ring_polar_integral, _slab_potential,
+                         integrate_adaptive)
 from ypfa.verify import _SPEC_2D, _SPEC_2D_TIGHT, _layered_sphere, _layered_stack, _scaled_disk
 
 mpmath.mp.dps = 40
@@ -226,6 +227,17 @@ def test_disk_power_law_oracle_integrand_evaluations(monkeypatch, kernel, spec, 
     # over the radius r these verify configurations took 33,915 (newton)
     # and 16,185 (power, n = 1) integrand calls
     assert _disk_oracle_evals(monkeypatch, kernel, spec, n=n) == evals
+
+
+def test_slicing_equivalence_integrand_evaluations(monkeypatch):
+    # the first verify slicing configuration took 23,370 integrand calls while
+    # each column's depth integral was taken adaptively; with the column
+    # energy in closed form only the slices and the polar angle are integrated
+    cfg = SphereSlabConfig(1e-7, 150e-6, 4100.0, 3.5e-6, 2330.0)
+    (horizontal, columns), calls = _count_evals(monkeypatch, lambda: oracle_slicing_equivalence(
+        cfg, YukawaParams(1.0, 1e-6), q=_SPEC_2D_TIGHT))
+    assert horizontal.converged and columns.converged
+    assert calls == 315
 
 
 def test_layered_stack_oracle_on_an_infinite_base():
@@ -508,6 +520,28 @@ def test_disk_radial_substitution_against_raw_kernel(kernel, n, lam):
             assert value == pytest.approx(raw, rel=1e-12), (u, rd)
 
 
+#: (R, lam, a) of verify.check_slicing_equivalence
+VERIFY_SLICING = [(150e-6, 1e-6, 1e-7), (150e-6, 1e-5, 1e-7), (75e-6, 5e-6, 5e-7),
+                  (150e-6, 1e-4, 1e-6), (50e-6, 5e-7, 1e-7)]
+
+
+def test_column_energy_against_depth_quadrature():
+    # the EPFA column at polar angle phi spans the chord 2 R cos(phi) from
+    # a + R - R cos(phi); its parallel-plate energy is rho times the depth
+    # integral of _slab_potential through it, from the axis to near the rim
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    for radius, lam, a in VERIFY_SLICING:
+        for phi in (0.0, 0.01, 0.3, 0.8, 1.2, 1.5, 1.5705):
+            cos_phi = math.cos(phi)
+            gap, chord = a + radius - radius * cos_phi, 2.0 * radius * cos_phi
+            depth, _, _, ok = integrate_adaptive(
+                lambda z: _slab_potential(z, 3.5e-6, 2330.0, 1.0, lam, C.G),
+                gap, gap + chord, spec, sharp_edges=[(gap, lam)])
+            assert ok
+            closed = _column_energy(gap, chord, 4100.0, 3.5e-6, 2330.0, 1.0, lam, C.G)
+            assert closed == pytest.approx(4100.0 * depth, rel=1e-12, abs=0.0), (radius, phi)
+
+
 def _raw_layered_sphere_slab(cfg, p, q):
     """Layered sphere / slab energy by the raw 2D (r, t) quadrature: the
     polar angle integrated numerically inside the radial integral."""
@@ -630,6 +664,64 @@ def test_two_spheres_yukawa_exact_matches_factorized_form():
     assert exact.value == pytest.approx(want, rel=1e-8)
 
 
+def _nested_ball_ball_force(r1, r2, d, rho1, rho2, p, q):
+    """Yukawa force between two uniform balls by 2D quadrature of ball 1's
+    exterior kernel over ball 2: shell radius u outside, the cosine t of
+    the polar angle inside."""
+    lam, inner_spec = p.lam, q.tighter()
+    coeff = _ball_force_coefficient(r1, rho1, p.alpha, lam, C.G)
+    converged = True
+
+    def shell(u):
+        nonlocal converged
+
+        def over_angle(t):
+            s = math.sqrt(d * d + u * u + 2.0 * d * u * t)
+            return (coeff * math.exp(-s / lam) * (1.0 / (lam * s) + 1.0 / (s * s))
+                    * (d + u * t) / s)
+
+        # e^(-s/lam) peaks at t = -1; ds/dt = d u / s there
+        hint = [(-1.0, lam * (d - u) / (d * u))] if u > 0.0 else None
+        inner, _, _, ok = integrate_adaptive(over_angle, -1.0, 1.0, inner_spec,
+                                             sharp_edges=hint)
+        converged = converged and ok
+        return -rho2 * 2.0 * math.pi * u * u * inner
+
+    value, _, _, ok = integrate_adaptive(shell, 0.0, r2, q, sharp_edges=[(r2, lam)])
+    return value, converged and ok
+
+
+@pytest.mark.parametrize("r1,r2,lam,gap", [
+    (50e-6, 30e-6, 60e-6, 5e-6), (30e-6, 50e-6, 60e-6, 30e-6), (50e-6, 30e-6, 10e-6, 3e-6),
+    (30e-6, 50e-6, 10e-6, 1e-6), (50e-6, 30e-6, 5e-6, 5e-6), (30e-6, 50e-6, 5e-6, 20e-6),
+])
+def test_two_spheres_yukawa_point_product_against_nested_quadrature(r1, r2, lam, gap):
+    # ball 2 answers ball 1's exterior field as a point: the exact force is
+    # the product of the two ball coefficients, checked here against the
+    # raw 2D quadrature over ball 2
+    p, rho1, rho2 = YukawaParams(1.0, lam), 3000.0, 8000.0
+    exact, _ = oracle_two_spheres(r1, r2, r1 + r2 + gap, rho1, rho2, "yukawa", p)
+    nested, ok = _nested_ball_ball_force(r1, r2, r1 + r2 + gap, rho1, rho2, p,
+                                         QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300))
+    assert ok and exact.converged
+    assert exact.value == pytest.approx(nested, rel=1e-9, abs=0.0)
+
+
+def test_two_spheres_yukawa_point_product_far_beyond_the_range():
+    # R/lam = 400: each coefficient carries cosh(400) ~ e^400 and e^(-d/lam)
+    # is e^(-810), so the plain product of the three is inf * 0
+    r1, r2, lam, d, rho1, rho2 = 40e-6, 40e-6, 1e-7, 81e-6, 3000.0, 8000.0
+    exact, _ = oracle_two_spheres(r1, r2, d, rho1, rho2, "yukawa", YukawaParams(1.0, lam))
+
+    def coefficient(radius, rho):
+        x = mpmath.mpf(radius) / lam
+        return 4 * mpmath.pi * rho * lam ** 2 * (radius * mpmath.cosh(x) - lam * mpmath.sinh(x))
+
+    want = (-C.G * coefficient(r1, rho1) * coefficient(r2, rho2) * mpmath.exp(-d / lam)
+            * (1 / (lam * d) + 1 / mpmath.mpf(d) ** 2))
+    assert exact.value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
 def test_two_spheres_rejects_overlap():
     with pytest.raises(InputError):
         oracle_two_spheres(1e-6, 1e-6, 1.5e-6, 1.0, 1.0, "newton")
@@ -681,8 +773,8 @@ def test_disk_oracle_force_on_a_thick_disk_at_long_range(exponent):
 
 
 def test_disk_oracle_potential_on_a_thick_disk_at_long_range():
-    # |V| grows about as ln lam; past lam ~ 1e150 m the closed form is not a
-    # reference, so only convergence and growth are checked there
+    # |V| grows about as ln lam; the closed form is checked against the
+    # oracle above 1e150 m by the test below
     probe, disk = AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0)
     previous = 0.0
     for exponent in list(range(0, 301, 25)) + [306]:
@@ -693,6 +785,16 @@ def test_disk_oracle_potential_on_a_thick_disk_at_long_range():
             assert report.check_against(disk_yukawa_potential(probe, disk, p)) < 1e-12
         assert abs(report.value) > previous, exponent
         previous = abs(report.value)
+
+
+@pytest.mark.parametrize("exponent", range(150, 301, 10))
+def test_thick_disk_potential_matches_the_oracle_at_long_range(exponent):
+    # p/lam underflowed from lam ~ 1e160 m, and |V| fell with lam from there
+    probe, disk = AxisProbe(1e-7), Disk(3e-4, INFINITE, 2330.0)
+    p = YukawaParams(1.0, 10.0 ** exponent)
+    report = oracle_disk_point(probe, disk, "yukawa_potential", p=p)
+    assert report.converged
+    assert report.check_against(disk_yukawa_potential(probe, disk, p)) < 1e-12
 
 
 @pytest.mark.parametrize("kernel", ["newton", "power", "yukawa", "yukawa_potential"])
