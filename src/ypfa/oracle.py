@@ -495,9 +495,9 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
         m2 = 4.0 / 3.0 * math.pi * r2 ** 3 * rho2
         exact = OracleReport(-c.G * m1 * m2 / (d * d), 0.0, 0, True)
     else:
+        lam = p.lam
         # e^(-d/lam) = e^(-R1/lam) e^(-R2/lam) e^(-gap/lam): each coefficient
         # takes the factor that cancels its cosh(R/lam), so none overflows
-        lam = p.lam
         coeff1 = _ball_force_coefficient(r1, rho1, p.alpha, lam, c.G) * math.exp(-r1 / lam)
         coeff2 = _ball_force_coefficient(r2, rho2, 1.0, lam, 1.0) * math.exp(-r2 / lam)
         exact = OracleReport(-coeff1 * coeff2 * math.exp(-(d - r1 - r2) / lam)
