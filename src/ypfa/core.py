@@ -35,10 +35,10 @@ class DegenerateInputError(InputError):
 
 
 class PoleProximityError(InputError):
-    """Power-law exponent too close to an integrable pole (N = 1 or N = 3).
+    """Power-law exponent too close to the integrable pole at N = 1.
 
-    The generic closed form suffers 0/0 cancellation there; callers must use
-    the exact special-case values N = 1.0 or N = 3.0 instead.
+    The N != 1 closed form suffers 0/0 cancellation there; callers must use
+    the exact special-case value N = 1.0 instead. N = 3 is a regular point.
     """
 
 
@@ -163,7 +163,8 @@ class PowerLawParams:
     """Power-law point force F = -K rho1 m2 / r^n.
 
     The units of the coupling ``k`` depend on the exponent ``n``. Evaluation
-    routes through dedicated closed forms at exactly n = 1 and n = 3.
+    takes a dedicated closed form at exactly n = 1 and one form for every
+    other n.
     """
 
     k: float

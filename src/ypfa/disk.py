@@ -2,9 +2,10 @@
 
 A point test mass m2 sits on the axis of a disk (radius R_d, thickness D1,
 density rho1), at height z above its top face. Closed forms are provided for
-the Newtonian force, a general power-law force F ~ -K rho1 m2 / r^N (with
-the logarithmic special cases N = 1 and N = 3), and the Yukawa force. Each
-is validated against 2D quadrature of its point kernel by the oracle module.
+the Newtonian force, a general power-law force F ~ -K rho1 m2 / r^N (one
+form for every N != 1, and the logarithmic special case N = 1), and the
+Yukawa force. Each is validated against 2D quadrature of its point kernel by
+the oracle module.
 
 The finite-size figures of merit are the ratios of the force at the closest
 point of a sphere of radius R (z = a) to the farthest point (z = a + 2R):
@@ -12,35 +13,43 @@ xi_gravity, xi_power, xi_yukawa. The Yukawa ratio reaches e^(2R/lambda)
 (~ e^3000 for micron-scale spheres at lambda = 0.1 um), so xi_yukawa
 returns its natural logarithm.
 
-Numerical notes: the sqrt differences in the Newtonian/power-law brackets
-lose ~10 digits for R_d >> z if taken literally; they are rewritten via
-conjugate forms and expm1/log1p throughout, and the Yukawa bracket is summed
-as two non-negative parts, since its literal form cancels for R_d << z or
-lam. The Yukawa potential and the drop C(a) - C(a+2R) behind a near-unity
-xi_yukawa are integrals of non-negative integrands for the same reason.
-Disk.radius and Disk.thickness may each be INFINITE where the limit exists;
-an InputError names the divergence where it does not (N <= 1 with either
-infinite, the Newtonian force and N <= 3 with both).
+Numerical notes: every bracket is built from the rims of the two faces,
+s = sqrt(u^2+R_d^2), p = s - u and L = ln(s/u) at u = z and z + D1 (_rim),
+and from their differences p1 - p2, L1 - L2 and ln(s2/s1), which _rim_drop
+writes in the exact step D1; taken literally these lose all digits for
+R_d << z. No length is squared outside the N = 1 power law, whose force
+is itself of order R_d^2. The Yukawa bracket is summed as two non-negative
+parts, and the Yukawa potential and the drop C(a) - C(a+2R) behind a
+near-unity xi_yukawa are integrals of non-negative integrands for the same
+reason. Disk.radius and Disk.thickness may each be INFINITE where the limit
+exists; an InputError names the divergence where it does not (N <= 1 with
+either infinite, the Newtonian force and N <= 3 with both), and the depth
+integrals of a disk of INFINITE thickness refuse lambda above about
+2.4e305 m.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .core import (Disk, InputError, PhysicalConstants, PoleProximityError, PowerLawParams,
-                   YukawaParams)
-from .numerics import gauss_legendre, one_minus_exp, pow_diff, xlnx_diff
+from .core import (DegenerateInputError, Disk, InputError, PhysicalConstants, PoleProximityError,
+                   PowerLawParams, YukawaParams)
+from .numerics import gauss_legendre, one_minus_exp
 
-#: Exponents within this distance of N = 1 or N = 3 (but not exactly equal)
-#: are rejected: the generic closed form is 0/0 there and no interpolating
-#: formula exists.
+#: Exponents within this distance of N = 1 (but not exactly 1) are rejected:
+#: the N != 1 form is 0/0 there, and its bracket, of order N - 1, cancels.
 POLE_GUARD = 1e-6
 
 _EDGE_PANEL_ORDER = 16
 #: exp of an exponent below this is 0.0 in double precision (e^-745.2 is the
 #: smallest subnormal), so the edge integrand contributes nothing past it
 _EDGE_UNDERFLOW = -746.0
+#: the edge ladder of a disk of INFINITE thickness may not pass the largest
+#: double, and its integrand, falling as e^(-v/lam), underflows there only
+#: for lam up to this
+_LAMBDA_MAX_THICK = sys.float_info.max / -_EDGE_UNDERFLOW
 
 
 @dataclass(frozen=True)
@@ -81,33 +90,44 @@ def _rim(u: float, rd: float) -> tuple[float, float]:
     return s, rd * (rd / (s + u))
 
 
-def _slant_pieces(z: float, disk: Disk) -> tuple[float, float, float, float]:
-    """(s_near, s_far, p1, p2): the axis probe's distances to the rims of the
-    top and bottom faces, and p1 = s_near - z, p2 = s_far - (z + D1), both
-    >= 0 (_rim). The disk radius must be finite; an INFINITE thickness gives
-    s_far = inf and p2 = 0.
+def _rim_drop(u: float, delta: float, rd: float) -> tuple[float, float, float, float]:
+    """(p2, p1 - p2, L1 - L2, ln(s2/s1)) between the rims seen from u1 = u and
+    u2 = u + delta, with s, p from _rim and L = ln(s/u) = log1p(p/u).
+
+    The three drops are written in the exact step delta,
+
+        p1 - p2 = delta (p1 + p2)/(s1 + s2),
+        L1 - L2 = log1p(delta/s2 ((p1 + p2)/(s1 + s2) + p1/u1)),
+        ln(s2/s1) = log1p((s2 - s1)/s1),  s2 - s1 = delta (u1 + u2)/(s1 + s2),
+
+    from sums of non-negative terms, so nothing cancels when R_d << u, and
+    each takes a ratio of lengths before it multiplies by one, so no product
+    of two lengths under- or overflows. R_d must be finite; an INFINITE
+    delta gives (0, p1, L1, inf).
     """
-    s_near, p1 = _rim(z, disk.radius)
-    s_far, p2 = _rim(z + disk.thickness, disk.radius)
-    return s_near, s_far, p1, p2
+    s1, p1 = _rim(u, rd)
+    if math.isinf(delta):
+        return 0.0, p1, math.log1p(p1 / u), math.inf
+    u2 = u + delta
+    s2, p2 = _rim(u2, rd)
+    s_sum = s1 + s2
+    slope = (p1 + p2) / s_sum
+    return (p2, delta * slope, math.log1p(delta / s2 * (slope + p1 / u)),
+            math.log1p(delta / s1 * ((u + u2) / s_sum)))
 
 
 def _grav_bracket(z: float, disk: Disk) -> float:
-    """D1 + sqrt(R_d^2+z^2) - sqrt(R_d^2+(z+D1)^2), cancellation-free.
+    """D1 + sqrt(R_d^2+z^2) - sqrt(R_d^2+(z+D1)^2) = p1 - p2 (_rim_drop).
 
-    Rewritten as D1 (S - 2z - D1)/S with the two sqrt-minus-linear pieces in
-    conjugate form; every summand is positive. Tends to D1 as R_d -> inf and
-    to p1 as D1 -> inf; with both infinite the force diverges.
+    Tends to D1 as R_d -> inf and to p1 as D1 -> inf; with both infinite the
+    force diverges.
     """
     if math.isinf(disk.radius):
         if math.isinf(disk.thickness):
             raise InputError("the Newtonian force of a half-space (infinite disk radius and "
                              "thickness) diverges")
         return disk.thickness
-    s_near, s_far, p1, p2 = _slant_pieces(z, disk)
-    if math.isinf(disk.thickness):
-        return p1
-    return disk.thickness * (p1 + p2) / (s_near + s_far)
+    return _rim_drop(z, disk.thickness, disk.radius)[1]
 
 
 def disk_gravity_force(probe: AxisProbe, disk: Disk,
@@ -121,66 +141,50 @@ def xi_gravity(x: XiInputs) -> float:
     return _grav_bracket(x.a, x.disk) / _grav_bracket(x.a + 2.0 * x.sphere_radius, x.disk)
 
 
-def _power_face(u: float, rd: float, n: float) -> float:
-    """(R_d^2+u^2)^((3-n)/2) - u^(3-n), taken without cancelling: the power-law
-    bracket of a disk of INFINITE thickness whose top face is u below the probe."""
-    return u ** (3.0 - n) * math.expm1((3.0 - n) / 2.0 * math.log1p((rd / u) ** 2))
+def _expm1_over(m: float, x: float) -> float:
+    """E(m, x) = expm1(m x)/m, and its limit x where m x == 0."""
+    mx = m * x
+    return x if mx == 0.0 else math.expm1(mx) / m
 
 
-def _power_force_generic(z: float, disk: Disk, k: float, m2: float, n: float) -> float:
-    """The bracket t1 + t2 = B(z) - B(z + D1), B = _power_face.
+def _power_force(z: float, disk: Disk, k: float, m2: float, n: float) -> float:
+    """Power-law force from the rim drops of _rim_drop, with m = 3 - N.
 
-    t1 = (z+D1)^(3-n) - z^(3-n) and t2, the rims' difference, are each
-    large and nearly opposite once D1 passes the near slant distance; there
-    B(z + D1) is well below B(z) and their difference does not cancel.
-    """
-    d1, rd = disk.thickness, disk.radius
-    if math.isinf(d1):
-        bracket = _power_face(z, rd, n)
-    elif d1 > math.hypot(z, rd):
-        bracket = _power_face(z, rd, n) - _power_face(z + d1, rd, n)
-    else:
-        t2 = 0.0 if math.isinf(rd) else pow_diff(rd * rd + z * z, d1 * (2.0 * z + d1),
-                                                 (3.0 - n) / 2.0)
-        bracket = z ** (3.0 - n) * math.expm1((3.0 - n) * math.log1p(d1 / z)) + t2
-    return 2.0 * math.pi * k * disk.density * m2 * bracket / ((n - 1.0) * (n - 3.0))
+    For N != 1, F = 2 pi K rho1 m2 (B(z) - B(z + D1)) / ((N-1)(N-3)) with
+    B(u) = s^m - u^m, and B(z) - B(z + D1) = m [z^m E(m, L1 - L2)
+    - s1^m E(m, ln(s2/s1)) (1 - e^(-m L2))], which has no pole at N = 3
+    (m = 0). R_d = INFINITE leaves z^m E(m, log1p(D1/z)), and D1 = INFINITE
+    (L2 = 0) leaves z^m E(m, L1). At N = 1 the limit is
 
+        F = -pi K rho1 m2 [D1 (2z + D1) L2 - z^2 (L1 - L2) + R_d^2 ln(s2/s1)],
 
-def _power_force_n1(z: float, disk: Disk, k: float, m2: float) -> float:
-    """Logarithmic special case N = 1.
-
-    Every x ln x term carries the disk radius R_d, the only radius in the
-    problem (printed variants of this formula sometimes carry a stray
+    the one form here that squares lengths; its force is itself of order
+    R_d^2. Every x ln x term carries the disk radius R_d, the only radius in
+    the problem (printed variants of this formula sometimes carry a stray
     sphere radius, which is dimensionally inconsistent); the kernel
     quadrature check pins this reading.
     """
-    d1, rd = disk.thickness, disk.radius
-    delta = d1 * (2.0 * z + d1)
-    a_near = z * z + rd * rd
-    b_far = (z + d1) * (z + d1) + rd * rd
-    bracket = (-xlnx_diff(a_near, b_far, delta)
-               + xlnx_diff(z * z, (z + d1) * (z + d1), delta))
-    return 0.5 * math.pi * k * disk.density * m2 * bracket
-
-
-def _power_force_n3(z: float, disk: Disk, k: float, m2: float) -> float:
-    d1, rd = disk.thickness, disk.radius
-    if math.isinf(d1):
-        log_term = math.log1p((rd / z) ** 2)  # the limit D1 -> inf of the form below
+    d1, rd, m = disk.thickness, disk.radius, 3.0 - n
+    if math.isinf(rd):
+        bracket = z ** m * _expm1_over(m, math.log1p(d1 / z))
     else:
-        # log argument (z^2+Rd^2)(z+D1)^2 / (z^2 ((z+D1)^2+Rd^2)), split stably;
-        # delta/inf == 0.0 handles the infinite-plane limit by itself.
-        delta = d1 * (2.0 * z + d1)
-        log_term = 2.0 * math.log1p(d1 / z) - math.log1p(delta / (z * z + rd * rd))
-    return -0.5 * math.pi * k * disk.density * m2 * log_term
+        p2, _, l_drop, ln_s = _rim_drop(z, d1, rd)
+        l2 = math.log1p(p2 / (z + d1))
+        if n == 1.0:
+            return (-math.pi * k * disk.density * m2
+                    * (d1 * (2.0 * z + d1) * l2 - z * z * l_drop + rd * rd * ln_s))
+        bracket = z ** m * _expm1_over(m, l_drop)
+        if l2 > 0.0:  # else the far term is 0, and ln_s is inf at D1 = INFINITE
+            bracket -= math.hypot(z, rd) ** m * _expm1_over(m, ln_s) * one_minus_exp(m * l2)
+    return 2.0 * math.pi * k * disk.density * m2 * bracket / (1.0 - n)
 
 
 def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
     """Power-law force on the axis probe (N, < 0 for attraction).
 
-    Exactly n == 1.0 and n == 3.0 use their dedicated logarithmic closed
-    forms; other exponents within POLE_GUARD of those values raise
-    PoleProximityError rather than evaluating a 0/0 expression. Where the
+    Exactly n == 1.0 takes its logarithmic limit; other exponents within
+    POLE_GUARD of 1 raise PoleProximityError, and every other exponent,
+    n = 3 included, takes the one N != 1 form of _power_force. Where the
     force diverges (n <= 1 with an INFINITE radius or thickness, n <= 3 with
     both) it raises InputError.
     """
@@ -192,25 +196,27 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
     if n <= 1.0 and (rd_inf or d1_inf):
         raise InputError(f"the power-law force of a disk of infinite radius or thickness "
                          f"diverges for n = {n} <= 1")
+    if n != 1.0 and abs(n - 1.0) <= POLE_GUARD:
+        raise PoleProximityError(
+            f"exponent {n} is within {POLE_GUARD} of the pole at 1; "
+            "use exactly 1.0 for the special-case formula")
     try:
-        if n == 1.0:
-            return _power_force_n1(z, disk, pl.k, m2)
-        if n == 3.0:
-            return _power_force_n3(z, disk, pl.k, m2)
-        if abs(n - 1.0) <= POLE_GUARD or abs(n - 3.0) <= POLE_GUARD:
-            raise PoleProximityError(
-                f"exponent {n} is within {POLE_GUARD} of an integrable pole; "
-                "use exactly 1.0 or 3.0 for the special-case formulas")
-        return _power_force_generic(z, disk, pl.k, m2, n)
+        return _power_force(z, disk, pl.k, m2, n)
     except OverflowError:
         raise InputError(f"power-law force overflows for n={n} at this geometry") from None
 
 
 def xi_power(x: XiInputs, n: float) -> float:
-    """Power-law near/far ratio F_N(a)/F_N(a + 2R); unity only for N = 2, R_d -> inf."""
+    """Power-law near/far ratio F_N(a)/F_N(a + 2R); unity only for N = 2, R_d -> inf.
+
+    A zero far force (a disk of zero density) leaves no ratio: DegenerateInputError.
+    """
     pl = PowerLawParams(k=1.0, n=n)
     near = disk_power_force(AxisProbe(x.a), x.disk, pl)
     far = disk_power_force(AxisProbe(x.a + 2.0 * x.sphere_radius), x.disk, pl)
+    if far == 0.0:
+        raise DegenerateInputError(f"xi_power is 0/0: the power-law force of a disk of "
+                                   f"density {x.disk.density} is zero")
     return near / far
 
 
@@ -221,25 +227,18 @@ def _yukawa_bracket(z: float, disk: Disk, lam: float) -> float:
         C(z) = (1 - e^(-D1/lam)) - e^(-p1/lam) + e^(-(p2+D1)/lam)
              = e^(-p2/lam) (1 - e^(-(p1-p2)/lam)) + (1 - e^(-D1/lam)) (1 - e^(-p2/lam)),
 
-    with p1 = sqrt(z^2+R_d^2) - z >= p2 = sqrt((z+D1)^2+R_d^2) - (z+D1) from
-    _slant_pieces. The second line adds two non-negative parts, and p1 - p2
-    = R_d^2 D1 (1 + (2z+D1)/S) / ((s_near+z)(s_far+z+D1)), S = s_near + s_far,
-    is a product too, so nothing cancels when R_d << z or R_d << lam.
+    with p1 = sqrt(z^2+R_d^2) - z >= p2 = sqrt((z+D1)^2+R_d^2) - (z+D1) and
+    p1 - p2 from _rim_drop. The second line adds two non-negative parts, so
+    nothing cancels when R_d << z or R_d << lam.
     C -> (1 - e^(-D1/lam)) as R_d -> inf, to 1 - e^(-p1/lam) as D1 -> inf
     (p2 = 0) and, as lam -> inf, to (D1/lam) times the Newtonian bracket.
     0 < C <= 1.
     """
-    d1, rd = disk.thickness, disk.radius
-    main = one_minus_exp(d1 / lam)
-    if math.isinf(rd):
+    main = one_minus_exp(disk.thickness / lam)
+    if math.isinf(disk.radius):
         return main
-    s_near, s_far, p1, p2 = _slant_pieces(z, disk)
-    if math.isinf(d1):
-        p1_minus_p2 = p1  # p2 = 0
-    else:
-        p1_minus_p2 = (rd * rd * d1 * (1.0 + (2.0 * z + d1) / (s_near + s_far))
-                       / ((s_near + z) * (s_far + z + d1)))
-    return math.exp(-p2 / lam) * one_minus_exp(p1_minus_p2 / lam) + main * one_minus_exp(p2 / lam)
+    p2, p_drop, _, _ = _rim_drop(z, disk.thickness, disk.radius)
+    return math.exp(-p2 / lam) * one_minus_exp(p_drop / lam) + main * one_minus_exp(p2 / lam)
 
 
 def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams,
@@ -265,17 +264,22 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     wider than its distance from both, so fixed-order panels evaluate f
     deterministically to its own rounding (1e-15 relative). The ladder stops
     once log_bound(lo), a non-increasing bound on ln f beyond lo, is below
-    _EDGE_UNDERFLOW, where every remaining term is 0.0; D1 may be INFINITE.
+    _EDGE_UNDERFLOW, where every remaining term is 0.0. D1 may be INFINITE;
+    a ladder that would pass the largest double first, which takes lam above
+    _LAMBDA_MAX_THICK, is an InputError naming that bound.
     """
     nodes, weights = gauss_legendre(_EDGE_PANEL_ORDER)
     total = 0.0
     lo, hi = 0.0, min(first, d1)
     while log_bound(lo) >= _EDGE_UNDERFLOW:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if lo == sys.float_info.max:
+            raise InputError(f"on a disk of infinite thickness lambda must be below about "
+                             f"{_LAMBDA_MAX_THICK:.3g} m")
+        mid, half = 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
         total += half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights))
         if hi == d1:
             break
-        lo, hi = hi, min(2.0 * hi, d1)
+        lo, hi = hi, min(2.0 * hi, d1, sys.float_info.max)
     return total
 
 
@@ -314,27 +318,22 @@ def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:
     """C(z) - C(z + delta) >= 0 for a finite disk, as one non-negative integral.
 
     C(z) = (1/lam) integral_0^D1 e^(-v/lam) (1 - q(z+v)) dv with
-    q(u) = (u/s) e^(-p(u)/lam) = e^(-phi(u)), phi(u) = ln(s/u) + p(u)/lam,
-    s = sqrt(u^2+R_d^2), p = s - u. phi falls with u, so with u1 = z + v and
-    u2 = u1 + delta the integrand of the drop is
+    q(u) = (u/s) e^(-p(u)/lam) = e^(-phi(u)), phi(u) = L(u) + p(u)/lam,
+    L = ln(s/u), s = sqrt(u^2+R_d^2), p = s - u. phi falls with u, so with
+    u1 = z + v and u2 = u1 + delta the integrand of the drop is
     e^(-v/lam - phi(u2)) (1 - e^(-(phi(u1) - phi(u2)))), where
-        phi(u1) - phi(u2) = log1p(R_d^2 delta (u1+u2) / (u1^2 s2^2)) / 2
-                            + delta (p1+p2) / ((s1+s2) lam)
-    is a sum of products in the exact step delta. Its log is below
-    -(s(u2) - (z + delta))/lam, which falls with v.
+    phi(u1) - phi(u2) = (L1 - L2) + (p1 - p2)/lam adds the two rim drops of
+    _rim_drop. Its log is below -(s(u2) - (z + delta))/lam, which falls with v.
     """
-    d1, rd = disk.thickness, disk.radius
+    rd = disk.radius
 
     def integrand(v: float) -> float:
         u1 = z + v
-        u2 = u1 + delta
-        (s1, p1), (s2, p2) = _rim(u1, rd), _rim(u2, rd)
-        phi_drop = (0.5 * math.log1p(rd * rd * delta * (u1 + u2) / (u1 * u1 * s2 * s2))
-                    + delta * (p1 + p2) / ((s1 + s2) * lam))
-        return (math.exp(-v / lam - 0.5 * math.log1p((rd / u2) ** 2) - p2 / lam)
-                * one_minus_exp(phi_drop))
+        p2, p_drop, l_drop, _ = _rim_drop(u1, delta, rd)
+        return (math.exp(-v / lam - math.log1p(p2 / (u1 + delta)) - p2 / lam)
+                * one_minus_exp(l_drop + p_drop / lam))
 
-    return _graded_integral(integrand, min(lam, math.hypot(z, rd)), d1,
+    return _graded_integral(integrand, min(lam, math.hypot(z, rd)), disk.thickness,
                             lambda v: -(v + _rim(z + delta + v, rd)[1]) / lam) / lam
 
 

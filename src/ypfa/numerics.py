@@ -2,8 +2,8 @@
 
 These exist because the force formulas mix terms like (1 - e^(-D/lambda))
 with D/lambda anywhere between 1e-6 and 1e6, and differences such as
-x ln x - y ln y or v cosh v - sinh v where the naive forms lose most or all
-significant digits at one end of the sweep ranges.
+v cosh v - sinh v where the naive form loses most or all significant digits
+at one end of the sweep ranges.
 """
 
 from __future__ import annotations
@@ -36,19 +36,6 @@ def x_cosh_x_minus_sinh_x(v: float) -> float:
         total += term
         if term <= total * 1e-18:
             return total
-
-
-def xlnx_diff(a: float, b: float, diff: float) -> float:
-    """b ln b - a ln a given diff = b - a supplied exactly; a, b > 0."""
-    return diff * math.log(b) + a * math.log1p(diff / a)
-
-
-def pow_diff(a: float, diff: float, p: float) -> float:
-    """a^p - b^p for b = a + diff, given a > 0 and diff >= 0 supplied exactly.
-
-    Written as -a^p expm1(p log1p(diff/a)) so nearby bases do not cancel.
-    """
-    return -(a ** p) * math.expm1(p * math.log1p(diff / a))
 
 
 @functools.lru_cache(maxsize=None)

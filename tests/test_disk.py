@@ -3,8 +3,8 @@ import math
 import mpmath
 import pytest
 
-from ypfa import (Disk, InputError, PhysicalConstants, PoleProximityError, PowerLawParams,
-                  XiInputs, YukawaParams, disk_gravity_force, disk_power_force,
+from ypfa import (DegenerateInputError, Disk, InputError, PhysicalConstants, PoleProximityError,
+                  PowerLawParams, XiInputs, YukawaParams, disk_gravity_force, disk_power_force,
                   disk_yukawa_force, disk_yukawa_potential, oracle_disk_point, xi_gravity,
                   xi_power, xi_yukawa)
 from ypfa.disk import AxisProbe
@@ -26,7 +26,7 @@ def test_gravity_infinite_plane_limit():
     infinite = Disk(radius=math.inf, thickness=3.5e-6, density=2330.0)
     got = disk_gravity_force(probe(), infinite)
     want = -2 * math.pi * C.G * 2330.0 * 3.5e-6
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     # independent of the probe height
     assert disk_gravity_force(probe(1e-3), infinite) == got
 
@@ -34,7 +34,7 @@ def test_gravity_infinite_plane_limit():
 def test_gravity_thin_disk_scales_linearly():
     thin = disk_gravity_force(probe(), Disk(300e-6, 1e-12, 2330.0))
     thinner = disk_gravity_force(probe(), Disk(300e-6, 0.5e-12, 2330.0))
-    assert thin == pytest.approx(2 * thinner, rel=1e-9)
+    assert thin == pytest.approx(2 * thinner, rel=1e-9, abs=0.0)
 
 
 def test_gravity_against_quadrature(reference_disk):
@@ -67,7 +67,7 @@ def test_xi_gravity_thin_disk_limit():
         return 1.0 - z / math.sqrt(z * z + rd * rd)
 
     want = sheet(a) / sheet(a + 2 * radius)
-    assert value == pytest.approx(want, rel=1e-9)
+    assert value == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 # --------------------------------------------------------------- power law
@@ -75,7 +75,7 @@ def test_xi_gravity_thin_disk_limit():
 def test_power_n2_equals_gravity(reference_disk):
     got = disk_power_force(probe(), reference_disk, PowerLawParams(k=C.G, n=2.0))
     want = disk_gravity_force(probe(), reference_disk)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_power_n3_infinite_plane_log_behavior():
@@ -84,7 +84,7 @@ def test_power_n3_infinite_plane_log_behavior():
     z = 3.5e-9
     got = disk_power_force(AxisProbe(z), infinite, PowerLawParams(k=1.0, n=3.0))
     behaves = -(math.pi * 2330.0 / 2.0) * math.log1p((3.5e-6 / z) ** 2)
-    assert got == pytest.approx(behaves, rel=1e-3)
+    assert got == pytest.approx(behaves, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 4.0])
@@ -96,10 +96,12 @@ def test_power_against_quadrature(n, reference_disk):
 
 
 def test_power_pole_guard(reference_disk):
-    for n in (1.0 + 1e-7, 1.0 - 1e-7, 3.0 + 5e-7, 3.0 - 1e-9):
+    # N = 3 is a regular point of the one N != 1 form; exponents near it are
+    # checked against mpmath in test_domain
+    for n in (1.0 + 1e-7, 1.0 - 1e-7):
         with pytest.raises(PoleProximityError):
             disk_power_force(probe(), reference_disk, PowerLawParams(k=1.0, n=n))
-    # exactly at the poles the dedicated forms answer
+    # exactly at the pole the dedicated form answers
     disk_power_force(probe(), reference_disk, PowerLawParams(k=1.0, n=1.0))
     disk_power_force(probe(), reference_disk, PowerLawParams(k=1.0, n=3.0))
 
@@ -162,18 +164,20 @@ def test_thick_disk_power_law_matches_mpmath(n):
 
 @pytest.mark.parametrize("n,rel", [(2.5, 2e-10), (3.0, 1e-15)])
 def test_thick_disk_power_law_is_the_deep_disk_limit(n, rel):
-    # 2e-10 is what the generic form at D1 = 1e6 m reached while it summed
-    # t1 + t2 there; test_generic_power_law_matches_mpmath now holds it to 1e-14
+    # 2e-10 is what an older form reached at D1 = 1e6 m, where it summed two
+    # nearly opposite power differences; test_generic_power_law_matches_mpmath
+    # holds the force to 1e-14
     deep = Disk(radius=100e-6, thickness=1e6, density=2330.0)
     pl = PowerLawParams(k=1.0, n=n)
     got = disk_power_force(probe(1e-6), THICK, pl)
-    assert got == pytest.approx(disk_power_force(probe(1e-6), deep, pl), rel=rel)
+    assert got == pytest.approx(disk_power_force(probe(1e-6), deep, pl), rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("d1", [1.0, 1e6])
 def test_power_n2_on_a_deep_disk_equals_gravity(d1):
-    # t1 + t2 cancelled once D1 passed the near slant distance: 1.3e-11 off
-    # the same n = 2 law at D1 = 1 m and 2.2e-5 at D1 = 1e6 m
+    # two power differences summed literally cancelled once D1 passed the near
+    # slant distance: 1.3e-11 off the same n = 2 law at D1 = 1 m and 2.2e-5
+    # at D1 = 1e6 m
     disk = Disk(radius=100e-6, thickness=d1, density=2330.0)
     got = disk_power_force(probe(1e-6), disk, PowerLawParams(k=C.G, n=2.0))
     assert got == pytest.approx(disk_gravity_force(probe(1e-6), disk), rel=1e-14, abs=0.0)
@@ -181,7 +185,8 @@ def test_power_n2_on_a_deep_disk_equals_gravity(d1):
 
 @pytest.mark.parametrize("d1", [1e-6, 1e-4, 1.0, 1e6])
 def test_generic_power_law_matches_mpmath(d1):
-    # on both sides of the switch to B(z) - B(z + D1) at D1 = sqrt(z^2+R_d^2)
+    # on both sides of the near slant distance sqrt(z^2+R_d^2), where an older
+    # form switched routes
     z, rd, n = 1e-6, 100e-6, 2.5
     got = disk_power_force(probe(z), Disk(rd, d1, 2330.0), PowerLawParams(k=1.0, n=n))
     z_mp, rd_mp, d1_mp, n_mp = mp80.mpf(z), mp80.mpf(rd), mp80.mpf(d1), mp80.mpf(n)
@@ -211,7 +216,7 @@ def test_half_space_converges_above_n3():
     # the bracket is -z^(3-n): F = 2 pi K rho m2 (-1/z) / 3 at n = 4
     z = 1e-6
     got = disk_power_force(probe(z), HALF_SPACE, PowerLawParams(k=1.0, n=4.0))
-    assert got == pytest.approx(-2 * math.pi * 2330.0 / (3 * z), rel=1e-15)
+    assert got == pytest.approx(-2 * math.pi * 2330.0 / (3 * z), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("d1", [1e155, 1e200, 1e300])
@@ -225,6 +230,35 @@ def test_very_thick_finite_disk_is_the_thick_disk_limit(d1):
         disk_yukawa_force(probe(), thick, lam), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [1e306, 1e307, 1.7e308])
+def test_thick_disk_beyond_the_ladder_is_an_input_error(lam):
+    # the edge integrand still exceeds e^-746 at the largest double here, so
+    # the depth ladder cannot end; it used to return nan
+    disk, p = Disk(radius=3e-4, thickness=math.inf, density=2330.0), YukawaParams(1.0, lam)
+    with pytest.raises(InputError, match="lambda must be below about 2.41e"):
+        disk_yukawa_potential(probe(), disk, p)
+    with pytest.raises(InputError, match="lambda must be below about 2.41e"):
+        xi_yukawa(xi_inputs(disk), p)
+
+
+def test_xi_yukawa_of_a_thick_disk_at_1e305_m_matches_mpmath():
+    # C(z) = 1 - e^(-p(z)/lam) on a disk of infinite thickness
+    a, radius, rd, lam = 100e-9, 150e-6, 3e-4, 1e305
+    got = xi_yukawa(xi_inputs(Disk(rd, math.inf, 2330.0), a, radius), YukawaParams(1.0, lam))
+
+    def bracket(z):
+        return -mp80.expm1(-mp_rim_gap(z, rd) / lam)
+
+    want = 2 * mp80.mpf(radius) / lam + mp80.log(bracket(a) / bracket(a + 2 * radius))
+    assert abs(got - want) <= 1e-12 * abs(want), (got, float(want))
+
+
+def test_xi_power_of_a_massless_disk_is_degenerate():
+    # both forces are 0: this was a ZeroDivisionError traceback
+    with pytest.raises(DegenerateInputError, match="0/0"):
+        xi_power(xi_inputs(Disk(300e-6, 3.5e-6, 0.0)), 2.5)
+
+
 def test_thick_disk_ratios_are_finite():
     inputs = xi_inputs(THICK)
     for value in (xi_gravity(inputs), xi_power(inputs, 2.5), xi_power(inputs, 3.0),
@@ -235,7 +269,7 @@ def test_thick_disk_ratios_are_finite():
 
 def test_xi_power_consistency_and_trends(reference_disk):
     inputs = xi_inputs(reference_disk)
-    assert xi_power(inputs, 2.0) == pytest.approx(xi_gravity(inputs), rel=1e-12)
+    assert xi_power(inputs, 2.0) == pytest.approx(xi_gravity(inputs), rel=1e-12, abs=0.0)
     # above the Gauss-law exponent the near side wins even for finite disks
     assert xi_power(inputs, 3.0) > 1.0
     # well below it, with a large disk, the far side wins
@@ -266,7 +300,7 @@ def test_yukawa_force_infinite_plane_reduction():
     got = disk_yukawa_force(probe(), infinite, YukawaParams(1.0, lam))
     want = (-2 * math.pi * C.G * 2330.0 * lam * math.exp(-1e-7 / lam)
             * -math.expm1(-3.5e-6 / lam))
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_yukawa_potential_infinite_plane_reduction():
@@ -275,7 +309,7 @@ def test_yukawa_potential_infinite_plane_reduction():
     got = disk_yukawa_potential(probe(), infinite, YukawaParams(1.0, lam))
     want = (-2 * math.pi * C.G * 2330.0 * lam * lam * math.exp(-1e-7 / lam)
             * -math.expm1(-3.5e-6 / lam))
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_yukawa_thin_disk_vanishes(reference_disk):
@@ -304,7 +338,7 @@ def test_yukawa_force_is_potential_gradient(reference_disk):
     down = disk_yukawa_potential(AxisProbe(z - h), reference_disk, p)
     gradient_force = -(up - down) / (2 * h)
     assert gradient_force == pytest.approx(
-        disk_yukawa_force(AxisProbe(z), reference_disk, p), rel=1e-8)
+        disk_yukawa_force(AxisProbe(z), reference_disk, p), rel=1e-8, abs=0.0)
 
 
 def test_yukawa_edge_corrections_bound():
@@ -387,7 +421,7 @@ def test_xi_yukawa_infinite_plane_value():
 
 def test_xi_yukawa_finite_disk_still_3000(reference_disk):
     result = xi_yukawa(xi_inputs(reference_disk), YukawaParams(1.0, 0.1e-6))
-    assert result == pytest.approx(3000.0, rel=1e-9)
+    assert result == pytest.approx(3000.0, rel=1e-9, abs=0.0)
 
 
 def test_xi_yukawa_insensitive_to_disk_radius_at_short_range():

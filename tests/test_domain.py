@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from test_disk import mp_yukawa_potential
 
-from ypfa import (G_DEFAULT, INFINITE, AxisProbe, Disk, InputError, Layer, LayeredConfig,
-                  LayeredSlab, LayeredSphere, XiInputs, YukawaParams, disk_gravity_force,
-                  disk_yukawa_force, disk_yukawa_potential, eta, eta_delta, layered_pfa_terms,
-                  slab_slab_pressure, xi_yukawa)
+from ypfa import (G_DEFAULT, INFINITE, AxisProbe, DegenerateInputError, Disk, InputError, Layer,
+                  LayeredConfig, LayeredSlab, LayeredSphere, PowerLawParams, XiInputs,
+                  YukawaParams, disk_gravity_force, disk_power_force, disk_yukawa_force,
+                  disk_yukawa_potential, eta, eta_delta, layered_pfa_terms, slab_slab_pressure,
+                  xi_power, xi_yukawa)
 from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
 REL = 1e-12
@@ -42,6 +43,11 @@ slabs = st.builds(LayeredSlab, st.builds(Layer, d2_values, densities),
                   st.builds(Layer, slab_thicknesses, densities),
                   st.builds(Layer, slab_thicknesses, densities))
 disks = st.builds(Disk, d2_values, d2_values, densities)
+# power-law exponents: the two logarithmic points, and a range kept 1e-2 from
+# the pole at N = 1, where the closed form's bracket (of order N - 1) cancels
+exponents = st.one_of(st.sampled_from([1.0, 3.0]),
+                      st.floats(min_value=0.05, max_value=8.0).filter(
+                          lambda n: abs(n - 1.0) >= 1e-2))
 
 SLAB = LayeredSlab(base=Layer(3.5e-6, 2330.0))
 domain = settings(max_examples=150, deadline=None)
@@ -252,3 +258,100 @@ def test_eta_delta_at_1e110_m_matches_mpmath():
     assert_close(got.eta_homogeneous, want_hom)
     assert_close(got.ratio, want / want_hom)
     assert 1.5e-228 < got.eta_delta < 1.6e-228
+
+
+def power_diverges(disk, n):
+    rd_inf, d1_inf = disk.radius == INFINITE, disk.thickness == INFINITE
+    return (n <= 3.0 and rd_inf and d1_inf) or (n <= 1.0 and (rd_inf or d1_inf))
+
+
+def mp_power_force(z, disk, n):
+    """disk_power_force (K = 1, unit mass) at 150 digits on the same floats.
+
+    N = 1 and N = 3 take their exact logarithmic limits, written as the
+    differences of x ln x and of logs they come from; any other N takes
+    2 pi rho (B(z) - B(z + D1))/((N-1)(N-3)), B(u) = (u^2+R_d^2)^((3-N)/2) - u^(3-N).
+    An INFINITE radius or thickness takes the limit of each form.
+    """
+    with mp.workdps(150):
+        z, rd, d1, rho = M(z), M(disk.radius), M(disk.thickness), M(disk.density)
+        u2 = z + d1
+        if n == 1.0:  # both finite: the force diverges otherwise
+            near, far = z * z + rd * rd, u2 * u2 + rd * rd
+            return mp.pi / 2 * rho * (near * mp.log(near) - far * mp.log(far)
+                                      + u2 * u2 * mp.log(u2 * u2) - z * z * mp.log(z * z))
+        if n == 3.0:
+            if disk.radius == INFINITE:
+                return -mp.pi * rho * mp.log(u2 / z)
+            ratio = (z * z + rd * rd) / (z * z)
+            if disk.thickness != INFINITE:
+                ratio *= u2 * u2 / (u2 * u2 + rd * rd)
+            return -mp.pi / 2 * rho * mp.log(ratio)
+        m = 3 - M(n)
+        if disk.radius == INFINITE:
+            bracket = u2 ** m - z ** m  # inf ** m is 0 for the m < 0 of a half-space
+        else:
+            bracket = mp.sqrt(z * z + rd * rd) ** m - z ** m
+            if disk.thickness != INFINITE:
+                bracket -= mp.sqrt(u2 * u2 + rd * rd) ** m - u2 ** m
+        return 2 * mp.pi * rho * bracket / ((M(n) - 1) * (M(n) - 3))
+
+
+@domain
+@given(lengths, disks, exponents)
+def test_disk_power_force_matches_mpmath(z, disk, n):
+    pl = PowerLawParams(1.0, n)
+    if power_diverges(disk, n):
+        with pytest.raises(InputError, match="diverges"):
+            disk_power_force(AxisProbe(z), disk, pl)
+        return
+    assert_close(disk_power_force(AxisProbe(z), disk, pl), mp_power_force(z, disk, n))
+
+
+@domain
+@given(lengths, lengths, disks, exponents)
+def test_xi_power_matches_mpmath(a, radius, disk, n):
+    inputs = XiInputs(a, radius, disk)
+    if power_diverges(disk, n):
+        with pytest.raises(InputError, match="diverges"):
+            xi_power(inputs, n)
+        return
+    if disk.density == 0.0:
+        with pytest.raises(DegenerateInputError, match="0/0"):
+            xi_power(inputs, n)
+        return
+    # the far pole at the float a + 2R, as in xi_power
+    want = mp_power_force(a, disk, n) / mp_power_force(a + 2.0 * radius, disk, n)
+    assert_close(xi_power(inputs, n), want)
+
+
+@pytest.mark.parametrize("z,rd,d1,n", [
+    # the rim differences cancelled to 0.0 for R_d << z
+    (4.67e3, 0.136e-9, 18.6e-3, 3.0),
+    (9.63e3, 0.715e-9, 438.0, 7.44),
+    (4.57e-3, 0.343e-6, 196.0, 1.0),
+    # and were up to 4.5e-8 off here
+    (1.0, 0.1e-3, 0.5, 1.0),
+    (1.0, 0.1e-3, 0.5, 2.0),
+    (1.0, 0.1e-3, 0.5, 2.5),
+    (1.0, 0.1e-3, 0.5, 3.0),
+    # N = 3 is a regular point: these were refused as too close to a pole
+    (100e-9, 300e-6, 3.5e-6, 3.0 + 5e-7),
+    (100e-9, 300e-6, 3.5e-6, 3.0 - 1e-9),
+])
+def test_disk_power_force_pinned(z, rd, d1, n):
+    disk = Disk(rd, d1, 2330.0)
+    assert_close(disk_power_force(AxisProbe(z), disk, PowerLawParams(1.0, n)),
+                 mp_power_force(z, disk, n))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e290])
+def test_xi_yukawa_at_extreme_length_scales_matches_mpmath(scale):
+    # the drop integral squared lengths: a ZeroDivisionError from 1e-100 m
+    # down and nan from 1e100 m up
+    a, radius, d1, lam, rd = (v * scale for v in (1.0, 1e-3, 1.5, 1e3, 2.0))
+    far = M(a) + 2 * M(radius)
+    want = mp.log(mp_yukawa_face_terms(a, Disk(rd, d1, 1.0), lam)
+                  / mp_yukawa_face_terms(far, Disk(rd, d1, 1.0), lam))
+    got = xi_yukawa(XiInputs(a, radius, Disk(rd, d1, 2330.0)), YukawaParams(1.0, lam))
+    assert_close(got, want)

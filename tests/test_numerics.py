@@ -3,8 +3,7 @@ import math
 import mpmath
 import pytest
 
-from ypfa.numerics import (gauss_legendre, one_minus_exp, pow_diff, x_cosh_x_minus_sinh_x,
-                           xlnx_diff)
+from ypfa.numerics import gauss_legendre, one_minus_exp, x_cosh_x_minus_sinh_x
 from ypfa.yukawa import PHI_SERIES_SWITCH, phi, phi_direct, phi_series
 
 mpmath.mp.dps = 50
@@ -69,19 +68,6 @@ def test_phi_branch_jump_at_switch_is_negligible():
     # far below any consumer's tolerance
     u = PHI_SERIES_SWITCH
     assert abs(phi_series(u) / phi_direct(u) - 1.0) < 1e-13
-
-
-def test_xlnx_diff():
-    for a, b in ((1.0, 1.5), (1e8, 1e8 + 1.0), (2.0, 2.0 + 1e-9)):
-        want = float(mpmath.mpf(b) * mpmath.log(b) - mpmath.mpf(a) * mpmath.log(a))
-        assert xlnx_diff(a, b, b - a) == pytest.approx(want, rel=1e-12)
-
-
-def test_pow_diff():
-    for a, diff, p in ((1.0, 0.5, 0.25), (1e8, 1.0, -1.5), (4.0, 1e-9, 0.5)):
-        b = a + diff
-        want = float(mpmath.mpf(a) ** p - mpmath.mpf(b) ** p)
-        assert pow_diff(a, diff, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_gauss_legendre_rule():
