@@ -23,9 +23,9 @@ parts, and the Yukawa potential and the drop C(a) - C(a+2R) behind a
 near-unity xi_yukawa are integrals of non-negative integrands for the same
 reason. Disk.radius and Disk.thickness may each be INFINITE where the limit
 exists; an InputError names the divergence where it does not (N <= 1 with
-either infinite, the Newtonian force and N <= 3 with both), and the depth
-integrals of a disk of INFINITE thickness refuse lambda above about
-2.4e305 m.
+either infinite, the Newtonian force and N <= 3 with both), and on a disk
+of INFINITE thickness the depth integrals and xi_yukawa refuse lambda above
+about 2.4e305 m.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ _EDGE_UNDERFLOW = -746.0
 #: double, and its integrand, falling as e^(-v/lam), underflows there only
 #: for lam up to this
 _LAMBDA_MAX_THICK = sys.float_info.max / -_EDGE_UNDERFLOW
+_LAMBDA_MAX_THICK_REFUSAL = (f"on a disk of infinite thickness lambda must be below about "
+                             f"{_LAMBDA_MAX_THICK:.3g} m")
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,7 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     lo, hi = 0.0, min(first, d1)
     while log_bound(lo) >= _EDGE_UNDERFLOW:
         if lo == sys.float_info.max:
-            raise InputError(f"on a disk of infinite thickness lambda must be below about "
-                             f"{_LAMBDA_MAX_THICK:.3g} m")
+            raise InputError(_LAMBDA_MAX_THICK_REFUSAL)
         mid, half = 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
         total += half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights))
         if hi == d1:
@@ -315,7 +316,7 @@ def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
 
 
 def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:
-    """C(z) - C(z + delta) >= 0 for a finite disk, as one non-negative integral.
+    """lam (C(z) - C(z + delta)) >= 0 for a finite disk, as one non-negative integral.
 
     C(z) = (1/lam) integral_0^D1 e^(-v/lam) (1 - q(z+v)) dv with
     q(u) = (u/s) e^(-p(u)/lam) = e^(-phi(u)), phi(u) = L(u) + p(u)/lam,
@@ -334,7 +335,14 @@ def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:
                 * one_minus_exp(l_drop + p_drop / lam))
 
     return _graded_integral(integrand, min(lam, math.hypot(z, rd)), disk.thickness,
-                            lambda v: -(v + _rim(z + delta + v, rd)[1]) / lam) / lam
+                            lambda v: -(v + _rim(z + delta + v, rd)[1]) / lam)
+
+
+def _lam_one_minus_exp(gap: float, lam: float) -> float:
+    """lam (1 - e^(-y)), y = gap/lam; gap itself, to the last bit, where y is
+    subnormal and 1 - e^(-y) would keep only its bits."""
+    y = gap / lam
+    return gap if y < sys.float_info.min else lam * one_minus_exp(y)
 
 
 #: xi_yukawa keeps ln C(a) - ln C(a+2R) from two logs while the result is at
@@ -350,13 +358,18 @@ def xi_yukawa(x: XiInputs, p: YukawaParams) -> float:
     and is unrepresentable for lam << R. Where C(a) and C(a+2R) agree so
     closely that subtracting their logs would cancel, the bracket term is
     log1p((C(a) - C(a+2R))/C(a+2R)) with the drop from _bracket_drop.
+    On a disk of INFINITE thickness C = 1 - e^(-p1/lam) goes subnormal once
+    lam >> p1, so there the logs and the drop are taken of lam C, which does not.
     """
-    lam = p.lam
-    far_z = x.a + 2.0 * x.sphere_radius
-    near, far = _yukawa_bracket(x.a, x.disk, lam), _yukawa_bracket(far_z, x.disk, lam)
+    lam, disk = p.lam, x.disk
+    thick = math.isinf(disk.thickness) and not math.isinf(disk.radius)
+    if thick and lam > _LAMBDA_MAX_THICK:
+        raise InputError(_LAMBDA_MAX_THICK_REFUSAL)
+    near, far = (_lam_one_minus_exp(_rim(z, disk.radius)[1], lam) if thick
+                 else _yukawa_bracket(z, disk, lam) for z in (x.a, x.a + 2.0 * x.sphere_radius))
     ln_near, ln_far = math.log(near), math.log(far)
     value = 2.0 * x.sphere_radius / lam + (ln_near - ln_far)
-    if value >= _XI_DIRECT * (1.0 + abs(ln_near) + abs(ln_far)) or math.isinf(x.disk.radius):
+    if value >= _XI_DIRECT * (1.0 + abs(ln_near) + abs(ln_far)) or math.isinf(disk.radius):
         return value
-    return (2.0 * x.sphere_radius / lam
-            + math.log1p(_bracket_drop(x.a, 2.0 * x.sphere_radius, x.disk, lam) / far))
+    drop = _bracket_drop(x.a, 2.0 * x.sphere_radius, disk, lam)
+    return 2.0 * x.sphere_radius / lam + math.log1p((drop if thick else drop / lam) / far)

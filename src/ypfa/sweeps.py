@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import InputError
@@ -77,11 +78,18 @@ def map_ordered(func: Callable, items: Sequence, workers: int) -> list:
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> int:
     """Write rows (numbers or strings) as CSV; returns the row count.
 
-    The lines go to one writelines call as a generator, so no second copy of
+    Numbers are written as "%.11e" (nan and inf as Python spells them) and
+    str cells verbatim, by one % per row on a format built once from the cell
+    kinds of the first row; a column whose kind changes later is a TypeError.
+    The rows stream to writelines through a lazy map, so no second copy of
     the whole file is held in memory.
     """
+    kinds = ["%s" if isinstance(cell, str) else "%.11e" for cell in rows[0]] if rows else []
+    if any(kind == "%s" and set(map(type, map(itemgetter(column), rows))) != {str}
+           for column, kind in enumerate(kinds)):
+        raise TypeError("a str column of the CSV holds cells of other kinds")
+    line = ",".join(kinds) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join([cell if isinstance(cell, str) else f"{cell:.11e}"
-                                    for cell in row]) + "\n" for row in rows)
+        handle.writelines(map(line.__mod__, map(tuple, rows)))
     return len(rows)

@@ -43,7 +43,7 @@ def test_eta_sweep_single_point(tmp_path):
     lines = read(out).splitlines()
     assert lines[0] == "lambda_m,R_m,D2_m,eta,regime"
     fields = lines[1].split(",")
-    assert float(fields[3]) == pytest.approx(2 * math.exp(-2.0), rel=1e-11)
+    assert float(fields[3]) == pytest.approx(2 * math.exp(-2.0), rel=1e-11, abs=0.0)
     assert fields[2] == "inf"
     assert fields[4] == "direct"
     manifest = json.loads(read(str(out) + ".manifest.json"))
@@ -161,7 +161,7 @@ def test_eta_layered_outer_radius_interpretation(tmp_path):
     row = read(out).splitlines()[1].split(",")
     # core = 150 um - 190 nm, so the short-range limit is 190 nm over that
     want = 1.0 + 190e-9 / (150e-6 - 190e-9)
-    assert float(row[3]) == pytest.approx(want, rel=1e-6)
+    assert float(row[3]) == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 def test_xi_power_sweep_flags_near_pole_rows(tmp_path):
@@ -208,7 +208,7 @@ def test_xi_power_sweep_fig4_left_shape(tmp_path):
     rd, n, value = float(sample[0]), float(sample[1]), float(sample[2])
     inputs = XiInputs(a=100e-9, sphere_radius=150e-6,
                       disk=Disk(radius=rd, thickness=3.5e-6, density=2330.0))
-    assert xi_power(inputs, n) == pytest.approx(value, rel=1e-11)
+    assert xi_power(inputs, n) == pytest.approx(value, rel=1e-11, abs=0.0)
 
 
 def test_xi_yukawa_sweep_short_range_rows_are_3000(tmp_path):
@@ -287,8 +287,8 @@ def test_limits_identity_between_methods(tmp_path):
     for pfa_row, epfa_row in zip(rows_pfa, rows_epfa):
         lam = float(pfa_row[0])
         ratio = float(epfa_row[1]) / float(pfa_row[1])
-        assert ratio == pytest.approx(1.0 / eta(150e-6, INFINITE, lam).eta, rel=1e-10)
-        assert float(epfa_row[4]) == pytest.approx(ratio, rel=1e-10)
+        assert ratio == pytest.approx(1.0 / eta(150e-6, INFINITE, lam).eta, rel=1e-10, abs=0.0)
+        assert float(epfa_row[4]) == pytest.approx(ratio, rel=1e-10, abs=0.0)
     manifest = json.loads(read(str(out_epfa) + ".manifest.json"))
     # of the 8 log points on [10 nm, 10 um], five lie above 100 nm
     assert manifest["counters"]["rows_above_pfa_reliable_lambda"] == 5

@@ -59,7 +59,7 @@ def test_layered_sphere_outer_radius():
     sphere = LayeredSphere(core_radius=150e-6, core_density=4100.0,
                            inner_coat=Layer(10e-9, 7140.0),
                            outer_coat=Layer(180e-9, 19280.0))
-    assert sphere.outer_radius == pytest.approx(150e-6 + 190e-9, rel=1e-15)
+    assert sphere.outer_radius == pytest.approx(150e-6 + 190e-9, rel=1e-15, abs=0.0)
 
 
 def test_lam_power_is_the_plain_power_until_it_overflows():
@@ -80,7 +80,7 @@ def test_infinite_thickness_is_exact():
 
 def test_parse_quantity_units():
     assert parse_quantity("150 um") == 150e-6
-    assert parse_quantity("100 nm") == pytest.approx(1e-7, rel=1e-15)
+    assert parse_quantity("100 nm") == pytest.approx(1e-7, rel=1e-15, abs=0.0)
     assert parse_quantity("1 mm") == 1e-3
     assert parse_quantity("0.2 m") == 0.2
     assert parse_quantity("19.28 g/cm3") == 19280.0
@@ -121,7 +121,7 @@ def test_parse_config_text_basics():
     assert parsed["sphere.core_radius"] == 150e-6
     assert parsed["slab.top.density"] == 19280.0
     assert parsed["pfa.d2"] == INFINITE
-    assert parsed["sweep.radii"] == pytest.approx([50e-6, 100e-6, 150e-6], rel=1e-15)
+    assert parsed["sweep.radii"] == pytest.approx([50e-6, 100e-6, 150e-6], rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("text,fragment", [

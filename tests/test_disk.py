@@ -253,6 +253,28 @@ def test_xi_yukawa_of_a_thick_disk_at_1e305_m_matches_mpmath():
     assert abs(got - want) <= 1e-12 * abs(want), (got, float(want))
 
 
+@pytest.mark.parametrize("rd", [10e-9, 1e-6, 3e-4])
+@pytest.mark.parametrize("lam", [1e280, 1e290, 1e300, 1e303, 1e305, 2e305, 2.4e305])
+def test_xi_yukawa_of_a_thick_disk_at_long_range_matches_mpmath(rd, lam):
+    # C = 1 - e^(-p1/lam) is subnormal here for a small disk (p1/lam < 2.2e-308
+    # from 1e300 m at R_d = 10 nm); the ratio of lam C keeps every digit
+    a, radius = 100e-9, 150e-6
+    got = xi_yukawa(xi_inputs(Disk(rd, math.inf, 2330.0), a, radius), YukawaParams(1.0, lam))
+
+    def bracket(z):
+        return -mp80.expm1(-mp_rim_gap(z, rd) / lam)
+
+    want = 2 * mp80.mpf(radius) / lam + mp80.log(bracket(a) / bracket(a + 2 * radius))
+    assert abs(got - want) <= 4e-15 * abs(want), (got, float(want))
+
+
+def test_xi_yukawa_of_a_thick_disk_refuses_lambda_beyond_the_bound():
+    # the same bound as the depth integrals, whichever branch the ratio takes
+    for rd in (10e-9, 3e-4):
+        with pytest.raises(InputError, match="lambda must be below about 2.41e"):
+            xi_yukawa(xi_inputs(Disk(rd, math.inf, 2330.0)), YukawaParams(1.0, 2.41e305))
+
+
 def test_xi_power_of_a_massless_disk_is_degenerate():
     # both forces are 0: this was a ZeroDivisionError traceback
     with pytest.raises(DegenerateInputError, match="0/0"):

@@ -31,7 +31,7 @@ def test_potential_uniform_density_collapse(coated_stack):
     p = YukawaParams(1.0, 3e-7)
     got = layered_slab_potential(2e-7, uniform, p)
     want = layered_slab_potential(2e-7, bare_slab(rho, total), p)
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_potential_no_coatings_reduction():
@@ -39,7 +39,7 @@ def test_potential_no_coatings_reduction():
     got = layered_slab_potential(1e-7, bare_slab(), p)
     want = (-2 * math.pi * 6.67430e-11 * 2330.0 * (1e-7) ** 2 * math.exp(-1.0)
             * -math.expm1(-3.5e-6 / 1e-7))
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_potential_rejects_nonpositive_height(coated_stack):
@@ -63,7 +63,7 @@ def test_epfa_energy_no_coatings_equals_homogeneous():
     for lam in (1e-8, 1e-7, 1e-6, 1e-4):
         p = YukawaParams(1.0, lam)
         assert layered_epfa_force(cfg, p) == pytest.approx(
-            sphere_slab_force_exact(hom, p), rel=1e-12)
+            sphere_slab_force_exact(hom, p), rel=1e-12, abs=0.0)
 
 
 def test_epfa_energy_uniform_sphere_collapse(coated_stack):
@@ -77,7 +77,7 @@ def test_epfa_energy_uniform_sphere_collapse(coated_stack):
     for lam in (5e-8, 1e-6, 1e-4):
         p = YukawaParams(1.0, lam)
         assert layered_epfa_energy(cfg, p) == pytest.approx(
-            layered_epfa_energy(hom_equiv, p), rel=1e-12)
+            layered_epfa_energy(hom_equiv, p), rel=1e-12, abs=0.0)
 
 
 def test_epfa_energy_against_shell_quadrature(layered_cfg):
@@ -99,8 +99,8 @@ def test_epfa_force_is_energy_over_lambda_and_matches_gradient(layered_cfg):
                                              layered_cfg.slab, layered_cfg.d2), p)
     gradient_force = -(up - down) / (2 * h)
     force = layered_epfa_force(layered_cfg, p)
-    assert force == pytest.approx(layered_epfa_energy(layered_cfg, p) / lam, rel=1e-15)
-    assert gradient_force == pytest.approx(force, rel=1e-8)
+    assert force == pytest.approx(layered_epfa_energy(layered_cfg, p) / lam, rel=1e-15, abs=0.0)
+    assert gradient_force == pytest.approx(force, rel=1e-8, abs=0.0)
 
 
 def test_epfa_linear_in_alpha_and_density(layered_cfg):
@@ -121,10 +121,10 @@ def test_epfa_linear_in_alpha_and_density(layered_cfg):
     u_y = layered_epfa_energy(with_inner_density(4140.0), p1)
     u_xy = layered_epfa_energy(with_inner_density(7140.0), p1)
     # superposition in one density; float addition allows a couple of ulps
-    assert (u_xy - base) == pytest.approx((u_x - base) + (u_y - base), rel=5e-15)
+    assert (u_xy - base) == pytest.approx((u_x - base) + (u_y - base), rel=5e-15, abs=0.0)
     # doubling a density term scales it exactly (binary scaling commutes with rounding)
     assert (layered_epfa_energy(with_inner_density(6000.0), p1) - base
-            ) == pytest.approx(2 * (u_x - base), rel=1e-13)
+            ) == pytest.approx(2 * (u_x - base), rel=1e-13, abs=0.0)
 
 
 # -------------------------------------------------------------- PFA force
@@ -136,7 +136,7 @@ def test_pfa_no_coatings_reduces_to_homogeneous():
     for lam in (1e-8, 1e-6, 1e-4):
         p = YukawaParams(1.0, lam)
         assert layered_pfa_force(cfg, p) == pytest.approx(
-            sphere_slab_force_pfa(hom, p), rel=1e-15)
+            sphere_slab_force_pfa(hom, p), rel=1e-15, abs=0.0)
 
 
 def test_pfa_nine_term_assembly(layered_cfg):
@@ -159,9 +159,9 @@ def test_pfa_nine_term_assembly(layered_cfg):
                                           layer1.density, layer2.thickness,
                                           layer2.density, p)
             want = 2 * math.pi * radius * lam * pressure
-            assert terms[i][j] == pytest.approx(want, rel=1e-14), (i, j)
+            assert terms[i][j] == pytest.approx(want, rel=1e-14, abs=0.0), (i, j)
     total = math.fsum(math.fsum(row) for row in terms)
-    assert layered_pfa_force(layered_cfg, p) == pytest.approx(total, rel=1e-14)
+    assert layered_pfa_force(layered_cfg, p) == pytest.approx(total, rel=1e-14, abs=0.0)
 
 
 def test_pfa_zero_thickness_layers_contribute_exactly_zero():
@@ -212,7 +212,7 @@ def test_eta_delta_independent_of_separation(coated_sphere, coated_stack):
         ratios.append(layered_epfa_force(cfg, p) / layered_pfa_force(cfg, p))
     assert abs(ratios[0] / ratios[1] - 1.0) < 1e-12
     reported = eta_delta(LayeredConfig(1e-7, coated_sphere, coated_stack, INFINITE), p)
-    assert ratios[0] == pytest.approx(reported.eta_delta, rel=1e-12)
+    assert ratios[0] == pytest.approx(reported.eta_delta, rel=1e-12, abs=0.0)
 
 
 def test_eta_delta_bare_sphere_equals_eta(coated_stack):

@@ -73,7 +73,7 @@ def test_alpha_limit_exponential_growth_toward_small_lambda(geometry):
     b1 = alpha_limit(2e-9, bounds, geometry, "epfa").alpha_bound
     b2 = alpha_limit(1e-9, bounds, geometry, "epfa").alpha_bound
     slope = math.log(b2 / b1) / (a / 1e-9 - a / 2e-9)
-    assert slope == pytest.approx(1.0, rel=0.05)
+    assert slope == pytest.approx(1.0, rel=0.05, abs=0.0)
 
 
 def test_alpha_limit_epfa_over_pfa_is_inverse_eta(geometry):
@@ -142,7 +142,7 @@ def test_alpha_limit_continuous_across_phi_branch_switch(geometry):
 def test_limit_shift_values(geometry, layered_cfg):
     assert limit_shift(1e-11, geometry) == pytest.approx(1.0, abs=1e-6)
     at_radius = limit_shift(geometry.sphere_radius, geometry)
-    assert at_radius == pytest.approx(math.e ** 2 / 2.0, rel=1e-12)
+    assert at_radius == pytest.approx(math.e ** 2 / 2.0, rel=1e-12, abs=0.0)
     layered = limit_shift(0.1e-9, layered_cfg)
     assert layered == pytest.approx(1 / 1.00126, abs=1e-4)
     expected = 1.0 / eta_delta(layered_cfg, YukawaParams(1.0, 0.1e-9)).eta_delta
@@ -156,7 +156,7 @@ def test_limit_shift_uses_the_layered_configs_own_d2(layered_cfg):
     lam = 1e-6
     ratio = (alpha_limit(lam, flat_bounds(), cfg, "epfa").alpha_bound
              / alpha_limit(lam, flat_bounds(), cfg, "pfa").alpha_bound)
-    assert limit_shift(lam, cfg) == pytest.approx(ratio, rel=1e-12)
+    assert limit_shift(lam, cfg) == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
 
 def test_pfa_method_builds_only_the_pfa_law(geometry, layered_cfg, monkeypatch):

@@ -22,7 +22,7 @@ def test_one_minus_exp_exact_endpoints():
 def test_x_cosh_x_minus_sinh_x_matches_mpmath():
     for v in (1e-6, 1e-3, 0.1, 0.5, 0.999, 1.0, 2.0, 10.0):
         want = float(mpmath.mpf(v) * mpmath.cosh(v) - mpmath.sinh(v))
-        assert x_cosh_x_minus_sinh_x(v) == pytest.approx(want, rel=1e-14)
+        assert x_cosh_x_minus_sinh_x(v) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_series_terminate_when_first_term_underflows():
@@ -39,14 +39,14 @@ def test_phi_reference_values():
         value, _ = phi(u)
         want = float(mpmath.mpf(1) - 2 / mpmath.mpf(u)
                      + mpmath.e ** (-mpmath.mpf(u)) * (1 + 2 / mpmath.mpf(u)))
-        assert value == pytest.approx(want, rel=5e-14), f"u={u}"
+        assert value == pytest.approx(want, rel=5e-14, abs=0.0), f"u={u}"
 
 
 def test_phi_at_u_equals_two():
     value, regime = phi(2.0)
     assert regime == "direct"
-    assert value == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
-    assert value == pytest.approx(0.270670566473225, rel=1e-12)
+    assert value == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15, abs=0.0)
+    assert value == pytest.approx(0.270670566473225, rel=1e-12, abs=0.0)
 
 
 def test_phi_series_direct_overlap_window():
@@ -73,7 +73,7 @@ def test_phi_branch_jump_at_switch_is_negligible():
 def test_gauss_legendre_rule():
     nodes, weights = gauss_legendre(16)
     assert len(nodes) == 16
-    assert math.fsum(weights) == pytest.approx(2.0, rel=1e-14)
+    assert math.fsum(weights) == pytest.approx(2.0, rel=1e-14, abs=0.0)
     # exact for polynomials up to degree 31
     for degree in (0, 5, 17, 31):
         estimate = math.fsum(w * x ** degree for x, w in zip(nodes, weights))

@@ -22,10 +22,10 @@ def test_slab_slab_thick_limit():
     p = YukawaParams(1.0, lam)
     got = slab_slab_pressure(a, INFINITE, 2330.0, INFINITE, 4100.0, p)
     want = -2 * math.pi * C.G * 2330.0 * 4100.0 * lam * lam * math.exp(-a / lam)
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     # a very thick finite slab is indistinguishable at this lambda
     nearly = slab_slab_pressure(a, 1e-3, 2330.0, 1e-3, 4100.0, p)
-    assert nearly == pytest.approx(got, rel=1e-15)
+    assert nearly == pytest.approx(got, rel=1e-15, abs=0.0)
 
 
 def test_exact_force_tends_to_pfa_for_short_range(homogeneous_cfg):
@@ -35,7 +35,8 @@ def test_exact_force_tends_to_pfa_for_short_range(homogeneous_cfg):
     exact = sphere_slab_force_exact(homogeneous_cfg, p)
     pfa = sphere_slab_force_pfa(homogeneous_cfg, p)
     ratio = exact / pfa
-    assert abs(ratio - 1.0) == pytest.approx(lam / homogeneous_cfg.sphere_radius, rel=1e-4)
+    assert abs(ratio - 1.0) == pytest.approx(lam / homogeneous_cfg.sphere_radius,
+                                             rel=1e-4, abs=0.0)
 
 
 def test_pfa_overestimates_exact(homogeneous_cfg):
@@ -86,8 +87,8 @@ def test_eta_long_range_asymptote_slope():
     e1 = eta(radius, INFINITE, lam1).eta
     e2 = eta(radius, INFINITE, lam2).eta
     slope = math.log(e2 / e1) / math.log(lam2 / lam1)
-    assert slope == pytest.approx(-2.0, rel=0.01)
-    assert e2 == pytest.approx((2 * radius / lam2) ** 2 / 6.0, rel=1e-3)
+    assert slope == pytest.approx(-2.0, rel=0.01, abs=0.0)
+    assert e2 == pytest.approx((2 * radius / lam2) ** 2 / 6.0, rel=1e-3, abs=0.0)
 
 
 def test_eta_exceeds_one_for_thin_virtual_plate():
@@ -98,7 +99,7 @@ def test_eta_exceeds_one_for_thin_virtual_plate():
 
 def test_eta_value_at_lambda_equal_radius():
     value = eta(150e-6, INFINITE, 150e-6).eta
-    assert value == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
+    assert value == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14, abs=0.0)
 
 
 def test_forces_scale_exactly():
@@ -141,7 +142,7 @@ def test_force_ratio_identity_property(a, lam, radius):
         return
     ratio = sphere_slab_force_exact(cfg, p) / pfa
     want = eta(radius, INFINITE, lam).eta
-    assert ratio == pytest.approx(want, rel=1e-13)
+    assert ratio == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @given(st.floats(min_value=1e-8, max_value=1e-6),
