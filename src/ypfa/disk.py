@@ -4,8 +4,9 @@ A point test mass m2 sits on the axis of a disk (radius R_d, thickness D1,
 density rho1), at height z above its top face. Closed forms are provided for
 the Newtonian force, a general power-law force F ~ -K rho1 m2 / r^N (one
 form for every N != 1, and the logarithmic special case N = 1), and the
-Yukawa force. Each is validated against 2D quadrature of its point kernel by
-the oracle module.
+Yukawa force. Each is validated by the oracle module against quadrature of
+its point kernel over the disk depth, with each layer's radial integral
+taken in closed form there.
 
 The finite-size figures of merit are the ratios of the force at the closest
 point of a sphere of radius R (z = a) to the farthest point (z = a + 2R):
@@ -52,6 +53,8 @@ _EDGE_UNDERFLOW = -746.0
 _LAMBDA_MAX_THICK = sys.float_info.max / -_EDGE_UNDERFLOW
 _LAMBDA_MAX_THICK_REFUSAL = (f"on a disk of infinite thickness lambda must be below about "
                              f"{_LAMBDA_MAX_THICK:.3g} m")
+#: log2 of the smallest normal double
+_LOG2_MIN_NORMAL = math.log2(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -284,6 +287,11 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     return total
 
 
+def _log2_gap(u: float, rd: float) -> float:
+    """log2 of the rim gap p = R_d^2/(s + u) at u, finite where p underflows."""
+    return 2.0 * math.log2(rd) - math.log2(math.hypot(0.5 * u, 0.5 * rd) + 0.5 * u) - 1.0
+
+
 def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
                           c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact Yukawa potential energy of the axis probe (J, < 0).
@@ -296,23 +304,34 @@ def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
     integral, which has no elementary form; its integrand is non-negative,
     so nothing cancels when the disk is small (the two terms agree to
     R_d^2/(z lam)). lam (1 - e^(-p/lam)) is taken as p (1 - e^(-x))/x,
-    x = p/lam, which stays normal at any lam. -dU/dz equals
-    disk_yukawa_force; for R_d -> inf this is the laterally infinite slab
-    potential.
+    x = p/lam, which stays normal at any lam. For a small disk at long
+    range p itself is subnormal deep down, so there the integrand is
+    scaled by a power of two (exact) that centres the logs of the rim gaps
+    at the top and at the deepest depth the ladder weighs about 0. -dU/dz
+    equals disk_yukawa_force; for R_d -> inf this is the laterally infinite
+    slab potential.
     """
     lam, z, rd = p.lam, probe.z, disk.radius
     prefactor = -2.0 * math.pi * p.alpha * c.G * disk.density * probe.mass
     if math.isinf(rd):
         return prefactor * lam * math.exp(-z / lam) * (lam * one_minus_exp(disk.thickness / lam))
+    # e^(-v/lam) underflows past 746 lam, so no deeper gap is weighed
+    deep = min(z + min(disk.thickness, -_EDGE_UNDERFLOW * lam), sys.float_info.max)
+    log2_deep = _log2_gap(deep, rd)
+    scale = 1.0
+    if log2_deep < _LOG2_MIN_NORMAL:
+        scale = math.ldexp(1.0, min(1000, round(-0.5 * (log2_deep + _log2_gap(z, rd)))))
 
     def integrand(v: float) -> float:
         # x = p/lam alone underflows past lam ~ 1e160 m, where U still grows as ln lam
-        gap = _rim(z + v, rd)[1]
+        u = z + v
+        s, gap = _rim(u, rd)
         x = gap / lam
-        return math.exp(-v / lam) * gap * (one_minus_exp(x) / x if x > 0.0 else 1.0)
+        return (math.exp(-v / lam) * (rd * (scale * rd / (s + u)))
+                * (one_minus_exp(x) / x if x > 0.0 else 1.0))
 
-    return prefactor * math.exp(-z / lam) * _graded_integral(
-        integrand, min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam)
+    return prefactor * math.exp(-z / lam) * (_graded_integral(
+        integrand, min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam) / scale)
 
 
 def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:

@@ -19,12 +19,13 @@ point kernels:
   (test_two_spheres_yukawa_point_product_against_nested_quadrature);
 - a spherical ring's polar-angle integral over a slab, _ring_polar_integral
   (test_ring_reduction_against_raw_kernel);
-- the disk radius over t = asinh(r/u), r dr = r s dt with s = u cosh t
+- a disk layer's radial integral, _disk_layer, elementary in the slant
+  distance s since r dr = s ds
   (test_disk_radial_substitution_against_raw_kernel).
 Every oracle facing a slab reaches it through _slab_potential; only
-oracle_layered_stack_potential, its reference, integrates sheets. Only the
-disk oracle nests one quadrature inside another (_Nested): its radial
-integral has no elementary form.
+oracle_layered_stack_potential, its reference, integrates sheets. No oracle
+nests one quadrature inside another: each result is one adaptive integral,
+or a sum of independent ones.
 
 The integrator is a worst-interval-first adaptive Gauss-Kronrod 7/15 rule
 with |K15 - G7| as the per-panel error estimate. As in QUADPACK's QAG, the
@@ -209,37 +210,6 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
         vals.append(val)
         errs.append(err)
         subdivisions += 1
-
-
-class _Nested:
-    """Bookkeeping for inner integrals of a nested 2D quadrature."""
-
-    def __init__(self, spec: QuadratureSpec):
-        self.spec = spec.tighter()
-        self.subdivisions = 0
-        self.all_converged = True
-        self.worst_rel_err = 0.0
-
-    def integral(self, f: Callable[[float], float], lo: float, hi: float,
-                 sharp_edges=None) -> float:
-        val, err, nsub, ok = integrate_adaptive(f, lo, hi, self.spec, sharp_edges=sharp_edges)
-        self.subdivisions += nsub
-        self.all_converged = self.all_converged and ok
-        if err > 0.0:
-            self.worst_rel_err = max(self.worst_rel_err, err / abs(val) if val else math.inf)
-        return val
-
-    def report(self, outer: tuple[float, float, int, bool], scale: float = 1.0) -> OracleReport:
-        """Report for scale times an outer integral over these inner ones.
-
-        Every nested integrand here has a single sign, so inner errors of at
-        most worst_rel_err relative add at most worst_rel_err |value| to the
-        outer |K15 - G7| estimate.
-        """
-        val, err, nsub, ok = outer
-        inner_err = self.worst_rel_err * abs(val) if val else 0.0
-        return OracleReport(scale * val, abs(scale) * (err + inner_err),
-                            nsub + self.subdivisions, ok and self.all_converged)
 
 
 def _summed(parts) -> OracleReport:
@@ -532,37 +502,37 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
 # point probe above a finite disk
 # --------------------------------------------------------------------------
 
-def _disk_radial(kernel: str, u: float, n: float | None,
-                 lam: float | None) -> Callable[[float], float]:
-    """Integrand over t = asinh(r/u) at depth u below an axis probe.
+def _disk_layer(kernel: str, u: float, rd: float, n: float | None,
+                lam: float | None) -> float:
+    """Radial integral of the raw point kernel over a disk layer at depth u.
 
-    With r = u sinh t the slant distance is s = u cosh t and dr = s dt, so
-    r dr = r s dt: each integrand is the raw point kernel (with its r) times
-    s, written so that no length is squared. The power-law tails 1/s^N
-    become exponentials in t on a range asinh(R_d/u) of order 10.
+    With s = sqrt(u^2+r^2) the slant distance to the ring of radius r,
+    r dr = s ds, so each radial integral over [0, R_d] is an elementary
+    antiderivative taken between s = u and the rim S = sqrt(u^2+R_d^2):
+
+        newton            u r / s^3                    ->  p/S
+        power, N != 1     u r / s^(N+1)                ->  u^(2-N) (1 - e^((1-N) L)) / (N-1)
+        power, N = 1      u r / s^2                    ->  u L
+        yukawa            u r e^(-s/lam) (1/(lam s^2) + 1/s^3)
+                                                       ->  e^(-u/lam) (1 - e^(-(L + p/lam)))
+        yukawa_potential  r e^(-s/lam) / s             ->  e^(-u/lam) p (1 - e^(-x))/x,  x = p/lam
+
+    with the rim gap p = S - u written as R_d (R_d/(S + u)) and L = ln(S/u)
+    as log1p(p/u), so nothing cancels when R_d << u and no length is squared.
     """
-    if kernel == "newton":  # u r / s^3 * s
-        def radial(t: float) -> float:
-            return math.tanh(t) / math.cosh(t)
-    elif kernel == "power":  # u r / s^(N+1) * s
-        power = 2.0 - n
-
-        def radial(t: float) -> float:
-            cosh_t = math.cosh(t)
-            return math.tanh(t) / cosh_t * (u * cosh_t) ** power
-    elif kernel == "yukawa":  # u r e^(-s/lam) (1/(lam s^2) + 1/s^3) * s
-        u_lam = u / lam
-
-        def radial(t: float) -> float:
-            cosh_t = math.cosh(t)
-            x = u_lam * cosh_t
-            return math.tanh(t) / cosh_t * math.exp(-x) * (x + 1.0)
-    else:  # yukawa_potential: r e^(-s/lam) / s * s
-        u_lam = u / lam
-
-        def radial(t: float) -> float:
-            return u * math.sinh(t) * math.exp(-u_lam * math.cosh(t))
-    return radial
+    s = math.hypot(u, rd)
+    gap = rd * (rd / (s + u))
+    if kernel == "newton":
+        return gap / s
+    log_ratio = math.log1p(gap / u)
+    if kernel == "power":
+        if n == 1.0:
+            return u * log_ratio
+        return u ** (2.0 - n) * -math.expm1((1.0 - n) * log_ratio) / (n - 1.0)
+    if kernel == "yukawa":
+        return math.exp(-u / lam) * -math.expm1(-(log_ratio + gap / lam))
+    x = gap / lam  # yukawa_potential
+    return math.exp(-u / lam) * gap * (-math.expm1(-x) / x if x > 0.0 else 1.0)
 
 
 def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
@@ -570,19 +540,17 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
                       q: QuadratureSpec = QuadratureSpec(),
                       n: float | None = None,
                       p: YukawaParams | None = None) -> OracleReport:
-    """Force (or potential) on an axis probe by 2D quadrature over the disk.
+    """Force (or potential) on an axis probe by quadrature over the disk depth.
 
     kernel: 'newton' and 'power' (needs n) integrate the axial force
     component u/s^(N+1); 'yukawa' (needs p) the exact Yukawa force kernel
     u e^(-s/lam) (1/(lam s^2) + 1/s^3); 'yukawa_potential' the pair
-    potential e^(-s/lam)/s, returning energy instead of force. The nested
-    integration runs u = z - z1 over the thickness (outer) and the disk
-    radius (inner), with the axial 2 pi r Jacobian. The inner variable is
-    t = asinh(r/u), so r dr = r s dt with s = u cosh t (_disk_radial), and
-    the power-law tails 1/s^N are exponentials in t. The Yukawa kernels
-    truncate an INFINITE thickness 80 lam below the probe (relative tail
-    < 2e-35) and refuse a lam for which that depth overflows; the power-law
-    kernels need a finite thickness.
+    potential e^(-s/lam)/s, returning energy instead of force. Each layer at
+    depth u = z - z1 contributes 2 pi times its radial integral, which is
+    elementary (_disk_layer), so one adaptive integral over the thickness
+    remains. The Yukawa kernels truncate an INFINITE thickness 80 lam below
+    the probe (relative tail < 2e-35) and refuse a lam for which that depth
+    overflows; the power-law kernels need a finite thickness.
     """
     if math.isinf(disk.radius):
         raise InputError("the quadrature oracle requires a finite disk radius")
@@ -590,7 +558,7 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
         raise InputError(f"the {kernel} quadrature oracle requires a finite disk thickness")
     z, m2 = probe.z, probe.mass
     rd, d1 = disk.radius, disk.thickness
-    if not rd / z <= 1e300:  # cosh(asinh(R_d/u)) must not overflow
+    if not rd / z <= 1e300:  # p/u, and L = log1p(p/u) with it, must not overflow
         raise InputError(f"the disk oracle needs R_d / z <= 1e300, got {rd:g} m / {z:g} m")
 
     if kernel == "newton":
@@ -613,18 +581,11 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
         if not math.isfinite(z + d1):
             raise InputError("the disk oracle's depth range z + min(D1, 80 lam) "
                              f"overflows for lam = {lam:g} m")
-    nested = _Nested(q)
-
-    def slab_layer(u: float) -> float:
-        # radial mass sits near r ~ u, t ~ 0.5 (power kernels) or within the
-        # Yukawa decay shell r ~ sqrt(u lam), t ~ sqrt(lam/u)
-        scale = min(0.5, math.sqrt(lam / u)) if yukawa_like else 0.5
-        return 2.0 * math.pi * nested.integral(_disk_radial(kernel, u, n, lam),
-                                               0.0, math.asinh(rd / u),
-                                               sharp_edges=[(0.0, scale)])
 
     # a Yukawa ladder at scale lam alone would never sample u <~ R_d for a
     # long range, where the force comes from
     outer_scale = min(lam, rd) if yukawa_like else z
-    return nested.report(integrate_adaptive(slab_layer, z, z + d1, q,
-                                            sharp_edges=[(z, outer_scale)]), scale=prefactor)
+    val, err, nsub, ok = integrate_adaptive(
+        lambda u: 2.0 * math.pi * _disk_layer(kernel, u, rd, n, lam), z, z + d1, q,
+        sharp_edges=[(z, outer_scale)])
+    return OracleReport(prefactor * val, abs(prefactor) * err, nsub, ok)

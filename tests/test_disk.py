@@ -230,6 +230,46 @@ def test_very_thick_finite_disk_is_the_thick_disk_limit(d1):
         disk_yukawa_force(probe(), thick, lam), rel=1e-14, abs=0.0)
 
 
+def mp_thick_disk_potential(z, rd, lam):
+    """disk_yukawa_potential (alpha = 1, unit mass) of a disk of INFINITE
+    thickness, at 20 digits on the same floats.
+
+    The depth integral of e^(-v/lam) lam (1 - e^(-p(z+v)/lam)) runs over
+    t = ln v, from z e^-40 (the part below is g(z) z e^-40 to first order)
+    to 800 lam, on panels 1/20 of that range wide and 0.5 wide within 10 of
+    ln z, ln R_d and ln lam, where it bends. The integrand is divided by
+    R_d^2 because mpmath's quadrature tolerance is absolute.
+    """
+    mp = mpmath.MPContext()
+    mp.dps = 20
+    z, rd, lam = mp.mpf(z), mp.mpf(rd), mp.mpf(lam)
+
+    def scaled(t):
+        v = mp.exp(t)
+        u = z + v
+        gap_over_rd = rd / (mp.sqrt(u * u + rd * rd) + u)
+        return mp.exp(-v / lam) * (lam / rd) * -mp.expm1(-gap_over_rd * rd / lam) / rd * v
+
+    lo, hi = mp.log(z) - 40, mp.log(800 * lam)
+    points = {lo + (hi - lo) * k / 20 for k in range(21)}
+    for bend in (mp.log(z), mp.log(rd), mp.log(lam)):
+        points.update(bend + 0.5 * k for k in range(-20, 21) if lo < bend + 0.5 * k < hi)
+    depth = (scaled(lo) + mp.quad(scaled, sorted(points), method="gauss-legendre")) * rd * rd
+    return -2 * mp.pi * mp.mpf(C.G) * 2330 * mp.exp(-z / lam) * depth
+
+
+@pytest.mark.parametrize("rd", [1e-20, 10e-9, 300e-6, 1e4])
+@pytest.mark.parametrize("lam", [1e280, 1e300, 1e305, 2.4e305])
+def test_thick_disk_potential_at_long_range_matches_mpmath(rd, lam):
+    # the rim gap p is subnormal deep in a small disk's depth integral (from
+    # v ~ 2e291 m at R_d = 10 nm), and the integrand carried p: 3.4e-5 off
+    # at 1e305 m for R_d = 10 nm and 7e-2 for R_d = 1e-20 m. At R_d = 1e4 m
+    # lam p would overflow; p stays normal there
+    got = disk_yukawa_potential(probe(), Disk(rd, math.inf, 2330.0), YukawaParams(1.0, lam))
+    want = mp_thick_disk_potential(100e-9, rd, lam)
+    assert abs(got - want) <= 3e-14 * abs(want), (got, float(want))
+
+
 @pytest.mark.parametrize("lam", [1e306, 1e307, 1.7e308])
 def test_thick_disk_beyond_the_ladder_is_an_input_error(lam):
     # the edge integrand still exceeds e^-746 at the largest double here, so

@@ -14,7 +14,7 @@ from ypfa.core import INFINITE, Disk, Layer, LayeredSlab
 from ypfa.disk import AxisProbe, disk_yukawa_force, disk_yukawa_potential
 from ypfa.layered import layered_slab_potential
 from ypfa.numerics import x_cosh_x_minus_sinh_x
-from ypfa.oracle import (_ball_force_coefficient, _column_energy, _disk_radial, _gk_panel,
+from ypfa.oracle import (_ball_force_coefficient, _column_energy, _disk_layer, _gk_panel,
                          _initial_mesh, _ring_polar_integral, _slab_potential,
                          integrate_adaptive)
 from ypfa.verify import _SPEC_2D, _SPEC_2D_TIGHT, _layered_sphere, _layered_stack, _scaled_disk
@@ -215,17 +215,19 @@ def _disk_oracle_evals(monkeypatch, kernel, spec, **extra):
 
 def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
     # the verify disk-Yukawa configuration took 22,290 integrand calls when
-    # the hint ladders were topped up with a uniform fill, and 2,850 from
-    # hint-seeded meshes over the radius r; over t = asinh(r/u) it needs 1,770
+    # the hint ladders were topped up with a uniform fill, 2,850 from
+    # hint-seeded meshes over the radius r and 1,770 over t = asinh(r/u);
+    # with each layer's radial integral in closed form it needs 15
     assert _disk_oracle_evals(monkeypatch, "yukawa", _SPEC_2D,
-                              p=YukawaParams(1.0, 5e-6)) == 1770
+                              p=YukawaParams(1.0, 5e-6)) == 15
 
 
-@pytest.mark.parametrize("kernel,spec,n,evals", [("newton", _SPEC_2D_TIGHT, None, 12450),
-                                                 ("power", _SPEC_2D, 1.0, 8220)])
+@pytest.mark.parametrize("kernel,spec,n,evals", [("newton", _SPEC_2D_TIGHT, None, 105),
+                                                 ("power", _SPEC_2D, 1.0, 105)])
 def test_disk_power_law_oracle_integrand_evaluations(monkeypatch, kernel, spec, n, evals):
-    # over the radius r these verify configurations took 33,915 (newton)
-    # and 16,185 (power, n = 1) integrand calls
+    # these verify configurations took 33,915 (newton) and 16,185 (power,
+    # n = 1) integrand calls with a radial quadrature over r, and 12,450 and
+    # 8,220 over t = asinh(r/u)
     assert _disk_oracle_evals(monkeypatch, kernel, spec, n=n) == evals
 
 
@@ -274,13 +276,7 @@ def _doubling(top):
 
 def _assert_contract(reference, run):
     """|oracle - reference| <= rel_tol |value|, and estimate >= achieved
-    error, at every contract tolerance.
-
-    A nested report's estimate includes the worst inner relative error times
-    the outer value; without that term the estimate fell below the achieved
-    error on the verify disk-Yukawa grid at rel_tol 1e-10 in 21 of 27
-    configurations, by up to 1.9x, all at the 1e-15 round-off floor.
-    """
+    error, at every contract tolerance."""
     for tol in CONTRACT_TOLS:
         report = run(QuadratureSpec(rel_tol=tol, abs_tol=1e-300))
         achieved = abs(report.value - reference)
@@ -479,8 +475,8 @@ def test_ring_reduction_against_raw_kernel():
 
 
 def _raw_disk_radial(kernel, u, n, lam):
-    """The disk oracle's inner integrand over r, before the change of
-    variable to t = asinh(r/u): the point kernel with its r Jacobian."""
+    """A disk layer's radial integrand over r at depth u: the point kernel
+    with its r Jacobian."""
     u2 = u * u
     if kernel == "newton":
         return lambda r: r * u / (r * r + u2) ** 1.5
@@ -500,24 +496,27 @@ def _raw_disk_radial(kernel, u, n, lam):
 
 
 @pytest.mark.parametrize("kernel,n,lam", [("newton", None, None)]
-                         + [("power", n, None) for n in (1.0, 1.5, 2.5, 3.0, 4.0)]
+                         + [("power", n, None)
+                            for n in (0.5, 1.0, 1.0 + 1e-5, 1.5, 2.0, 2.5, 3.0, 4.0)]
                          + [(k, None, lam) for k in ("yukawa", "yukawa_potential")
-                            for lam in (5e-7, 5e-6, 5e-5)])
+                            for lam in (1e-9, 5e-7, 1e-6, 5e-6, 5e-5, 1e-3, 1.0)])
 def test_disk_radial_substitution_against_raw_kernel(kernel, n, lam):
-    # r = u sinh t, s = u cosh t, dr = s dt: each t-form inner integral over
-    # [0, asinh(R_d/u)] equals the r-form one over [0, R_d], at the verify
-    # grid's depths and disk radii
+    # r dr = s ds turns each radial integral over [0, R_d] into an elementary
+    # antiderivative; it must match the r-quadrature of the point kernel from
+    # layers far above the disk's radius to far below it. A Yukawa layer
+    # deeper than 600 lam is skipped: both sides are e^-600 or below there
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
-    for u in (1e-7, 5e-7, 2e-6, 9e-6):
-        for rd in (150e-6, 300e-6, 600e-6):
-            r_hints = [(0.0, u)] + ([(0.0, math.sqrt(u * lam))] if lam else [])
-            raw, _, _, raw_ok = integrate_adaptive(_raw_disk_radial(kernel, u, n, lam),
-                                                   0.0, rd, spec, sharp_edges=r_hints)
-            value, _, _, ok = integrate_adaptive(_disk_radial(kernel, u, n, lam),
-                                                 0.0, math.asinh(rd / u), spec,
-                                                 sharp_edges=[(0.0, 0.5)])
-            assert raw_ok and ok
-            assert value == pytest.approx(raw, rel=1e-12, abs=0.0), (u, rd)
+    rd = 300e-6
+    for exponent in range(-3, 4):
+        u = rd * 10.0 ** exponent
+        if lam and u > 600.0 * lam:
+            continue
+        r_hints = [(0.0, u)] + ([(0.0, math.sqrt(u * lam))] if lam else [])
+        raw, _, _, ok = integrate_adaptive(_raw_disk_radial(kernel, u, n, lam), 0.0, rd,
+                                           spec, sharp_edges=r_hints)
+        assert ok
+        assert raw > 0.0
+        assert _disk_layer(kernel, u, rd, n, lam) == pytest.approx(raw, rel=1e-12, abs=0.0), u
 
 
 #: (R, lam, a) of verify.check_slicing_equivalence
@@ -800,7 +799,7 @@ def test_thick_disk_potential_matches_the_oracle_at_long_range(exponent):
 
 @pytest.mark.parametrize("kernel", ["newton", "power", "yukawa", "yukawa_potential"])
 def test_disk_oracle_refuses_a_subnormal_probe_height(kernel):
-    # R_d/z overflows, and cosh of t = asinh(R_d/u) with it
+    # R_d/z overflows, and the rim ratio p/u with it
     with pytest.raises(InputError, match="R_d / z"):
         oracle_disk_point(AxisProbe(1e-320), Disk(3e-4, 3.5e-6, 2330.0), kernel,
                           n=2.0, p=YukawaParams(1.0, 5e-6))
