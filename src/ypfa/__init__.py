@@ -12,10 +12,9 @@ from .core import (G_DEFAULT, INFINITE, NO_LAYER, DegenerateInputError, Disk, In
                    LayeredSlab, LayeredSphere, PhysicalConstants, PoleProximityError,
                    PowerLawParams, YukawaParams)
 from .disk import (AxisProbe, XiInputs, disk_gravity_force, disk_power_force,
-                   disk_yukawa_force, disk_yukawa_potential, xi_gravity, xi_power, xi_yukawa)
+                   disk_yukawa_force, disk_yukawa_potential, xi_power, xi_yukawa)
 from .layered import (EtaDeltaResult, LayeredConfig, eta_delta, layered_epfa_energy,
-                      layered_epfa_force, layered_pfa_force, layered_pfa_terms,
-                      layered_slab_potential)
+                      layered_epfa_force, layered_pfa_force, layered_slab_potential)
 from .limits import (ExclusionPoint, ResidualBound, alpha_limit, exclusion_curve, limit_shift)
 from .oracle import (OracleReport, QuadratureSpec, oracle_disk_point,
                      oracle_layered_sphere_slab, oracle_layered_stack_potential,

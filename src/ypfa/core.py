@@ -181,18 +181,19 @@ class SeparationLaw:
 
     Any body facing a laterally infinite slab feels a Yukawa force of this
     shape, so everything but the exponential can be evaluated once per lam.
-    ``law(a)`` computes head * e^(-a/lam) * factors[0] * factors[1] ... / over,
-    multiplied left to right, which reproduces the one-line product form
-    of each closed form bit for bit. The gap is not validated here.
+    ``slab`` is the slab side's thickness or stack factor and ``curvature``
+    the body side's: Phi(2R/lam) or the shell sum for the exact force, the
+    virtual plate's factor for the PFA. ``law(a)`` computes
+    head * e^(-a/lam) * slab * curvature / over, multiplied left to right,
+    which reproduces the one-line product form of each closed form bit for
+    bit. The gap is not validated here.
     """
 
     head: float
     lam: float
-    factors: tuple[float, ...]
+    slab: float
+    curvature: float
     over: float = 1.0
 
     def __call__(self, a: float) -> float:
-        value = self.head * math.exp(-a / self.lam)
-        for factor in self.factors:
-            value *= factor
-        return value / self.over
+        return self.head * math.exp(-a / self.lam) * self.slab * self.curvature / self.over

@@ -10,9 +10,9 @@ taken in closed form there.
 
 The finite-size figures of merit are the ratios of the force at the closest
 point of a sphere of radius R (z = a) to the farthest point (z = a + 2R):
-xi_gravity, xi_power, xi_yukawa. The Yukawa ratio reaches e^(2R/lambda)
-(~ e^3000 for micron-scale spheres at lambda = 0.1 um), so xi_yukawa
-returns its natural logarithm.
+xi_power (the Newtonian ratio is its N = 2 case) and xi_yukawa. The Yukawa
+ratio reaches e^(2R/lambda) (~ e^3000 for micron-scale spheres at
+lambda = 0.1 um), so xi_yukawa returns its natural logarithm.
 
 Numerical notes: every bracket is built from the rims of the two faces,
 s = sqrt(u^2+R_d^2), p = s - u and L = ln(s/u) at u = z and z + D1 (_rim),
@@ -141,11 +141,6 @@ def disk_gravity_force(probe: AxisProbe, disk: Disk,
     return -2.0 * math.pi * c.G * disk.density * probe.mass * _grav_bracket(probe.z, disk)
 
 
-def xi_gravity(x: XiInputs) -> float:
-    """Newtonian near/far force ratio F(a) / F(a + 2R) for the sphere's poles."""
-    return _grav_bracket(x.a, x.disk) / _grav_bracket(x.a + 2.0 * x.sphere_radius, x.disk)
-
-
 def _expm1_over(m: float, x: float) -> float:
     """E(m, x) = expm1(m x)/m, and its limit x where m x == 0."""
     mx = m * x
@@ -269,22 +264,23 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     wider than its distance from both, so fixed-order panels evaluate f
     deterministically to its own rounding (1e-15 relative). The ladder stops
     once log_bound(lo), a non-increasing bound on ln f beyond lo, is below
-    _EDGE_UNDERFLOW, where every remaining term is 0.0. D1 may be INFINITE;
+    _EDGE_UNDERFLOW, where every remaining term is 0.0; the panel values,
+    about 1,000 on a deep ladder, are summed with fsum. D1 may be INFINITE;
     a ladder that would pass the largest double first, which takes lam above
     _LAMBDA_MAX_THICK, is an InputError naming that bound.
     """
     nodes, weights = gauss_legendre(_EDGE_PANEL_ORDER)
-    total = 0.0
+    panels = []
     lo, hi = 0.0, min(first, d1)
     while log_bound(lo) >= _EDGE_UNDERFLOW:
         if lo == sys.float_info.max:
             raise InputError(_LAMBDA_MAX_THICK_REFUSAL)
         mid, half = 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
-        total += half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights))
+        panels.append(half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights)))
         if hi == d1:
             break
         lo, hi = hi, min(2.0 * hi, d1, sys.float_info.max)
-    return total
+    return math.fsum(panels)
 
 
 def _log2_gap(u: float, rd: float) -> float:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
                    LayeredSphere, PhysicalConstants, SeparationLaw, YukawaParams)
@@ -69,30 +69,21 @@ class EtaDeltaResult:
     ratio: float
 
 
-def _slab_summands(slab: LayeredSlab, lam: float) -> list[float]:
-    """Per-layer summands of S_slab: base, middle, top."""
+def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
+    """Effective density S_slab of the layered slab seen from above (kg/m^3)."""
     top, mid, base = slab.top, slab.middle, slab.base
-    return [
+    return math.fsum([
         base.density * math.exp(-(top.thickness + mid.thickness) / lam)
         * one_minus_exp(base.thickness / lam),
         mid.density * math.exp(-top.thickness / lam) * one_minus_exp(mid.thickness / lam),
         top.density * one_minus_exp(top.thickness / lam),
-    ]
-
-
-def _virtual_plate(sphere: LayeredSphere, d2: float) -> LayeredSlab:
-    """The PFA's virtual plate: core material of thickness d2 wearing the sphere's coats."""
-    return LayeredSlab(Layer(d2, sphere.core_density), sphere.inner_coat, sphere.outer_coat)
-
-
-def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
-    """Effective density S_slab of the layered slab seen from above (kg/m^3)."""
-    return math.fsum(_slab_summands(slab, lam))
+    ])
 
 
 def virtual_stack_factor(sphere: LayeredSphere, d2: float, lam: float) -> float:
-    """Stack factor S_virtual of the virtual plate (thickness d2) wearing the sphere's coats."""
-    return slab_stack_factor(_virtual_plate(sphere, d2), lam)
+    """Stack factor S_virtual of the virtual plate: core material d2 thick, the sphere's coats."""
+    return slab_stack_factor(
+        LayeredSlab(Layer(d2, sphere.core_density), sphere.inner_coat, sphere.outer_coat), lam)
 
 
 def _shell_term(lo: float, hi: float, lam: float, r_out: float) -> float:
@@ -144,19 +135,14 @@ def layered_epfa_energy_law(cfg: LayeredConfig, p: YukawaParams,
     """Exact layered energy as a law in the separation (cfg.separation unused)."""
     lam = p.lam
     return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(4), lam,
-                         (slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam)))
+                         slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam))
 
 
 def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
                            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact layered force U/lam as a law in the separation."""
     energy = layered_epfa_energy_law(cfg, p, c)
-    return SeparationLaw(energy.head, energy.lam, energy.factors, over=p.lam)
-
-
-def _pfa_head(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants) -> float:
-    """-4 pi^2 alpha G lam^3 R_core, the prefactor of every PFA layer pair."""
-    return -4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(3) * cfg.sphere.core_radius
+    return replace(energy, over=p.lam)
 
 
 def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
@@ -166,9 +152,9 @@ def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
     The virtual plate thickness is cfg.d2, which LayeredConfig checks.
     """
     lam = p.lam
-    return SeparationLaw(_pfa_head(cfg, p, c), lam,
-                         (slab_stack_factor(cfg.slab, lam),
-                          virtual_stack_factor(cfg.sphere, cfg.d2, lam)))
+    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(3)
+                         * cfg.sphere.core_radius, lam, slab_stack_factor(cfg.slab, lam),
+                         virtual_stack_factor(cfg.sphere, cfg.d2, lam))
 
 
 def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams,
@@ -183,29 +169,13 @@ def layered_epfa_force(cfg: LayeredConfig, p: YukawaParams,
     return layered_epfa_force_law(cfg, p, c)(cfg.separation)
 
 
-def layered_pfa_terms(cfg: LayeredConfig, p: YukawaParams,
-                      c: PhysicalConstants = PhysicalConstants()) -> list[list[float]]:
-    """The nine layer-pair contributions to the PFA force (N each).
-
-    Rows run over slab layers [base, middle, top], columns over the
-    virtual plate's [core material of thickness d2, inner coat, outer coat]; each
-    entry is 2 pi R times that layer pair's parallel-plate energy per unit
-    area at its standoff (= lam times its pressure, the profile being a
-    pure exponential). The sum of all nine equals layered_pfa_force.
-    """
-    lam = p.lam
-    pref = _pfa_head(cfg, p, c) * math.exp(-cfg.separation / lam)
-    s1 = _slab_summands(cfg.slab, lam)
-    s2 = _slab_summands(_virtual_plate(cfg.sphere, cfg.d2), lam)
-    return [[pref * a * b for b in s2] for a in s1]
-
-
 def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams,
                       c: PhysicalConstants = PhysicalConstants()) -> float:
-    """PFA force 2 pi R P_stack(a) for the layered pair (N, < 0).
+    """PFA force 2 pi R E_stack(a) for the layered pair (N, < 0).
 
-    Uses the factorized form S_slab * S_virtual, identical to summing the
-    nine layer-pair pressures of layered_pfa_terms.
+    Uses the factorized form S_slab * S_virtual: the sum of the nine layer
+    pairs' parallel-plate energies 2 pi R lam P, with each slab layer facing
+    each layer of the virtual plate at its own standoff.
     """
     return layered_pfa_law(cfg, p, c)(cfg.separation)
 
@@ -256,12 +226,12 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams) -> EtaDeltaResult:
 def layered_pfa_over_epfa(cfg: LayeredConfig, pfa: SeparationLaw, epfa: SeparationLaw) -> float:
     """F_pfa/F_epfa = 1/eta_delta from layered_pfa_law and layered_epfa_force_law at one lam.
 
-    Both laws carry S_slab first and their sphere-side factor last, S_virtual
-    and Psi_sphere, so this is 1/eta_delta bit for bit, and it raises
+    Both laws carry S_slab as their slab factor and S_virtual or Psi_sphere as
+    their curvature factor, so this is 1/eta_delta bit for bit, and it raises
     DegenerateInputError where eta_delta does. A bare sphere takes eta_delta's
     route through eta too: the laws' own ratio differs there in the last bits.
     """
     sphere, lam = cfg.sphere, pfa.lam
     if _bare(sphere):
         return 1.0 / eta(sphere.outer_radius, cfg.d2, lam).eta
-    return 1.0 / _exact_over_pfa(sphere, epfa.factors[1], pfa.factors[1], lam)
+    return 1.0 / _exact_over_pfa(sphere, epfa.curvature, pfa.curvature, lam)

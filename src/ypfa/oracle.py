@@ -96,11 +96,6 @@ class QuadratureSpec:
         if self.max_subdivisions < 1:
             raise InputError("max_subdivisions must be >= 1")
 
-    def tighter(self, factor: float = 0.1) -> "QuadratureSpec":
-        """Spec for inner integrals of a nested quadrature."""
-        return QuadratureSpec(self.rel_tol * factor, self.abs_tol * factor,
-                              self.max_subdivisions)
-
 
 @dataclass(frozen=True)
 class OracleReport:

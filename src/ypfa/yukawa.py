@@ -164,7 +164,7 @@ def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams,
     lam = p.lam
     phi_value, _ = phi(2.0 * cfg.sphere_radius / lam)
     return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
-                         (one_minus_exp(cfg.slab_thickness / lam), phi_value))
+                         one_minus_exp(cfg.slab_thickness / lam), phi_value)
 
 
 def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams,
@@ -172,7 +172,7 @@ def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams,
     """PFA sphere-slab force as a law in the separation (cfg.separation unused)."""
     lam = p.lam
     return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
-                         (one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(cfg.d2 / lam)))
+                         one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(cfg.d2 / lam))
 
 
 def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
@@ -186,10 +186,10 @@ def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
 def sphere_slab_pfa_over_exact(pfa: SeparationLaw, exact: SeparationLaw) -> float:
     """F_pfa/F_exact = 1/eta from two laws built above at one lam.
 
-    Both laws carry the slab factor first and their curvature factor last,
+    Both laws carry the same slab factor, and their curvature factors are
     (1 - e^(-d2/lam)) and Phi(2R/lam), so this is 1/eta(R, d2, lam) bit for bit.
     """
-    return 1.0 / _phi_over_plate(exact.factors[1], pfa.factors[1], pfa.lam)
+    return 1.0 / _phi_over_plate(exact.curvature, pfa.curvature, pfa.lam)
 
 
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,

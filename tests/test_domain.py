@@ -18,7 +18,7 @@ from test_disk import mp_yukawa_potential
 from ypfa import (G_DEFAULT, INFINITE, AxisProbe, DegenerateInputError, Disk, InputError, Layer,
                   LayeredConfig, LayeredSlab, LayeredSphere, PowerLawParams, XiInputs,
                   YukawaParams, disk_gravity_force, disk_power_force, disk_yukawa_force,
-                  disk_yukawa_potential, eta, eta_delta, layered_pfa_terms, slab_slab_pressure,
+                  disk_yukawa_potential, eta, eta_delta, layered_pfa_force, slab_slab_pressure,
                   xi_power, xi_yukawa)
 from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
 
@@ -85,35 +85,27 @@ def mp_shell_factor(sphere, lam):
             + M(sphere.outer_coat.density) * term(r_mid, r_out))
 
 
-def mp_slab_summands(slab, lam):
-    """[base, middle, top] layer summands of the slab's stack factor."""
+def mp_slab_factor(slab, lam):
+    """Sum of the [base, middle, top] layer summands of the slab's stack factor."""
     lam = M(lam)
     top, mid, base = slab.top, slab.middle, slab.base
-    return [M(base.density) * mp.exp(-(M(top.thickness) + M(mid.thickness)) / lam)
-            * _one_minus_exp(M(base.thickness) / lam),
-            M(mid.density) * mp.exp(-M(top.thickness) / lam)
-            * _one_minus_exp(M(mid.thickness) / lam),
-            M(top.density) * _one_minus_exp(M(top.thickness) / lam)]
-
-
-def mp_slab_factor(slab, lam):
-    return mp.fsum(mp_slab_summands(slab, lam))
-
-
-def mp_virtual_summands(sphere, d2, lam):
-    """[core plate of thickness d2, inner coat, outer coat] summands of the virtual plate."""
-    lam = M(lam)
-    inner, outer = sphere.inner_coat, sphere.outer_coat
-    plate = M(1) if d2 == INFINITE else _one_minus_exp(M(d2) / lam)
-    return [M(sphere.core_density) * mp.exp(-(M(inner.thickness) + M(outer.thickness)) / lam)
-            * plate,
-            M(inner.density) * mp.exp(-M(outer.thickness) / lam)
-            * _one_minus_exp(M(inner.thickness) / lam),
-            M(outer.density) * _one_minus_exp(M(outer.thickness) / lam)]
+    return mp.fsum([M(base.density) * mp.exp(-(M(top.thickness) + M(mid.thickness)) / lam)
+                    * _one_minus_exp(M(base.thickness) / lam),
+                    M(mid.density) * mp.exp(-M(top.thickness) / lam)
+                    * _one_minus_exp(M(mid.thickness) / lam),
+                    M(top.density) * _one_minus_exp(M(top.thickness) / lam)])
 
 
 def mp_virtual_factor(sphere, d2, lam):
-    return mp.fsum(mp_virtual_summands(sphere, d2, lam))
+    """Sum of the [core plate of thickness d2, inner coat, outer coat] virtual-plate summands."""
+    lam = M(lam)
+    inner, outer = sphere.inner_coat, sphere.outer_coat
+    plate = M(1) if d2 == INFINITE else _one_minus_exp(M(d2) / lam)
+    return mp.fsum([M(sphere.core_density)
+                    * mp.exp(-(M(inner.thickness) + M(outer.thickness)) / lam) * plate,
+                    M(inner.density) * mp.exp(-M(outer.thickness) / lam)
+                    * _one_minus_exp(M(inner.thickness) / lam),
+                    M(outer.density) * _one_minus_exp(M(outer.thickness) / lam)])
 
 
 def assert_close(got, want):
@@ -164,14 +156,12 @@ def test_virtual_stack_factor_matches_mpmath(sphere, d2, lam):
 
 @domain
 @given(spheres, slabs, d2_values, lengths, lengths)
-def test_layered_pfa_terms_match_mpmath(sphere, slab, d2, a, lam):
+def test_layered_pfa_force_matches_mpmath(sphere, slab, d2, a, lam):
     lam_mp = M(lam)
     head = (-4 * mp.pi ** 2 * M(G_DEFAULT) * lam_mp ** 3 * M(sphere.core_radius)
             * mp.exp(-M(a) / lam_mp))
-    got = layered_pfa_terms(LayeredConfig(a, sphere, slab, d2), YukawaParams(1.0, lam))
-    for row, slab_part in zip(got, mp_slab_summands(slab, lam)):
-        for entry, plate_part in zip(row, mp_virtual_summands(sphere, d2, lam)):
-            assert_close(entry, head * slab_part * plate_part)
+    got = layered_pfa_force(LayeredConfig(a, sphere, slab, d2), YukawaParams(1.0, lam))
+    assert_close(got, head * mp_slab_factor(slab, lam) * mp_virtual_factor(sphere, d2, lam))
 
 
 @domain

@@ -3,9 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from ypfa import (INFINITE, DegenerateInputError, InputError, Layer, LayeredConfig, LayeredSlab,
-                  LayeredSphere, PhysicalConstants, SphereSlabConfig, YukawaParams, eta, eta_delta,
-                  layered_epfa_energy, layered_epfa_force, layered_pfa_force, layered_pfa_terms,
+from ypfa import (INFINITE, NO_LAYER, DegenerateInputError, InputError, Layer, LayeredConfig,
+                  LayeredSlab, LayeredSphere, PhysicalConstants, SphereSlabConfig, YukawaParams,
+                  eta, eta_delta, layered_epfa_energy, layered_epfa_force, layered_pfa_force,
                   layered_slab_potential, oracle_layered_sphere_slab,
                   oracle_layered_stack_potential, slab_slab_pressure,
                   sphere_slab_force_exact, sphere_slab_force_pfa)
@@ -152,28 +152,27 @@ def test_pfa_nine_term_assembly(layered_cfg):
                     sphere.inner_coat.thickness + sphere.outer_coat.thickness),
                    (sphere.inner_coat, sphere.outer_coat.thickness),
                    (sphere.outer_coat, 0.0)]
-    terms = layered_pfa_terms(layered_cfg, p)
-    for i, (layer1, off1) in enumerate(slab_layers):
-        for j, (layer2, off2) in enumerate(side_layers):
-            pressure = slab_slab_pressure(a + off1 + off2, layer1.thickness,
-                                          layer1.density, layer2.thickness,
-                                          layer2.density, p)
-            want = 2 * math.pi * radius * lam * pressure
-            assert terms[i][j] == pytest.approx(want, rel=1e-14, abs=0.0), (i, j)
-    total = math.fsum(math.fsum(row) for row in terms)
+    # each layer pair contributes 2 pi R lam P at its own standoff
+    total = math.fsum(2 * math.pi * radius * lam
+                      * slab_slab_pressure(a + off1 + off2, layer1.thickness, layer1.density,
+                                           layer2.thickness, layer2.density, p)
+                      for layer1, off1 in slab_layers for layer2, off2 in side_layers)
     assert layered_pfa_force(layered_cfg, p) == pytest.approx(total, rel=1e-14, abs=0.0)
 
 
 def test_pfa_zero_thickness_layers_contribute_exactly_zero():
+    # a dense layer of zero thickness gives exactly the force of an absent one
     sphere = LayeredSphere(core_radius=150e-6, core_density=4100.0,
                            inner_coat=Layer(0.0, 7140.0), outer_coat=Layer(180e-9, 19280.0))
     cfg = LayeredConfig(separation=1e-7, sphere=sphere,
                         slab=LayeredSlab(base=Layer(3.5e-6, 2330.0),
                                          middle=Layer(0.0, 7140.0)),
                         d2=INFINITE)
-    terms = layered_pfa_terms(cfg, YukawaParams(1.0, 1e-7))
-    assert all(terms[1][j] == 0.0 for j in range(3))  # middle slab layer absent
-    assert all(terms[i][1] == 0.0 for i in range(3))  # inner coat absent
+    absent = LayeredConfig(separation=1e-7, sphere=replace(sphere, inner_coat=NO_LAYER),
+                           slab=replace(cfg.slab, middle=NO_LAYER), d2=INFINITE)
+    p = YukawaParams(1.0, 1e-7)
+    assert layered_pfa_force(cfg, p) == layered_pfa_force(absent, p)
+    assert layered_pfa_force(cfg, p) < 0.0
 
 
 def test_vanishing_coats_add_exactly_zero():

@@ -541,6 +541,11 @@ def test_column_energy_against_depth_quadrature():
             assert closed == pytest.approx(4100.0 * depth, rel=1e-12, abs=0.0), (radius, phi)
 
 
+def _inner_spec(q):
+    """Spec for the inner integrals of a nested reference quadrature: tolerances 0.1 x q's."""
+    return QuadratureSpec(q.rel_tol * 0.1, q.abs_tol * 0.1, q.max_subdivisions)
+
+
 def _raw_layered_sphere_slab(cfg, p, q):
     """Layered sphere / slab energy by the raw 2D (r, t) quadrature: the
     polar angle integrated numerically inside the radial integral."""
@@ -554,7 +559,7 @@ def _raw_layered_sphere_slab(cfg, p, q):
         stack += layer.density * math.exp(-depth / lam) * -math.expm1(-layer.thickness / lam)
         depth += layer.thickness
     prefactor = -2.0 * math.pi * p.alpha * C.G * lam * lam * stack
-    inner_spec = q.tighter()
+    inner_spec = _inner_spec(q)
     total, converged = 0.0, True
     for lo, hi, rho in ((0.0, r_core, sphere.core_density),
                         (r_core, r_mid, sphere.inner_coat.density),
@@ -667,7 +672,7 @@ def _nested_ball_ball_force(r1, r2, d, rho1, rho2, p, q):
     """Yukawa force between two uniform balls by 2D quadrature of ball 1's
     exterior kernel over ball 2: shell radius u outside, the cosine t of
     the polar angle inside."""
-    lam, inner_spec = p.lam, q.tighter()
+    lam, inner_spec = p.lam, _inner_spec(q)
     coeff = _ball_force_coefficient(r1, rho1, p.alpha, lam, C.G)
     converged = True
 
