@@ -37,7 +37,7 @@ from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta
 from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
-from .sweeps import SweepGrid, map_ordered, resolve_workers, write_csv
+from .sweeps import SweepGrid, map_ordered, write_csv
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, eta
 
@@ -93,6 +93,9 @@ _PRESETS: dict[str, dict] = {
              "rd_grid_factors": (1.0, 100.0, 200)},
 }
 
+#: every key a config file may set: the defaults and the presets' own settings
+_KNOWN_KEYS = set(_DEFAULTS).union(*_PRESETS.values()) - {"command"}
+
 
 def _settings(args, preset: str | None = None) -> dict:
     settings = dict(_DEFAULTS)
@@ -104,7 +107,11 @@ def _settings(args, preset: str | None = None) -> dict:
                              f"{_PRESETS[preset]['command']}, not {args.command}")
         settings.update(_PRESETS[preset])
     if args.config is not None:
-        settings.update(parse_config_file(args.config))
+        parsed = parse_config_file(args.config)
+        unknown = sorted(parsed.keys() - _KNOWN_KEYS)
+        if unknown:
+            raise InputError(f"{args.config}: unknown setting {', '.join(map(repr, unknown))}")
+        settings.update(parsed)
     return settings
 
 
@@ -240,7 +247,7 @@ def cmd_eta_sweep(args) -> int:
     grid = _lambda_grid(args)
     tasks = [(lam, radius, d2)
              for lam in grid.values() for radius in radii for d2 in d2_values]
-    rows = map_ordered(_row_eta, tasks, resolve_workers(args.workers))
+    rows = map_ordered(_row_eta, tasks, args.workers)
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
                  {"lambda": grid.__dict__, "radii": radii,
                   "d2_values": [format_si(v) for v in d2_values]},
@@ -257,7 +264,7 @@ def cmd_eta_layered_sweep(args) -> int:
     configs = [(radius, d2, LayeredConfig(gap, sphere_for(radius), slab, d2))
                for radius in radii for d2 in d2_values]
     tasks = [(lam, *config) for lam in grid.values() for config in configs]
-    rows = map_ordered(_row_eta_layered, tasks, resolve_workers(args.workers))
+    rows = map_ordered(_row_eta_layered, tasks, args.workers)
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
                  rows, {"lambda": grid.__dict__, "radii": radii,
                         "d2_values": [format_si(v) for v in d2_values],
@@ -284,7 +291,7 @@ def cmd_xi_power_sweep(args) -> int:
         raise InputError(f"mode must be 'rd' or 'n', got {mode!r}")
     if any(n <= 0 for n in exponents):
         raise InputError("power-law exponents must be > 0")
-    rows = map_ordered(_row_xi_power, tasks, resolve_workers(args.workers))
+    rows = map_ordered(_row_xi_power, tasks, args.workers)
     return _emit(args, settings, header, rows, grid,
                  {"rows_near_pole": sum(1 for row in rows if math.isnan(row[-1]))})
 
@@ -295,7 +302,7 @@ def cmd_xi_yukawa_sweep(args) -> int:
     rd_grid = _rd_grid(settings, _scalar(settings, "sphere.radius"), (1.0, 100.0, 200))
     tasks = [(rd, lam, _xi_geometry(settings, rd))
              for rd in rd_grid.values() for lam in lambdas]
-    rows = map_ordered(_row_xi_yukawa, tasks, resolve_workers(args.workers))
+    rows = map_ordered(_row_xi_yukawa, tasks, args.workers)
     return _emit(args, settings, ("Rd_m", "lambda_m", "ln_xi"), rows,
                  {"rd": rd_grid.__dict__, "lambdas": lambdas}, {})
 
@@ -353,8 +360,7 @@ def _add_io(sub):
 def _add_sweep(sub):
     _add_io(sub)
     sub.add_argument("--preset", help="figure preset of this subcommand")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: $YPFA_WORKERS or 1)")
+    sub.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
 
 
 def _add_lambda(sub):

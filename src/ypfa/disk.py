@@ -1,8 +1,8 @@
 """Edge effects of a finite disk: on-axis forces and top/bottom-of-sphere ratios.
 
-A point test mass m2 sits on the axis of a disk (radius R_d, thickness D1,
+A 1 kg point test mass sits on the axis of a disk (radius R_d, thickness D1,
 density rho1), at height z above its top face. Closed forms are provided for
-the Newtonian force, a general power-law force F ~ -K rho1 m2 / r^N (one
+the Newtonian force, a general power-law force F ~ -K rho1 / r^N (one
 form for every N != 1, and the logarithmic special case N = 1), and the
 Yukawa force. Each is validated by the oracle module against quadrature of
 its point kernel over the disk depth, with each layer's radial integral
@@ -19,14 +19,15 @@ s = sqrt(u^2+R_d^2), p = s - u and L = ln(s/u) at u = z and z + D1 (_rim),
 and from their differences p1 - p2, L1 - L2 and ln(s2/s1), which _rim_drop
 writes in the exact step D1; taken literally these lose all digits for
 R_d << z. No length is squared outside the N = 1 power law, whose force
-is itself of order R_d^2. The Yukawa bracket is summed as two non-negative
-parts, and the Yukawa potential and the drop C(a) - C(a+2R) behind a
-near-unity xi_yukawa are integrals of non-negative integrands for the same
-reason. Disk.radius and Disk.thickness may each be INFINITE where the limit
-exists; an InputError names the divergence where it does not (N <= 1 with
-either infinite, the Newtonian force and N <= 3 with both), and on a disk
-of INFINITE thickness the depth integrals and xi_yukawa refuse lambda above
-about 2.4e305 m.
+is itself of order R_d^2, and the Yukawa potential, which takes R_d^2 out
+of its depth integrand and multiplies it back last. The Yukawa bracket is
+summed as two non-negative parts, and the Yukawa potential and the drop
+C(a) - C(a+2R) behind a near-unity xi_yukawa are integrals of non-negative
+integrands for the same reason. Disk.radius and Disk.thickness may each be
+INFINITE where the limit exists; an InputError names the divergence where
+it does not (N <= 1 with either infinite, the Newtonian force and N <= 3
+with both), and on a disk of INFINITE thickness the depth integrals and
+xi_yukawa refuse lambda above about 2.4e305 m.
 """
 
 from __future__ import annotations
@@ -53,16 +54,13 @@ _EDGE_UNDERFLOW = -746.0
 _LAMBDA_MAX_THICK = sys.float_info.max / -_EDGE_UNDERFLOW
 _LAMBDA_MAX_THICK_REFUSAL = (f"on a disk of infinite thickness lambda must be below about "
                              f"{_LAMBDA_MAX_THICK:.3g} m")
-#: log2 of the smallest normal double
-_LOG2_MIN_NORMAL = math.log2(sys.float_info.min)
 
 
 @dataclass(frozen=True)
 class AxisProbe:
-    """Point test mass on the disk axis, z above the top face."""
+    """Point test mass of 1 kg on the disk axis, z above the top face."""
 
     z: float
-    mass: float = 1.0
 
     def __post_init__(self):
         if not self.z > 0.0:
@@ -137,8 +135,8 @@ def _grav_bracket(z: float, disk: Disk) -> float:
 
 def disk_gravity_force(probe: AxisProbe, disk: Disk,
                        c: PhysicalConstants = PhysicalConstants()) -> float:
-    """Newtonian force on the axis probe (N, < 0); -2 pi G rho1 m2 D1 for R_d -> inf."""
-    return -2.0 * math.pi * c.G * disk.density * probe.mass * _grav_bracket(probe.z, disk)
+    """Newtonian force on the axis probe (N, < 0); -2 pi G rho1 D1 for R_d -> inf."""
+    return -2.0 * math.pi * c.G * disk.density * _grav_bracket(probe.z, disk)
 
 
 def _expm1_over(m: float, x: float) -> float:
@@ -147,16 +145,16 @@ def _expm1_over(m: float, x: float) -> float:
     return x if mx == 0.0 else math.expm1(mx) / m
 
 
-def _power_force(z: float, disk: Disk, k: float, m2: float, n: float) -> float:
+def _power_force(z: float, disk: Disk, k: float, n: float) -> float:
     """Power-law force from the rim drops of _rim_drop, with m = 3 - N.
 
-    For N != 1, F = 2 pi K rho1 m2 (B(z) - B(z + D1)) / ((N-1)(N-3)) with
+    For N != 1, F = 2 pi K rho1 (B(z) - B(z + D1)) / ((N-1)(N-3)) with
     B(u) = s^m - u^m, and B(z) - B(z + D1) = m [z^m E(m, L1 - L2)
     - s1^m E(m, ln(s2/s1)) (1 - e^(-m L2))], which has no pole at N = 3
     (m = 0). R_d = INFINITE leaves z^m E(m, log1p(D1/z)), and D1 = INFINITE
     (L2 = 0) leaves z^m E(m, L1). At N = 1 the limit is
 
-        F = -pi K rho1 m2 [D1 (2z + D1) L2 - z^2 (L1 - L2) + R_d^2 ln(s2/s1)],
+        F = -pi K rho1 [D1 (2z + D1) L2 - z^2 (L1 - L2) + R_d^2 ln(s2/s1)],
 
     the one form here that squares lengths; its force is itself of order
     R_d^2. Every x ln x term carries the disk radius R_d, the only radius in
@@ -171,12 +169,12 @@ def _power_force(z: float, disk: Disk, k: float, m2: float, n: float) -> float:
         p2, _, l_drop, ln_s = _rim_drop(z, d1, rd)
         l2 = math.log1p(p2 / (z + d1))
         if n == 1.0:
-            return (-math.pi * k * disk.density * m2
+            return (-math.pi * k * disk.density
                     * (d1 * (2.0 * z + d1) * l2 - z * z * l_drop + rd * rd * ln_s))
         bracket = z ** m * _expm1_over(m, l_drop)
         if l2 > 0.0:  # else the far term is 0, and ln_s is inf at D1 = INFINITE
             bracket -= math.hypot(z, rd) ** m * _expm1_over(m, ln_s) * one_minus_exp(m * l2)
-    return 2.0 * math.pi * k * disk.density * m2 * bracket / (1.0 - n)
+    return 2.0 * math.pi * k * disk.density * bracket / (1.0 - n)
 
 
 def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
@@ -188,7 +186,7 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
     force diverges (n <= 1 with an INFINITE radius or thickness, n <= 3 with
     both) it raises InputError.
     """
-    z, m2, n = probe.z, probe.mass, pl.n
+    z, n = probe.z, pl.n
     rd_inf, d1_inf = math.isinf(disk.radius), math.isinf(disk.thickness)
     if n <= 3.0 and rd_inf and d1_inf:
         raise InputError(f"the power-law force of a half-space (infinite disk radius and "
@@ -201,7 +199,7 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
             f"exponent {n} is within {POLE_GUARD} of the pole at 1; "
             "use exactly 1.0 for the special-case formula")
     try:
-        return _power_force(z, disk, pl.k, m2, n)
+        return _power_force(z, disk, pl.k, n)
     except OverflowError:
         raise InputError(f"power-law force overflows for n={n} at this geometry") from None
 
@@ -223,7 +221,7 @@ def xi_power(x: XiInputs, n: float) -> float:
 def _yukawa_bracket(z: float, disk: Disk, lam: float) -> float:
     """Edge-corrected thickness factor C(z) of the exact disk Yukawa force.
 
-        F(z) = -2 pi alpha G rho1 m2 lam e^(-z/lam) C(z),
+        F(z) = -2 pi alpha G rho1 lam e^(-z/lam) C(z),
         C(z) = (1 - e^(-D1/lam)) - e^(-p1/lam) + e^(-(p2+D1)/lam)
              = e^(-p2/lam) (1 - e^(-(p1-p2)/lam)) + (1 - e^(-D1/lam)) (1 - e^(-p2/lam)),
 
@@ -250,7 +248,7 @@ def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams,
     below e^(-45) of the leading term.
     """
     lam = p.lam
-    return (-2.0 * math.pi * p.alpha * c.G * disk.density * probe.mass * lam
+    return (-2.0 * math.pi * p.alpha * c.G * disk.density * lam
             * math.exp(-probe.z / lam) * _yukawa_bracket(probe.z, disk, lam))
 
 
@@ -283,16 +281,11 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     return math.fsum(panels)
 
 
-def _log2_gap(u: float, rd: float) -> float:
-    """log2 of the rim gap p = R_d^2/(s + u) at u, finite where p underflows."""
-    return 2.0 * math.log2(rd) - math.log2(math.hypot(0.5 * u, 0.5 * rd) + 0.5 * u) - 1.0
-
-
 def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
                           c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact Yukawa potential energy of the axis probe (J, < 0).
 
-    U(z) = -2 pi alpha G rho1 m2 e^(-z/lam)
+    U(z) = -2 pi alpha G rho1 e^(-z/lam)
            * integral_0^D1 e^(-v/lam) lam (1 - e^(-p(z+v)/lam)) dv,
 
     p(u) = sqrt(u^2+R_d^2) - u (_rim). The integral over the depth v below
@@ -300,34 +293,27 @@ def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
     integral, which has no elementary form; its integrand is non-negative,
     so nothing cancels when the disk is small (the two terms agree to
     R_d^2/(z lam)). lam (1 - e^(-p/lam)) is taken as p (1 - e^(-x))/x,
-    x = p/lam, which stays normal at any lam. For a small disk at long
-    range p itself is subnormal deep down, so there the integrand is
-    scaled by a power of two (exact) that centres the logs of the rim gaps
-    at the top and at the deepest depth the ladder weighs about 0. -dU/dz
-    equals disk_yukawa_force; for R_d -> inf this is the laterally infinite
-    slab potential.
+    x = p/lam, and R_d^2 is taken out of p = R_d^2/(s + u), so the integrand
+    is e^(-v/lam) (1 - e^(-x))/x / (s + u). p itself goes subnormal deep
+    below a small disk at long range, but 1/(s + u) stays normal wherever
+    e^(-v/lam) is above e^(-92), for every lam up to _LAMBDA_MAX_THICK.
+    -dU/dz equals disk_yukawa_force; for R_d -> inf this is the laterally
+    infinite slab potential.
     """
     lam, z, rd = p.lam, probe.z, disk.radius
-    prefactor = -2.0 * math.pi * p.alpha * c.G * disk.density * probe.mass
+    prefactor = -2.0 * math.pi * p.alpha * c.G * disk.density
     if math.isinf(rd):
         return prefactor * lam * math.exp(-z / lam) * (lam * one_minus_exp(disk.thickness / lam))
-    # e^(-v/lam) underflows past 746 lam, so no deeper gap is weighed
-    deep = min(z + min(disk.thickness, -_EDGE_UNDERFLOW * lam), sys.float_info.max)
-    log2_deep = _log2_gap(deep, rd)
-    scale = 1.0
-    if log2_deep < _LOG2_MIN_NORMAL:
-        scale = math.ldexp(1.0, min(1000, round(-0.5 * (log2_deep + _log2_gap(z, rd)))))
 
     def integrand(v: float) -> float:
         # x = p/lam alone underflows past lam ~ 1e160 m, where U still grows as ln lam
         u = z + v
         s, gap = _rim(u, rd)
         x = gap / lam
-        return (math.exp(-v / lam) * (rd * (scale * rd / (s + u)))
-                * (one_minus_exp(x) / x if x > 0.0 else 1.0))
+        return math.exp(-v / lam) * (one_minus_exp(x) / x if x > 0.0 else 1.0) / (s + u)
 
-    return prefactor * math.exp(-z / lam) * (_graded_integral(
-        integrand, min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam) / scale)
+    return prefactor * math.exp(-z / lam) * (rd * (rd * _graded_integral(
+        integrand, min(lam, math.hypot(z, rd)), disk.thickness, lambda v: -v / lam)))
 
 
 def _bracket_drop(z: float, delta: float, disk: Disk, lam: float) -> float:

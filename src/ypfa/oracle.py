@@ -99,11 +99,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Result of one oracle integration."""
+    """Result of one oracle integration: its value, its error estimate and
+    whether the adaptive loop converged (an exact reference has error 0)."""
 
     value: float
     error_estimate: float
-    subdivisions_used: int
     converged: bool
 
     def check_against(self, closed_form: float) -> float:
@@ -155,7 +155,7 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
                        sharp_edges=None) -> tuple[float, float, int, bool]:
     """Adaptive 1D quadrature of f over [lo, hi].
 
-    Returns (value, error_estimate, subdivisions_used, converged). The panel
+    Returns (value, error_estimate, subdivisions, converged). The panel
     with the largest error bound is bisected next (ties broken towards the
     leftmost panel), and both sums are math.fsum, which is correctly rounded
     and so independent of evaluation order. A non-finite error sum, or panel
@@ -210,8 +210,8 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
 def _summed(parts) -> OracleReport:
     """Report for a sum of independent (value, error, subdivisions,
     converged) integrals, added left to right; their error estimates add."""
-    values, errors, subdivisions, converged = zip(*parts)
-    return OracleReport(sum(values), sum(errors), sum(subdivisions), all(converged))
+    values, errors, _, converged = zip(*parts)
+    return OracleReport(sum(values), sum(errors), all(converged))
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +294,9 @@ def oracle_sphere_slab_yukawa(cfg: "SphereSlabConfig", p: YukawaParams,
         return cfg.sphere_density * area * _slab_potential(
             z, cfg.slab_thickness, cfg.slab_density, p.alpha, p.lam, c.G)
 
-    val, err, nsub, ok = integrate_adaptive(slice_energy, a, a + 2.0 * radius, q,
-                                            sharp_edges=[(a, p.lam)])
-    return OracleReport(val, err, nsub, ok)
+    val, err, _, ok = integrate_adaptive(slice_energy, a, a + 2.0 * radius, q,
+                                         sharp_edges=[(a, p.lam)])
+    return OracleReport(val, err, ok)
 
 
 def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
@@ -324,9 +324,9 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
         return 2.0 * math.pi * radius * radius * math.sin(phi) * cos_phi * energy
 
     # for lam << R the shadow mass sits below s ~ sqrt(2 R lam)
-    return horizontal, OracleReport(*integrate_adaptive(
-        column, 0.0, 0.5 * math.pi, q,
-        sharp_edges=[(0.0, math.sqrt(2.0 * p.lam / radius))]))
+    val, err, _, ok = integrate_adaptive(column, 0.0, 0.5 * math.pi, q,
+                                         sharp_edges=[(0.0, math.sqrt(2.0 * p.lam / radius))])
+    return horizontal, OracleReport(val, err, ok)
 
 
 def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
@@ -343,10 +343,10 @@ def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
     if not a > 0.0:
         raise InputError(f"gap must be > 0, got {a}")
     lam = p.lam
-    val, err, nsub, ok = integrate_adaptive(
+    val, err, _, ok = integrate_adaptive(
         lambda z2: rho2 * _slab_potential(a + z2, d1, rho1, p.alpha, lam, c.G) / lam,
         0.0, min(d2, _EXP_CUTOFF * lam), q, sharp_edges=[(0.0, lam)])
-    return OracleReport(val, err, nsub, ok)
+    return OracleReport(val, err, ok)
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
     if kernel == "newton":
         m1 = 4.0 / 3.0 * math.pi * r1 ** 3 * rho1
         m2 = 4.0 / 3.0 * math.pi * r2 ** 3 * rho2
-        exact = OracleReport(-c.G * m1 * m2 / (d * d), 0.0, 0, True)
+        exact = OracleReport(-c.G * m1 * m2 / (d * d), 0.0, True)
     else:
         lam = p.lam
         # e^(-d/lam) = e^(-R1/lam) e^(-R2/lam) e^(-gap/lam): each coefficient
@@ -466,7 +466,7 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
         coeff1 = _ball_force_coefficient(r1, rho1, p.alpha, lam, c.G) * math.exp(-r1 / lam)
         coeff2 = _ball_force_coefficient(r2, rho2, 1.0, lam, 1.0) * math.exp(-r2 / lam)
         exact = OracleReport(-coeff1 * coeff2 * math.exp(-(d - r1 - r2) / lam)
-                             * (1.0 / (lam * d) + 1.0 / (d * d)), 0.0, 0, True)
+                             * (1.0 / (lam * d) + 1.0 / (d * d)), 0.0, True)
 
     # surface-element (column) construction over the shadow
     shadow = min(r1, r2)
@@ -487,9 +487,8 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
     if kernel == "yukawa":
         reduced = r1 * r2 / (r1 + r2)
         hints.append((0.0, math.sqrt(lam * reduced)))
-    val, err, nsub, ok = integrate_adaptive(column_force, 0.0, shadow, q,
-                                            sharp_edges=hints)
-    epfa = OracleReport(val, err, nsub, ok)
+    val, err, _, ok = integrate_adaptive(column_force, 0.0, shadow, q, sharp_edges=hints)
+    epfa = OracleReport(val, err, ok)
     return exact, epfa
 
 
@@ -551,21 +550,21 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
         raise InputError("the quadrature oracle requires a finite disk radius")
     if math.isinf(disk.thickness) and kernel in ("newton", "power"):
         raise InputError(f"the {kernel} quadrature oracle requires a finite disk thickness")
-    z, m2 = probe.z, probe.mass
+    z = probe.z
     rd, d1 = disk.radius, disk.thickness
     if not rd / z <= 1e300:  # p/u, and L = log1p(p/u) with it, must not overflow
         raise InputError(f"the disk oracle needs R_d / z <= 1e300, got {rd:g} m / {z:g} m")
 
     if kernel == "newton":
-        prefactor = -c.G * disk.density * m2
+        prefactor = -c.G * disk.density
     elif kernel == "power":
         if n is None:
             raise InputError("power kernel needs the exponent n")
-        prefactor = -disk.density * m2  # coupling K applied by the caller
+        prefactor = -disk.density  # coupling K applied by the caller
     elif kernel in ("yukawa", "yukawa_potential"):
         if p is None:
             raise InputError(f"{kernel} kernel needs YukawaParams")
-        prefactor = -p.alpha * c.G * disk.density * m2
+        prefactor = -p.alpha * c.G * disk.density
     else:
         raise InputError(f"unknown disk kernel {kernel!r}")
 
@@ -580,7 +579,7 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
     # a Yukawa ladder at scale lam alone would never sample u <~ R_d for a
     # long range, where the force comes from
     outer_scale = min(lam, rd) if yukawa_like else z
-    val, err, nsub, ok = integrate_adaptive(
+    val, err, _, ok = integrate_adaptive(
         lambda u: 2.0 * math.pi * _disk_layer(kernel, u, rd, n, lam), z, z + d1, q,
         sharp_edges=[(z, outer_scale)])
-    return OracleReport(prefactor * val, abs(prefactor) * err, nsub, ok)
+    return OracleReport(prefactor * val, abs(prefactor) * err, ok)

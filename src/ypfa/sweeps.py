@@ -16,8 +16,6 @@ from typing import Callable, Sequence
 
 from .core import InputError
 
-WORKERS_ENV_VAR = "YPFA_WORKERS"
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -49,26 +47,17 @@ class SweepGrid:
         return [self.min + i * step for i in range(self.points)]
 
 
-def resolve_workers(requested: int | None) -> int:
-    """Worker count: explicit flag, else YPFA_WORKERS, else 1."""
-    if requested is not None:
-        value = requested
-    else:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if value < 1:
-        raise InputError(f"worker count must be >= 1, got {value}")
-    return value
-
-
 def map_ordered(func: Callable, items: Sequence, workers: int) -> list:
-    """Apply func to items, preserving input order regardless of workers."""
-    if workers <= 1 or len(items) <= 1:
+    """Apply func to items, preserving input order regardless of workers.
+
+    The pool gets no more processes than there are items or usable CPUs:
+    it starts all of them at the first submit.
+    """
+    if workers < 1:
+        raise InputError(f"worker count must be >= 1, got {workers}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, len(items))
+    if workers <= 1:
         return [func(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(items) // (workers * 4))

@@ -111,6 +111,17 @@ def test_determinism_across_worker_counts(tmp_path):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_worker_count_below_one_fails(tmp_path, workers):
+    out = tmp_path / "x.csv"
+    done = run_subprocess("eta-sweep", "--lambda-points", "3", "--workers", workers,
+                          "--output", str(out))
+    assert done.returncode == 1, done.stderr
+    assert f"got {workers}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def test_eta_layered_sweep_short_range_row(tmp_path):
     out = tmp_path / "fig3.csv"
     cfg = tmp_path / "cfg"
@@ -383,6 +394,19 @@ def test_config_overrides_preset(tmp_path):
     assert run("eta-sweep", "--preset", "fig2-left", "--config", str(cfg),
                "--output", str(out), "--lambda-points", "2") == 0
     assert len(read(out).splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("argv", [["eta-sweep", "--lambda-points", "3"],
+                                  ["limits", "--residuals", RESIDUALS]])
+def test_unknown_config_key_fails(tmp_path, capsys, argv):
+    # a misspelt key used to leave its setting at the default, unnoticed
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("sphere.radiuss = 1 um\n")
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--config", str(cfg), "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'sphere.radiuss'" in err
+    assert not out.exists()
 
 
 def test_manifests_identical_apart_from_timestamp(tmp_path):

@@ -12,7 +12,7 @@ C = PhysicalConstants()
 
 
 def probe(z=100e-9):
-    return AxisProbe(z=z, mass=1.0)
+    return AxisProbe(z=z)
 
 
 def xi_inputs(disk, a=100e-9, radius=150e-6):

@@ -17,7 +17,7 @@ from ypfa.numerics import x_cosh_x_minus_sinh_x
 from ypfa.oracle import (_ball_force_coefficient, _column_energy, _disk_layer, _gk_panel,
                          _initial_mesh, _ring_polar_integral, _slab_potential,
                          integrate_adaptive)
-from ypfa.verify import _SPEC_2D, _SPEC_2D_TIGHT, _layered_sphere, _layered_stack, _scaled_disk
+from ypfa.verify import _SPEC_1D, _SPEC_2D, _layered_sphere, _layered_stack, _scaled_disk
 
 mpmath.mp.dps = 40
 
@@ -222,7 +222,7 @@ def test_disk_yukawa_oracle_integrand_evaluations(monkeypatch):
                               p=YukawaParams(1.0, 5e-6)) == 15
 
 
-@pytest.mark.parametrize("kernel,spec,n,evals", [("newton", _SPEC_2D_TIGHT, None, 105),
+@pytest.mark.parametrize("kernel,spec,n,evals", [("newton", _SPEC_1D, None, 105),
                                                  ("power", _SPEC_2D, 1.0, 105)])
 def test_disk_power_law_oracle_integrand_evaluations(monkeypatch, kernel, spec, n, evals):
     # these verify configurations took 33,915 (newton) and 16,185 (power,
@@ -237,7 +237,7 @@ def test_slicing_equivalence_integrand_evaluations(monkeypatch):
     # energy in closed form only the slices and the polar angle are integrated
     cfg = SphereSlabConfig(1e-7, 150e-6, 4100.0, 3.5e-6, 2330.0)
     (horizontal, columns), calls = _count_evals(monkeypatch, lambda: oracle_slicing_equivalence(
-        cfg, YukawaParams(1.0, 1e-6), q=_SPEC_2D_TIGHT))
+        cfg, YukawaParams(1.0, 1e-6), q=_SPEC_1D))
     assert horizontal.converged and columns.converged
     assert calls == 315
 
@@ -342,7 +342,7 @@ def test_tolerance_contract_disk_yukawa_nested():
     radii = [0.0] + [v_lo * 4.0 ** k for k in range(10) if v_lo * 4.0 ** k < r_hi] + [r_hi]
     with mpmath.workdps(20):
         double = mpmath.quad(kernel, [v_lo, v_hi], radii, method="gauss-legendre")
-        reference = float(-C.G * disk.density * probe.mass * 2.0 * math.pi * lam * double)
+        reference = float(-C.G * disk.density * 2.0 * math.pi * lam * double)
     _assert_contract(reference, lambda q: oracle_disk_point(
         probe, disk, "yukawa", C, q, p=YukawaParams(1.0, lam)))
 

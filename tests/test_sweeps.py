@@ -1,9 +1,11 @@
 import math
+import os
 
 import pytest
 
+import ypfa.sweeps
 from ypfa import InputError, SweepGrid
-from ypfa.sweeps import map_ordered, resolve_workers, write_csv
+from ypfa.sweeps import map_ordered, write_csv
 
 
 def test_grid_validation():
@@ -86,20 +88,6 @@ def test_write_csv_column_changing_kind_is_refused_or_unchanged(tmp_path, rows):
     assert path.read_bytes() == _reference_csv(("x", "y"), rows)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("YPFA_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("YPFA_WORKERS", "6")
-    assert resolve_workers(None) == 6
-    assert resolve_workers(2) == 2  # explicit flag wins
-    monkeypatch.setenv("YPFA_WORKERS", "zero")
-    with pytest.raises(InputError):
-        resolve_workers(None)
-    with pytest.raises(InputError):
-        resolve_workers(0)
-
-
 def test_map_ordered_preserves_order():
     items = list(range(24))
     assert map_ordered(_square, items, workers=1) == [i * i for i in items]
@@ -108,3 +96,43 @@ def test_map_ordered_preserves_order():
 
 def _square(x):
     return x * x
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_map_ordered_rejects_a_count_below_one(workers):
+    with pytest.raises(InputError, match=f"got {workers}"):
+        map_ordered(_square, [1, 2, 3], workers)
+
+
+@pytest.mark.parametrize("has_affinity", [True, False])
+def test_map_ordered_caps_the_pool_at_the_cpus_and_items(monkeypatch, has_affinity):
+    # the executor starts every process at the first submit, so a pool as
+    # large as the request would fork a million processes here; the fake
+    # starts none, on a process given four CPUs (os.cpu_count where the
+    # platform has no sched_getaffinity)
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(ypfa.sweeps, "ProcessPoolExecutor", RecordingPool)
+    if has_affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert map_ordered(_square, [1, 2, 3, 4, 5], 10 ** 6) == [1, 4, 9, 16, 25]
+    assert map_ordered(_square, [1, 2, 3], 10 ** 6) == [1, 4, 9]
+    assert sizes == [4, 3]
