@@ -29,17 +29,19 @@ import math
 import sys
 import time
 from collections import Counter
+from functools import partial
+from itertools import chain
 
 from . import __version__
 from .config import format_si, parse_config_file, parse_quantity
 from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
                    PhysicalConstants, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
-from .layered import LayeredConfig, eta_delta
+from .layered import LayeredConfig, eta_delta_at
 from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
-from .sweeps import SweepGrid, map_ordered, write_csv
+from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, write_csv
 from .verify import format_report, run_suite, suite_passed
-from .yukawa import SphereSlabConfig, eta
+from .yukawa import SphereSlabConfig, check_d2, check_radius, eta_at
 
 _UM = 1e-6
 _NM = 1e-9
@@ -95,6 +97,8 @@ _PRESETS: dict[str, dict] = {
 
 #: every key a config file may set: the defaults and the presets' own settings
 _KNOWN_KEYS = set(_DEFAULTS).union(*_PRESETS.values()) - {"command"}
+#: the known keys whose value is a word, not a quantity
+_WORD_KEYS = {"mode"}
 
 
 def _settings(args, preset: str | None = None) -> dict:
@@ -107,7 +111,7 @@ def _settings(args, preset: str | None = None) -> dict:
                              f"{_PRESETS[preset]['command']}, not {args.command}")
         settings.update(_PRESETS[preset])
     if args.config is not None:
-        parsed = parse_config_file(args.config)
+        parsed = parse_config_file(args.config, _WORD_KEYS)
         unknown = sorted(parsed.keys() - _KNOWN_KEYS)
         if unknown:
             raise InputError(f"{args.config}: unknown setting {', '.join(map(repr, unknown))}")
@@ -210,18 +214,20 @@ def _emit(args, settings: dict, header, rows: list, grid: dict, counters: dict) 
 
 
 # ---------------------------------------------------------------- row workers
-# Each maps one task (printed key, then any prebuilt input) to its whole CSV row.
+# Each maps one task (printed key, then any prebuilt input) to its whole CSV
+# row, except the eta sweeps' workers: they map one lambda to all of its
+# rows, with the sweep's (R, D2) key cells and inputs bound first.
 
-def _row_eta(task):
-    lam, radius, d2 = task
-    result = eta(radius, d2, lam)
-    return lam, radius, d2, result.eta, result.regime
+def _rows_eta(keys, radii, d2_values, lam):
+    lam_cell = NUMBER_FORMAT % lam
+    return [(lam_cell, r_cell, d2_cell, value, regime)
+            for (r_cell, d2_cell), (value, regime) in zip(keys, eta_at(lam, radii, d2_values))]
 
 
-def _row_eta_layered(task):
-    lam, radius, d2, cfg = task
-    result = eta_delta(cfg, YukawaParams(1.0, lam))
-    return lam, radius, d2, result.eta_delta, result.eta_homogeneous, result.ratio
+def _rows_eta_layered(keys, spheres, plates, lam):
+    lam_cell = NUMBER_FORMAT % lam
+    return [(lam_cell, r_cell, d2_cell, *values)
+            for (r_cell, d2_cell), values in zip(keys, eta_delta_at(lam, spheres, plates))]
 
 
 def _row_xi_power(task):
@@ -240,14 +246,25 @@ def _row_xi_yukawa(task):
 
 # ---------------------------------------------------------------- commands
 
+def _key_cells(radii: list[float], d2_values: list[float]) -> list[tuple[str, str]]:
+    """The (R, D2) key cells of one lambda's rows, in row order."""
+    return [(NUMBER_FORMAT % radius, NUMBER_FORMAT % d2)
+            for radius in radii for d2 in d2_values]
+
+
 def cmd_eta_sweep(args) -> int:
     settings = _settings(args, args.preset)
     radii = _vector(settings, "sweep.radii", "sphere.radius")
     d2_values = _d2_values(args, settings)
     grid = _lambda_grid(args)
-    tasks = [(lam, radius, d2)
-             for lam in grid.values() for radius in radii for d2 in d2_values]
-    rows = map_ordered(_row_eta, tasks, args.workers)
+    # once per sweep, in the order the first lambda's rows meet them
+    check_radius(radii[0])
+    for d2 in d2_values:
+        check_d2(d2)
+    for radius in radii[1:]:
+        check_radius(radius)
+    task = partial(_rows_eta, _key_cells(radii, d2_values), radii, d2_values)
+    rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
                  {"lambda": grid.__dict__, "radii": radii,
                   "d2_values": [format_si(v) for v in d2_values]},
@@ -261,10 +278,13 @@ def cmd_eta_layered_sweep(args) -> int:
     d2_values = _d2_values(args, settings)
     gap = _scalar(settings, "gap")
     grid = _lambda_grid(args)
-    configs = [(radius, d2, LayeredConfig(gap, sphere_for(radius), slab, d2))
-               for radius in radii for d2 in d2_values]
-    tasks = [(lam, *config) for lam in grid.values() for config in configs]
-    rows = map_ordered(_row_eta_layered, tasks, args.workers)
+    # once per sweep, in the order the first lambda's rows meet them; the
+    # virtual plates differ only in d2, so the first sphere's serve them all
+    spheres = [sphere_for(radii[0])]
+    plates = [LayeredConfig(gap, spheres[0], slab, d2).virtual_plate for d2 in d2_values]
+    spheres += [sphere_for(radius) for radius in radii[1:]]
+    task = partial(_rows_eta_layered, _key_cells(radii, d2_values), spheres, plates)
+    rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
                  rows, {"lambda": grid.__dict__, "radii": radii,
                         "d2_values": [format_si(v) for v in d2_values],

@@ -12,12 +12,14 @@ Keys are dotted, values are a number plus an optional unit. Lengths accept
 nm/um/mm/m, densities g/cm3 or kg/m3; plain numbers are dimensionless.
 ``inf`` means an infinitely thick layer / infinite radius. Comma-separated
 values parse to lists. Everything is converted to SI on parse; the in-memory
-model carries no unit suffixes.
+model carries no unit suffixes. The caller may name keys whose value is a
+word (such as ``mode = n``); those keep their text.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Collection
 
 from .core import INFINITE, InputError
 
@@ -59,12 +61,14 @@ def parse_value(text: str) -> float | list[float]:
     return parse_quantity(text)
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, float | list[float]]:
+def parse_config_text(text: str, source: str = "<config>", words: Collection[str] = ()
+                      ) -> dict[str, float | list[float] | str]:
     """Parse config text into a flat {dotted_key: SI value} dict.
 
-    Raises InputError naming the offending line on any malformed entry.
+    A key in ``words`` keeps its value as stripped text. Raises InputError
+    naming the offending line on any malformed entry.
     """
-    result: dict[str, float | list[float]] = {}
+    result: dict[str, float | list[float] | str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,15 +82,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, float | 
         if key in result:
             raise InputError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            result[key] = parse_value(value)
+            result[key] = value.strip() if key in words else parse_value(value)
         except InputError as exc:
             raise InputError(f"{source}:{lineno}: {exc}") from None
     return result
 
 
-def parse_config_file(path: str) -> dict[str, float | list[float]]:
+def parse_config_file(path: str, words: Collection[str] = ()
+                      ) -> dict[str, float | list[float] | str]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), source=path)
+        return parse_config_text(handle.read(), source=path, words=words)
 
 
 def format_si(value: float) -> str:

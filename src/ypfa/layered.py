@@ -20,9 +20,11 @@ virtual plate: a LayeredSlab of core material d2 thick, coated like the sphere:
     F_pfa(a) = -4 pi^2 alpha G lam^3 R e^(-a/lam) * S_slab * S_virtual.
 
 Their ratio eta_delta = Psi_sphere / (R * S_virtual) is therefore
-independent of both the separation and the slab stack. Each of U, F and
-F_pfa is built as a core.SeparationLaw (the ``*_law`` builders): the stack
-and shell factors once per lam, then one exponential per separation.
+independent of both the separation and the slab stack. eta_delta_at
+evaluates it for every sphere and virtual plate of a sweep at one lam;
+eta_delta is its single-point case. Each of U, F and F_pfa is built as a
+core.SeparationLaw (the ``*_law`` builders): the stack and shell factors
+once per lam, then one exponential per separation.
 
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
 for nanometre lam; every term here is assembled so that each exponential
@@ -37,12 +39,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 from .core import (INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
                    LayeredSphere, PhysicalConstants, SeparationLaw, YukawaParams)
 from .numerics import one_minus_exp
-from .yukawa import check_d2, eta, phi
+from .yukawa import _phi_over_plate, check_d2, eta, phi, plate_factor
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,16 @@ class LayeredConfig:
         if not self.separation > 0.0:
             raise InputError(f"separation must be > 0, got {self.separation}")
         check_d2(self.d2)
+
+    @cached_property
+    def virtual_plate(self) -> LayeredSlab:
+        """The PFA's virtual plate: core material d2 thick, coated like the sphere.
+
+        Built on first use and kept, so a caller reading it at every lam builds it once.
+        """
+        sphere = self.sphere
+        return LayeredSlab(Layer(self.d2, sphere.core_density), sphere.inner_coat,
+                           sphere.outer_coat)
 
 
 @dataclass(frozen=True)
@@ -78,12 +92,6 @@ def slab_stack_factor(slab: LayeredSlab, lam: float) -> float:
         mid.density * math.exp(-top.thickness / lam) * one_minus_exp(mid.thickness / lam),
         top.density * one_minus_exp(top.thickness / lam),
     ])
-
-
-def virtual_stack_factor(sphere: LayeredSphere, d2: float, lam: float) -> float:
-    """Stack factor S_virtual of the virtual plate: core material d2 thick, the sphere's coats."""
-    return slab_stack_factor(
-        LayeredSlab(Layer(d2, sphere.core_density), sphere.inner_coat, sphere.outer_coat), lam)
 
 
 def _shell_term(lo: float, hi: float, lam: float, r_out: float) -> float:
@@ -130,19 +138,25 @@ def layered_slab_potential(z: float, slab: LayeredSlab, p: YukawaParams,
             * slab_stack_factor(slab, lam))
 
 
+def _epfa_law(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants,
+              over: float) -> SeparationLaw:
+    """U/over as a law in the separation: over = 1 for the energy, lam for the force."""
+    lam = p.lam
+    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(4), lam,
+                         slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam),
+                         over)
+
+
 def layered_epfa_energy_law(cfg: LayeredConfig, p: YukawaParams,
                             c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact layered energy as a law in the separation (cfg.separation unused)."""
-    lam = p.lam
-    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(4), lam,
-                         slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam))
+    return _epfa_law(cfg, p, c, 1.0)
 
 
 def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
                            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact layered force U/lam as a law in the separation."""
-    energy = layered_epfa_energy_law(cfg, p, c)
-    return replace(energy, over=p.lam)
+    return _epfa_law(cfg, p, c, p.lam)
 
 
 def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
@@ -154,7 +168,7 @@ def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
     lam = p.lam
     return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(3)
                          * cfg.sphere.core_radius, lam, slab_stack_factor(cfg.slab, lam),
-                         virtual_stack_factor(cfg.sphere, cfg.d2, lam))
+                         slab_stack_factor(cfg.virtual_plate, lam))
 
 
 def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams,
@@ -209,29 +223,54 @@ def eta_delta(cfg: LayeredConfig, p: YukawaParams) -> EtaDeltaResult:
     DegenerateInputError, as does a coated sphere's eta_delta or eta that is
     zero or subnormal (lam above about 1e148 m for R ~ 100 um).
     """
-    sphere = cfg.sphere
-    lam = p.lam
-    eta_hom = eta(sphere.outer_radius, cfg.d2, lam).eta
-    if _bare(sphere):
-        return EtaDeltaResult(eta_delta=eta_hom, eta_homogeneous=eta_hom, ratio=1.0)
-    value = _exact_over_pfa(sphere, sphere_shell_factor(sphere, lam),
-                            virtual_stack_factor(sphere, cfg.d2, lam), lam)
-    if not min(value, eta_hom) >= sys.float_info.min:
-        raise DegenerateInputError(
-            f"eta_delta/eta is undefined at lambda = {lam:g} m: eta_delta or eta is zero or "
-            "subnormal (lambda >> sphere radius)")
-    return EtaDeltaResult(eta_delta=value, eta_homogeneous=eta_hom, ratio=value / eta_hom)
+    (result,) = eta_delta_at(p.lam, [cfg.sphere], [cfg.virtual_plate])
+    return EtaDeltaResult(*result)
 
 
-def layered_pfa_over_epfa(cfg: LayeredConfig, pfa: SeparationLaw, epfa: SeparationLaw) -> float:
-    """F_pfa/F_epfa = 1/eta_delta from layered_pfa_law and layered_epfa_force_law at one lam.
+def eta_delta_at(lam: float, spheres: Sequence[LayeredSphere],
+                 plates: Sequence[LayeredSlab]) -> list[tuple[float, float, float]]:
+    """(eta_delta, eta, eta_delta/eta) at one lam for every sphere, then every plate.
 
-    Both laws carry S_slab as their slab factor and S_virtual or Psi_sphere as
-    their curvature factor, so this is 1/eta_delta bit for bit, and it raises
-    DegenerateInputError where eta_delta does. A bare sphere takes eta_delta's
-    route through eta too: the laws' own ratio differs there in the last bits.
+    The spheres must share their core density and coats (they may differ in
+    core radius), and each plate is the LayeredConfig.virtual_plate of one d2
+    for them. Each plate's factors 1 - e^(-d2/lam) and S_virtual are computed
+    once per call, and Phi(2 R_out/lam) and Psi_sphere once per sphere. Row
+    by row the checks run in eta_delta's order, so the first error is the
+    first failing row's.
     """
-    sphere, lam = cfg.sphere, pfa.lam
+    factors = [(plate_factor(plate.base.thickness, lam), slab_stack_factor(plate, lam))
+               for plate in plates]
+    rows = []
+    for sphere in spheres:
+        phi_value, _ = phi(2.0 * sphere.outer_radius / lam)
+        if _bare(sphere):
+            for factor, _ in factors:
+                eta_hom = _phi_over_plate(phi_value, factor, lam)
+                rows.append((eta_hom, eta_hom, 1.0))
+            continue
+        shell = sphere_shell_factor(sphere, lam)
+        for factor, stack in factors:
+            eta_hom = _phi_over_plate(phi_value, factor, lam)
+            value = _exact_over_pfa(sphere, shell, stack, lam)
+            if not min(value, eta_hom) >= sys.float_info.min:
+                raise DegenerateInputError(
+                    f"eta_delta/eta is undefined at lambda = {lam:g} m: eta_delta or eta is "
+                    "zero or subnormal (lambda >> sphere radius)")
+            rows.append((value, eta_hom, value / eta_hom))
+    return rows
+
+
+def layered_pfa_over_epfa(cfg: LayeredConfig, epfa: SeparationLaw) -> float:
+    """F_pfa/F_epfa = 1/eta_delta from layered_epfa_force_law at one lam.
+
+    The PFA law would carry the same S_slab and the curvature factor S_virtual
+    in place of Psi_sphere, so this is 1/eta_delta bit for bit without
+    building it, and it raises DegenerateInputError where eta_delta does. A
+    bare sphere takes eta_delta's route through eta too: the laws' own ratio
+    differs there in the last bits.
+    """
+    sphere, lam = cfg.sphere, epfa.lam
     if _bare(sphere):
         return 1.0 / eta(sphere.outer_radius, cfg.d2, lam).eta
-    return 1.0 / _exact_over_pfa(sphere, epfa.curvature, pfa.curvature, lam)
+    return 1.0 / _exact_over_pfa(sphere, epfa.curvature,
+                                 slab_stack_factor(cfg.virtual_plate, lam), lam)

@@ -15,9 +15,9 @@ For a laterally infinite slab every one of these forces (the exact one
 being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda): the
 separation enters only through the exponential. Each lambda therefore gets
 the SeparationLaw of its method, which gives the bound (one exp per residual
-row, bit-identical to the force functions); epfa then also builds the pfa
-law, and shift_vs_pfa = F_pfa/F_epfa comes from the pair's curvature
-factors. limit_shift is that pair's ratio.
+row, bit-identical to the force functions); for epfa, shift_vs_pfa =
+F_pfa/F_epfa comes from that law's curvature factor and the PFA's, without
+building the pfa law. limit_shift is the same ratio.
 The virtual plate's d2 is a field of both geometry configs (layered: a LayeredSlab).
 
 Residuals are taken as given; no interpolation between tabulated
@@ -112,11 +112,10 @@ def _unit_alpha_laws(geometry):
 
     Each builder takes (geometry, params, constants) and is called only for a
     law that is read, so a pfa run never pays for or fails on the epfa law;
-    ratio(pfa, epfa) is F_pfa/F_epfa from the pair's curvature factors.
+    ratio(geometry, epfa) is F_pfa/F_epfa from the epfa law's curvature factor.
     """
     if isinstance(geometry, LayeredConfig):
-        return (layered_pfa_law, layered_epfa_force_law,
-                lambda pfa, epfa: layered_pfa_over_epfa(geometry, pfa, epfa))
+        return layered_pfa_law, layered_epfa_force_law, layered_pfa_over_epfa
     if isinstance(geometry, SphereSlabConfig):
         return sphere_slab_pfa_law, sphere_slab_exact_law, sphere_slab_pfa_over_exact
     raise InputError(f"unsupported geometry {type(geometry).__name__}")
@@ -128,7 +127,7 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
 
     Separations whose unit-alpha force underflows to zero cannot constrain
     alpha and are skipped; if none constrains it the input is degenerate.
-    epfa builds the pfa law for shift_vs_pfa only after its bound is found.
+    epfa computes shift_vs_pfa only after its bound is found.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
@@ -147,7 +146,7 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
         raise DegenerateInputError(
             "no separation yields a nonzero unit-alpha force (zero densities, lambda far "
             "below every separation, or for pfa a virtual plate d2 far below lambda)")
-    shift = pfa_over_epfa(pfa_law(geometry, p, c), law) if method == "epfa" else None
+    shift = pfa_over_epfa(geometry, law) if method == "epfa" else None
     return ExclusionPoint(lam=lam, alpha_bound=best[0], best_separation=best[1],
                           method=method, shift_vs_pfa=shift)
 
@@ -162,9 +161,8 @@ def limit_shift(lam: float, geometry, c: PhysicalConstants = PhysicalConstants()
     """Factor by which the exact-force analysis weakens the pfa-claimed bound.
 
     alpha_epfa / alpha_pfa = F_pfa / F_epfa = 1/eta (homogeneous geometry)
-    or 1/eta_delta (layered), the ratio of alpha_limit's law pair. Equals
-    e^2/2 at lambda = R for a homogeneous sphere over a half-space.
+    or 1/eta_delta (layered), alpha_limit's shift_vs_pfa. Equals e^2/2 at
+    lambda = R for a homogeneous sphere over a half-space.
     """
-    p = YukawaParams(alpha=1.0, lam=lam)
-    pfa_law, epfa_law, pfa_over_epfa = _unit_alpha_laws(geometry)
-    return pfa_over_epfa(pfa_law(geometry, p, c), epfa_law(geometry, p, c))
+    _, epfa_law, pfa_over_epfa = _unit_alpha_laws(geometry)
+    return pfa_over_epfa(geometry, epfa_law(geometry, YukawaParams(alpha=1.0, lam=lam), c))

@@ -1,9 +1,12 @@
 """Grids, worker-pool evaluation and deterministic CSV emission.
 
 CSV format: UTF-8, mandatory header, LF line endings, scientific notation
-with 12 significant digits, locale-independent. Sweep rows are computed
-independently (optionally by a process pool) and always assembled in grid
-order, so the output bytes do not depend on the worker count.
+with 12 significant digits (NUMBER_FORMAT), locale-independent. Sweep tasks
+run in grid order, optionally in a process pool that starts no more
+processes than there are tasks or usable CPUs. The eta sweeps compute their
+rows one lambda at a time (a task returns every row of its lambda), the
+other sweeps one row per task. The rows are always assembled in grid order,
+so the output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import InputError
+
+#: The one number format of every CSV cell: "%.11e", 12 significant digits.
+#: Key cells that repeat across rows are formatted once with it and passed
+#: to write_csv as str cells.
+NUMBER_FORMAT = "%.11e"
 
 
 @dataclass(frozen=True)
@@ -67,13 +75,13 @@ def map_ordered(func: Callable, items: Sequence, workers: int) -> list:
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> int:
     """Write rows (numbers or strings) as CSV; returns the row count.
 
-    Numbers are written as "%.11e" (nan and inf as Python spells them) and
+    Numbers are written as NUMBER_FORMAT (nan and inf as Python spells them) and
     str cells verbatim, by one % per row on a format built once from the cell
     kinds of the first row; a column whose kind changes later is a TypeError.
     The rows stream to writelines through a lazy map, so no second copy of
     the whole file is held in memory.
     """
-    kinds = ["%s" if isinstance(cell, str) else "%.11e" for cell in rows[0]] if rows else []
+    kinds = ["%s" if isinstance(cell, str) else NUMBER_FORMAT for cell in rows[0]] if rows else []
     if any(kind == "%s" and set(map(type, map(itemgetter(column), rows))) != {str}
            for column, kind in enumerate(kinds)):
         raise TypeError("a str column of the CSV holds cells of other kinds")

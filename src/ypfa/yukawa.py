@@ -19,9 +19,11 @@ of a virtual upper plate of thickness D2 = SphereSlabConfig.d2 (a
 bookkeeping device of the parallel-plate mapping, not a physical part of the
 setup; INFINITE makes the factor exactly 1; LayeredConfig.d2 is the layered
 one, a LayeredSlab wearing the sphere's coats). eta = Phi/(1 - e^(-D2/lam)),
-independent of the separation a, is written once (_phi_over_plate). Both
-forces are core.SeparationLaw builders (``*_law``): a caller scanning many
-separations at one lam evaluates the prefactor once, then one exp per gap.
+independent of the separation a, is written once (_phi_over_plate). eta_at
+evaluates it for every (R, D2) pair at one lam from one Phi per radius and
+one plate factor per D2; eta is its single-point case. Both forces are
+core.SeparationLaw builders (``*_law``): a caller scanning many separations
+at one lam evaluates the prefactor once, then one exp per gap.
 
 The naive Phi cancels catastrophically for u << 1, so ``phi`` reports one
 of two regimes: 'series_small_u' (Taylor series, u < 1e-3) and 'direct',
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants, SeparationLaw,
                    YukawaParams)
@@ -81,6 +84,12 @@ class EtaResult:
 
     eta: float
     regime: str
+
+
+def check_radius(radius: float) -> None:
+    """A sphere radius must be > 0 (nan is not)."""
+    if not radius > 0.0:
+        raise InputError(f"radius must be > 0, got {radius}")
 
 
 def check_d2(d2: float) -> None:
@@ -172,7 +181,12 @@ def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams,
     """PFA sphere-slab force as a law in the separation (cfg.separation unused)."""
     lam = p.lam
     return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
-                         one_minus_exp(cfg.slab_thickness / lam), one_minus_exp(cfg.d2 / lam))
+                         one_minus_exp(cfg.slab_thickness / lam), plate_factor(cfg.d2, lam))
+
+
+def plate_factor(d2: float, lam: float) -> float:
+    """Thickness factor 1 - e^(-d2/lam) of the PFA's virtual plate (1 for INFINITE)."""
+    return one_minus_exp(d2 / lam)
 
 
 def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
@@ -183,13 +197,14 @@ def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
     return phi_value / plate
 
 
-def sphere_slab_pfa_over_exact(pfa: SeparationLaw, exact: SeparationLaw) -> float:
-    """F_pfa/F_exact = 1/eta from two laws built above at one lam.
+def sphere_slab_pfa_over_exact(cfg: SphereSlabConfig, exact: SeparationLaw) -> float:
+    """F_pfa/F_exact = 1/eta from the exact law built above at one lam.
 
-    Both laws carry the same slab factor, and their curvature factors are
-    (1 - e^(-d2/lam)) and Phi(2R/lam), so this is 1/eta(R, d2, lam) bit for bit.
+    The PFA law would carry the same slab factor and the curvature factor
+    1 - e^(-d2/lam) in place of the exact law's Phi(2R/lam), so this is
+    1/eta(R, d2, lam) bit for bit without building it.
     """
-    return 1.0 / _phi_over_plate(exact.curvature, pfa.curvature, pfa.lam)
+    return 1.0 / _phi_over_plate(exact.curvature, plate_factor(cfg.d2, exact.lam), exact.lam)
 
 
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,
@@ -218,10 +233,27 @@ def eta(radius: float, d2: float, lam: float) -> EtaResult:
     d2 of order 10 lam or less it exceeds 1. A zero or subnormal plate
     factor (d2 << lam) raises DegenerateInputError.
     """
-    if not radius > 0.0:
-        raise InputError(f"radius must be > 0, got {radius}")
+    check_radius(radius)
     if not lam > 0.0:
         raise InputError(f"lambda must be > 0, got {lam}")
     check_d2(d2)
-    phi_value, regime = phi(2.0 * radius / lam)
-    return EtaResult(eta=_phi_over_plate(phi_value, one_minus_exp(d2 / lam), lam), regime=regime)
+    ((value, regime),) = eta_at(lam, [radius], [d2])
+    return EtaResult(eta=value, regime=regime)
+
+
+def eta_at(lam: float, radii: Sequence[float],
+           d2_values: Sequence[float]) -> list[tuple[float, str]]:
+    """(eta, Phi's regime) at one lam for every radius, then every d2, in that row order.
+
+    Phi(2R/lam) is computed once per radius and each plate factor once per
+    call; the first row that fails raises, as the rows would one by one.
+    The caller checks the radii (check_radius), the d2 values (check_d2)
+    and lam > 0.
+    """
+    plates = [plate_factor(d2, lam) for d2 in d2_values]
+    rows = []
+    for radius in radii:
+        phi_value, regime = phi(2.0 * radius / lam)
+        for plate in plates:
+            rows.append((_phi_over_plate(phi_value, plate, lam), regime))
+    return rows

@@ -3,10 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_sweeps import _reference_csv
 
 import ypfa.verify
+from ypfa import (INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere, SweepGrid,
+                  YukawaParams, eta, eta_delta)
 from ypfa.cli import main
 
 RESIDUALS = os.path.join(os.path.dirname(__file__), os.pardir, "data",
@@ -109,6 +114,88 @@ def test_determinism_across_worker_counts(tmp_path):
                    "--lambda-points", "40", "--workers", str(workers)) == 0
         bodies.append(read(out))
     assert bodies[0] == bodies[1] == bodies[2]
+
+
+def _quantities(values) -> str:
+    return ", ".join("inf" if value == INFINITE else f"{value!r} m" for value in values)
+
+
+_radii = st.floats(min_value=-5.0, max_value=-2.0).map(lambda e: 10.0 ** e)
+_thin = st.floats(min_value=-9.0, max_value=-6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam_min=st.floats(min_value=-12.0, max_value=2.0).map(lambda e: 10.0 ** e),
+       decades=st.floats(min_value=0.1, max_value=6.0), points=st.integers(1, 9),
+       radii=st.lists(_radii, min_size=1, max_size=3),
+       d2_values=st.lists(st.one_of(st.just(INFINITE), _thin, _radii), min_size=1, max_size=3),
+       coats=st.one_of(st.just((0.0, 0.0)), st.tuples(st.just(0.0), _thin),
+                       st.tuples(_thin, _thin)),
+       plotted_radius=st.sampled_from(["core", "outer"]))
+def test_eta_sweep_rows_equal_the_single_point_functions(lam_min, decades, points, radii,
+                                                         d2_values, coats, plotted_radius):
+    # each lambda's rows come from per-lambda factors; every row must equal
+    # eta or eta_delta at its own point, bit for bit as per-cell formatting
+    # wrote it before the key cells were formatted once per sweep
+    lam_max = lam_min * 10.0 ** decades
+    lams = SweepGrid(min=lam_min, max=lam_max, points=points).values()
+    inner, outer = Layer(coats[0], 7140.0), Layer(coats[1], 19280.0)
+    flags = ["--lambda-min", f"{lam_min!r} m", "--lambda-max", f"{lam_max!r} m",
+             "--lambda-points", str(points)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(f"sweep.radii = {_quantities(radii)}\n"
+                         f"sweep.d2_values = {_quantities(d2_values)}\n"
+                         f"sphere.inner_coat.thickness = {coats[0]!r} m\n"
+                         f"sphere.outer_coat.thickness = {coats[1]!r} m\n")
+        homogeneous, layered = os.path.join(tmp, "eta.csv"), os.path.join(tmp, "layered.csv")
+        assert run("eta-sweep", "--config", cfg, "--output", homogeneous, *flags) == 0
+        assert run("eta-layered-sweep", "--config", cfg, "--plotted-radius", plotted_radius,
+                   "--output", layered, *flags) == 0
+        with open(homogeneous, "rb") as handle:
+            got_homogeneous = handle.read()
+        with open(layered, "rb") as handle:
+            got_layered = handle.read()
+
+    rows = []
+    for lam in lams:
+        for radius in radii:
+            for d2 in d2_values:
+                result = eta(radius, d2, lam)
+                rows.append((lam, radius, d2, result.eta, result.regime))
+    assert got_homogeneous == _reference_csv(("lambda_m", "R_m", "D2_m", "eta", "regime"), rows)
+
+    slab = LayeredSlab(Layer(3.5e-6, 2330.0))  # eta_delta does not depend on the slab
+    rows = []
+    for lam in lams:
+        for radius in radii:
+            core = radius if plotted_radius == "core" else radius - coats[0] - coats[1]
+            sphere = LayeredSphere(core, 4100.0, inner, outer)
+            for d2 in d2_values:
+                result = eta_delta(LayeredConfig(100e-9, sphere, slab, d2), YukawaParams(1.0, lam))
+                rows.append((lam, radius, d2, result.eta_delta, result.eta_homogeneous,
+                             result.ratio))
+    assert got_layered == _reference_csv(
+        ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"), rows)
+
+
+@pytest.mark.parametrize("command", ["eta-sweep", "eta-layered-sweep"])
+def test_first_error_in_grid_order_at_any_worker_count(tmp_path, capsys, command):
+    # the middle lambda is the first whose plate factor for d2 = 1e-300 m is
+    # subnormal, at the second D2 of its first radius; the last one fails too
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sweep.radii = 50 um, 150 um\nsweep.d2_values = 1 mm, 1e-300 m\n")
+    errors = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert run(command, "--config", str(cfg), "--lambda-min", "1 m", "--lambda-max",
+                   "1e16 m", "--lambda-points", "3", "--workers", workers,
+                   "--output", str(out)) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert "eta is undefined at lambda = 1e+08 m: the plate factor" in errors[0]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -394,6 +481,24 @@ def test_config_overrides_preset(tmp_path):
     assert run("eta-sweep", "--preset", "fig2-left", "--config", str(cfg),
                "--output", str(out), "--lambda-points", "2") == 0
     assert len(read(out).splitlines()) == 1 + 2
+
+
+def test_config_file_sets_the_mode(tmp_path, capsys):
+    # mode is a word, not a quantity: a config file sets it as --mode does
+    axes = "sweep.exponents = 1.5, 2.5\nsweep.rd_factors = 2, 10\n"
+    by_config, by_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    (tmp_path / "mode.cfg").write_text("mode = n\n" + axes)
+    (tmp_path / "axes.cfg").write_text(axes)
+    assert run("xi-power-sweep", "--config", str(tmp_path / "mode.cfg"),
+               "--output", str(by_config)) == 0
+    assert run("xi-power-sweep", "--config", str(tmp_path / "axes.cfg"), "--mode", "n",
+               "--output", str(by_flag)) == 0
+    assert read(by_config) == read(by_flag)
+    assert read(by_config).startswith("N,Rd_m,xi\n")
+    (tmp_path / "bad.cfg").write_text("mode = x\n" + axes)
+    assert run("xi-power-sweep", "--config", str(tmp_path / "bad.cfg"),
+               "--output", str(tmp_path / "bad.csv")) == 1
+    assert "mode must be 'rd' or 'n', got 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["eta-sweep", "--lambda-points", "3"],

@@ -9,7 +9,7 @@ from ypfa import (INFINITE, NO_LAYER, DegenerateInputError, InputError, Layer, L
                   layered_slab_potential, oracle_layered_sphere_slab,
                   oracle_layered_stack_potential, slab_slab_pressure,
                   sphere_slab_force_exact, sphere_slab_force_pfa)
-from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_stack_factor
+from ypfa.layered import slab_stack_factor, sphere_shell_factor
 
 
 def bare_slab(density=2330.0, thickness=3.5e-6):
@@ -250,7 +250,7 @@ def _product_pfa(cfg, p, c):
     return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * cfg.sphere.core_radius
             * math.exp(-cfg.separation / lam)
             * slab_stack_factor(cfg.slab, lam)
-            * virtual_stack_factor(cfg.sphere, cfg.d2, lam))
+            * slab_stack_factor(cfg.virtual_plate, lam))
 
 
 def test_layered_forces_equal_their_product_form(coated_sphere, coated_stack):
