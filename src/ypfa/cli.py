@@ -29,6 +29,7 @@ import math
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 from functools import partial
 from itertools import chain
 
@@ -37,7 +38,7 @@ from .config import format_si, parse_config_file, parse_quantity
 from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
                    PhysicalConstants, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
-from .layered import LayeredConfig, eta_delta_at
+from .layered import LayeredConfig, eta_delta_at, virtual_plate
 from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
 from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, write_csv
 from .verify import format_report, run_suite, suite_passed
@@ -155,7 +156,7 @@ def _rd_grid(settings: dict, radius: float, default: tuple) -> SweepGrid:
 
 def _lambda_grid(args) -> SweepGrid:
     return SweepGrid(min=parse_quantity(args.lambda_min), max=parse_quantity(args.lambda_max),
-                     points=args.lambda_points, spacing="log")
+                     points=args.lambda_points)
 
 
 def _d2_values(args, settings: dict) -> list[float]:
@@ -164,12 +165,13 @@ def _d2_values(args, settings: dict) -> list[float]:
     return _vector(settings, "sweep.d2_values", "pfa.d2")
 
 
-def _layered_geometry(settings: dict, plotted_radius: str):
-    """Returns (sphere factory keyed on the plotted radius, slab stack)."""
-    def layer(key: str) -> Layer:
-        return Layer(_scalar(settings, key + ".thickness"), _scalar(settings, key + ".density"))
+def _layer(settings: dict, key: str) -> Layer:
+    return Layer(_scalar(settings, key + ".thickness"), _scalar(settings, key + ".density"))
 
-    inner, outer = layer("sphere.inner_coat"), layer("sphere.outer_coat")
+
+def _sphere_factory(settings: dict, plotted_radius: str):
+    """The coated-sphere factory keyed on the plotted radius."""
+    inner, outer = _layer(settings, "sphere.inner_coat"), _layer(settings, "sphere.outer_coat")
 
     def sphere_for(radius: float) -> LayeredSphere:
         core = radius
@@ -181,9 +183,7 @@ def _layered_geometry(settings: dict, plotted_radius: str):
                              core_density=_scalar(settings, "sphere.core_density"),
                              inner_coat=inner, outer_coat=outer)
 
-    slab = LayeredSlab(base=layer("slab.base"), middle=layer("slab.middle"),
-                       top=layer("slab.top"))
-    return sphere_for, slab
+    return sphere_for
 
 
 def _xi_geometry(settings: dict, rd: float) -> XiInputs:
@@ -266,27 +266,26 @@ def cmd_eta_sweep(args) -> int:
     task = partial(_rows_eta, _key_cells(radii, d2_values), radii, d2_values)
     rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
-                 {"lambda": grid.__dict__, "radii": radii,
+                 {"lambda": asdict(grid), "radii": radii,
                   "d2_values": [format_si(v) for v in d2_values]},
                  {"regimes": dict(Counter(row[-1] for row in rows))})
 
 
 def cmd_eta_layered_sweep(args) -> int:
     settings = _settings(args, args.preset)
-    sphere_for, slab = _layered_geometry(settings, args.plotted_radius)
+    sphere_for = _sphere_factory(settings, args.plotted_radius)
     radii = _vector(settings, "sweep.radii", "sphere.core_radius")
     d2_values = _d2_values(args, settings)
-    gap = _scalar(settings, "gap")
     grid = _lambda_grid(args)
     # once per sweep, in the order the first lambda's rows meet them; the
     # virtual plates differ only in d2, so the first sphere's serve them all
     spheres = [sphere_for(radii[0])]
-    plates = [LayeredConfig(gap, spheres[0], slab, d2).virtual_plate for d2 in d2_values]
+    plates = [virtual_plate(spheres[0], d2) for d2 in d2_values]
     spheres += [sphere_for(radius) for radius in radii[1:]]
     task = partial(_rows_eta_layered, _key_cells(radii, d2_values), spheres, plates)
     rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
-                 rows, {"lambda": grid.__dict__, "radii": radii,
+                 rows, {"lambda": asdict(grid), "radii": radii,
                         "d2_values": [format_si(v) for v in d2_values],
                         "plotted_radius": args.plotted_radius}, {})
 
@@ -300,7 +299,7 @@ def cmd_xi_power_sweep(args) -> int:
         rd_grid = _rd_grid(settings, radius, (0.1, 100.0, 200))
         tasks = [(rd, n, _xi_geometry(settings, rd), n)
                  for rd in rd_grid.values() for n in exponents]
-        header, grid = ("Rd_m", "N", "xi"), {"rd": rd_grid.__dict__, "exponents": exponents}
+        header, grid = ("Rd_m", "N", "xi"), {"rd": asdict(rd_grid), "exponents": exponents}
     elif mode == "n":
         exponents = _vector(settings, "n_grid" if "n_grid" in settings else "sweep.exponents")
         rd_factors = _vector(settings, "sweep.rd_factors")
@@ -324,7 +323,7 @@ def cmd_xi_yukawa_sweep(args) -> int:
              for rd in rd_grid.values() for lam in lambdas]
     rows = map_ordered(_row_xi_yukawa, tasks, args.workers)
     return _emit(args, settings, ("Rd_m", "lambda_m", "ln_xi"), rows,
-                 {"rd": rd_grid.__dict__, "lambdas": lambdas}, {})
+                 {"rd": asdict(rd_grid), "lambdas": lambdas}, {})
 
 
 def cmd_oracle_verify(args) -> int:
@@ -347,7 +346,9 @@ def cmd_limits(args) -> int:
     constants = PhysicalConstants(G=_scalar(settings, "constants.G"))
     d2 = parse_quantity(args.d2) if args.d2 else _scalar(settings, "pfa.d2")
     if args.geometry == "layered":
-        sphere_for, slab = _layered_geometry(settings, "core")
+        sphere_for = _sphere_factory(settings, "core")
+        slab = LayeredSlab(base=_layer(settings, "slab.base"),
+                           middle=_layer(settings, "slab.middle"), top=_layer(settings, "slab.top"))
         geometry = LayeredConfig(separation=bounds.entries[0][0],
                                  sphere=sphere_for(_scalar(settings, "sphere.core_radius")),
                                  slab=slab, d2=d2)
@@ -360,11 +361,10 @@ def cmd_limits(args) -> int:
     grid = _lambda_grid(args)
     width = 5 if args.method == "epfa" else 4  # only epfa rows carry shift_vs_pfa
     header = ("lambda_m", "alpha_bound", "best_separation_m", "method", "shift_vs_pfa")[:width]
-    rows = [(point.lam, point.alpha_bound, point.best_separation, point.method,
-             point.shift_vs_pfa)[:width]
-            for point in exclusion_curve(grid, bounds, geometry, args.method, constants)]
+    rows = [point[:width] for point in exclusion_curve(grid, bounds, geometry, args.method,
+                                                         constants)]
     return _emit(args, settings, header, rows,
-                 {"lambda": grid.__dict__, "method": args.method, "geometry": args.geometry},
+                 {"lambda": asdict(grid), "method": args.method, "geometry": args.geometry},
                  {"rows_above_pfa_reliable_lambda":
                   sum(1 for row in rows if row[0] > PFA_RELIABLE_LAMBDA_MAX),
                   "pfa_reliable_lambda_max_m": format_si(PFA_RELIABLE_LAMBDA_MAX)})

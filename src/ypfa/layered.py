@@ -46,7 +46,7 @@ from typing import Sequence
 from .core import (INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
                    LayeredSphere, PhysicalConstants, SeparationLaw, YukawaParams)
 from .numerics import one_minus_exp
-from .yukawa import _phi_over_plate, check_d2, eta, phi, plate_factor
+from .yukawa import _phi_over_plate, check_d2, eta, phi, phi_of_radius, plate_factor
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,14 @@ class LayeredConfig:
 
     @cached_property
     def virtual_plate(self) -> LayeredSlab:
-        """The PFA's virtual plate: core material d2 thick, coated like the sphere.
+        """virtual_plate(sphere, d2), built on first use and kept for every lam."""
+        return virtual_plate(self.sphere, self.d2)
 
-        Built on first use and kept, so a caller reading it at every lam builds it once.
-        """
-        sphere = self.sphere
-        return LayeredSlab(Layer(self.d2, sphere.core_density), sphere.inner_coat,
-                           sphere.outer_coat)
+
+def virtual_plate(sphere: LayeredSphere, d2: float) -> LayeredSlab:
+    """The PFA's virtual plate: core material d2 thick (check_d2), coated like the sphere."""
+    check_d2(d2)
+    return LayeredSlab(Layer(d2, sphere.core_density), sphere.inner_coat, sphere.outer_coat)
 
 
 @dataclass(frozen=True)
@@ -232,9 +233,9 @@ def eta_delta_at(lam: float, spheres: Sequence[LayeredSphere],
     """(eta_delta, eta, eta_delta/eta) at one lam for every sphere, then every plate.
 
     The spheres must share their core density and coats (they may differ in
-    core radius), and each plate is the LayeredConfig.virtual_plate of one d2
-    for them. Each plate's factors 1 - e^(-d2/lam) and S_virtual are computed
-    once per call, and Phi(2 R_out/lam) and Psi_sphere once per sphere. Row
+    core radius), and each plate is the virtual_plate of one d2 for them.
+    Each plate's factors 1 - e^(-d2/lam) and S_virtual are computed once per
+    call, and Phi(2 R_out/lam) and Psi_sphere once per sphere. Row
     by row the checks run in eta_delta's order, so the first error is the
     first failing row's.
     """
@@ -242,7 +243,7 @@ def eta_delta_at(lam: float, spheres: Sequence[LayeredSphere],
                for plate in plates]
     rows = []
     for sphere in spheres:
-        phi_value, _ = phi(2.0 * sphere.outer_radius / lam)
+        phi_value, _ = phi_of_radius(sphere.outer_radius, lam)
         if _bare(sphere):
             for factor, _ in factors:
                 eta_hom = _phi_over_plate(phi_value, factor, lam)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DegenerateInputError, InputError, PhysicalConstants, YukawaParams
 from .layered import LayeredConfig, layered_epfa_force_law, layered_pfa_law, layered_pfa_over_epfa
@@ -96,9 +97,8 @@ class ResidualBound:
         return cls(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class ExclusionPoint:
-    """Largest |alpha| compatible with the residuals at one lambda."""
+class ExclusionPoint(NamedTuple):
+    """Largest |alpha| compatible with the residuals at one lambda (a limits CSV row)."""
 
     lam: float
     alpha_bound: float

@@ -1,6 +1,7 @@
 """Grids, worker-pool evaluation and deterministic CSV emission.
 
-CSV format: UTF-8, mandatory header, LF line endings, scientific notation
+Grids are log-spaced; their bounds must be finite with a representable top
+point. CSV format: UTF-8, mandatory header, LF line endings, scientific notation
 with 12 significant digits (NUMBER_FORMAT), locale-independent. Sweep tasks
 run in grid order, optionally in a process pool that starts no more
 processes than there are tasks or usable CPUs. The eta sweeps compute their
@@ -11,9 +12,10 @@ so the output bytes do not depend on the worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -27,32 +29,35 @@ NUMBER_FORMAT = "%.11e"
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Deterministic 1D parameter grid, log- or linearly spaced."""
+    """Deterministic log-spaced 1D grid min * (max/min)^(i/(points-1)); one point is [min].
+
+    A grid with a point that would not be finite and > 0 is an InputError
+    naming both bounds. spacing is not settable: it records "log" in manifests.
+    """
 
     min: float
     max: float
     points: int
-    spacing: str = "log"
+    spacing: str = field(default="log", init=False)
 
     def __post_init__(self):
         if self.points < 1:
             raise InputError(f"grid needs at least one point, got {self.points}")
+        bounds = f"[{self.min}, {self.max}]"
         if self.points > 1 and not self.min < self.max:
-            raise InputError(f"grid needs min < max, got [{self.min}, {self.max}]")
-        if self.spacing not in ("log", "linear"):
-            raise InputError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        if self.spacing == "log" and not self.min > 0.0:
-            raise InputError("log spacing requires min > 0")
+            raise InputError(f"grid needs min < max, got {bounds}")
+        if not self.min > 0.0:
+            raise InputError(f"log grid needs min > 0, got {bounds}")
+        top = self.min * (self.max / self.min) if self.points > 1 else self.min
+        if not math.isfinite(top):
+            raise InputError(f"grid {bounds} is not representable: its top point is {top}")
 
     def values(self) -> list[float]:
         if self.points == 1:
             return [self.min]
         n = self.points - 1
-        if self.spacing == "log":
-            ratio = self.max / self.min
-            return [self.min * ratio ** (i / n) for i in range(self.points)]
-        step = (self.max - self.min) / n
-        return [self.min + i * step for i in range(self.points)]
+        ratio = self.max / self.min
+        return [self.min * ratio ** (i / n) for i in range(self.points)]
 
 
 def map_ordered(func: Callable, items: Sequence, workers: int) -> list:

@@ -145,6 +145,19 @@ def phi(u: float) -> tuple[float, str]:
     return phi_direct(u), REGIME_DIRECT
 
 
+def phi_of_radius(radius: float, lam: float) -> tuple[float, str]:
+    """phi(2R/lam) for a sphere of radius R: the one place u is formed from R.
+
+    A subnormal R at a long lam makes u underflow to 0; that is refused here
+    with R and lam named, where phi's own guard could name only u.
+    """
+    u = 2.0 * radius / lam
+    if not u > 0.0:
+        raise DegenerateInputError(f"u = 2R/lambda underflows to {u} at R = {radius:g} m, "
+                                   f"lambda = {lam:g} m")
+    return phi(u)
+
+
 def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
                        p: YukawaParams, c: PhysicalConstants = PhysicalConstants()) -> float:
     """Yukawa pressure between two parallel slabs separated by gap a (Pa).
@@ -171,7 +184,7 @@ def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams,
                           c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact sphere-slab force as a law in the separation (cfg.separation unused)."""
     lam = p.lam
-    phi_value, _ = phi(2.0 * cfg.sphere_radius / lam)
+    phi_value, _ = phi_of_radius(cfg.sphere_radius, lam)
     return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
                          one_minus_exp(cfg.slab_thickness / lam), phi_value)
 
@@ -253,7 +266,7 @@ def eta_at(lam: float, radii: Sequence[float],
     plates = [plate_factor(d2, lam) for d2 in d2_values]
     rows = []
     for radius in radii:
-        phi_value, regime = phi(2.0 * radius / lam)
+        phi_value, regime = phi_of_radius(radius, lam)
         for plate in plates:
             rows.append((_phi_over_plate(phi_value, plate, lam), regime))
     return rows

@@ -717,3 +717,68 @@ def test_limits_pfa_is_not_bound_by_the_epfa_lambda_domain(tmp_path):
     assert refused.returncode == 1, refused.stderr
     assert "lambda^4 overflows above about 1.16e+77 m" in refused.stderr
     assert "Traceback" not in refused.stderr
+
+
+@pytest.mark.parametrize("lambda_min,lambda_max,bounds", [
+    ("1 nm", "inf", "[1e-09, inf]"),
+    ("1e-300 m", "1e10 m", "[1e-300, 10000000000.0]"),  # max/min overflows
+], ids=["max-inf", "ratio-overflow"])
+@pytest.mark.parametrize("argv", [
+    ["eta-sweep"],
+    ["eta-layered-sweep"],
+    ["limits", "--residuals", RESIDUALS, "--method", "pfa"],
+    ["limits", "--residuals", RESIDUALS, "--method", "epfa"],
+], ids=["eta", "layered", "limits-pfa", "limits-epfa"])
+def test_unrepresentable_lambda_grid_fails_naming_both_bounds(tmp_path, capsys, argv,
+                                                              lambda_min, lambda_max, bounds):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--lambda-min", lambda_min, "--lambda-max", lambda_max,
+               "--output", str(out)) == 1
+    assert f"grid {bounds} is not representable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, preset", [("xi-power-sweep", "fig4-left"),
+                                             ("xi-yukawa-sweep", "fig5")])
+def test_infinite_rd_grid_factor_fails(tmp_path, capsys, command, preset):
+    # before the grid refused it, two identical inf rows were written per key
+    cfg = tmp_path / "cfg"
+    cfg.write_text("rd_grid_factors = 1, inf, 3\n")
+    out = tmp_path / "out.csv"
+    assert run(command, "--preset", preset, "--config", str(cfg), "--output", str(out)) == 1
+    assert "grid [0.00015, inf] is not representable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,setting", [
+    (["eta-sweep"], "sweep.radii = 5e-324 m"),
+    (["eta-layered-sweep"], "sweep.radii = 5e-324 m\nsphere.inner_coat.thickness = 0 m\n"
+                            "sphere.outer_coat.thickness = 0 m"),
+    (["limits", "--residuals", RESIDUALS], "sphere.radius = 5e-324 m"),
+], ids=["eta", "layered-bare", "limits-epfa"])
+def test_underflowing_2r_over_lambda_names_r_and_lambda(tmp_path, argv, setting):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out.csv"
+    result = run_subprocess(*argv, "--config", str(cfg), "--lambda-min", "10 m",
+                            "--lambda-max", "20 m", "--lambda-points", "3", "--output", str(out))
+    assert result.returncode == 1, result.stderr
+    assert "R = 4.94066e-324 m, lambda = 10 m" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["gap = 0 m", "slab.base.thickness = 0 m"])
+def test_eta_layered_sweep_reads_no_gap_or_slab_setting(tmp_path, capsys, setting):
+    # eta_delta depends on the sphere, d2 and lambda only
+    default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
+    cfg = tmp_path / "cfg"
+    cfg.write_text(setting + "\n")
+    argv = ["eta-layered-sweep", "--preset", "fig3-right", "--lambda-points", "20"]
+    assert run(*argv, "--output", str(default)) == 0
+    assert run(*argv, "--config", str(cfg), "--output", str(changed)) == 0
+    assert changed.read_bytes() == default.read_bytes()
+    if setting.startswith("slab."):  # limits still builds the slab its force laws use
+        assert run("limits", "--residuals", RESIDUALS, "--geometry", "layered", "--config",
+                   str(cfg), "--output", str(tmp_path / "limits.csv")) == 1
+        assert "slab base thickness must be > 0" in capsys.readouterr().err

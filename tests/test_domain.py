@@ -20,7 +20,7 @@ from ypfa import (G_DEFAULT, INFINITE, AxisProbe, DegenerateInputError, Disk, In
                   YukawaParams, disk_gravity_force, disk_power_force, disk_yukawa_force,
                   disk_yukawa_potential, eta, eta_delta, layered_pfa_force, slab_slab_pressure,
                   xi_power, xi_yukawa)
-from ypfa.layered import slab_stack_factor, sphere_shell_factor
+from ypfa.layered import slab_stack_factor, sphere_shell_factor, virtual_plate
 
 REL = 1e-12
 #: Below this a float result is near the subnormal range and carries no
@@ -151,7 +151,7 @@ def test_slab_stack_factor_matches_mpmath(slab, lam):
 @domain
 @given(spheres, d2_values, lengths)
 def test_virtual_stack_factor_matches_mpmath(sphere, d2, lam):
-    plate = LayeredConfig(1e-7, sphere, SLAB, d2).virtual_plate
+    plate = virtual_plate(sphere, d2)
     assert_close(slab_stack_factor(plate, lam), mp_virtual_factor(sphere, d2, lam))
 
 

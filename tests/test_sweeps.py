@@ -1,7 +1,9 @@
 import math
 import os
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ypfa.sweeps
 from ypfa import InputError, SweepGrid
@@ -14,10 +16,23 @@ def test_grid_validation():
     with pytest.raises(InputError):
         SweepGrid(min=2.0, max=1.0, points=5)
     with pytest.raises(InputError):
-        SweepGrid(min=0.0, max=1.0, points=5, spacing="log")
-    with pytest.raises(InputError):
-        SweepGrid(min=1.0, max=2.0, points=5, spacing="cubic")
+        SweepGrid(min=0.0, max=1.0, points=5)
     SweepGrid(min=1.0, max=1.0, points=1)  # single point ignores max
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    (1e-9, math.inf, 5),
+    (math.nan, 1.0, 5),
+    (1.0, math.nan, 5),
+    (math.nan, math.nan, 1),
+    (math.inf, math.inf, 1),
+    (1e-300, 1e10, 5),                   # max/min overflows
+    (3.0, sys.float_info.max, 5),        # max/min is finite, min * (max/min) is not
+])
+def test_grid_refuses_bounds_it_cannot_represent(lo, hi, points):
+    with pytest.raises(InputError) as refused:
+        SweepGrid(min=lo, max=hi, points=points)
+    assert f"[{lo}, {hi}]" in str(refused.value)
 
 
 def test_grid_values():
@@ -27,10 +42,24 @@ def test_grid_values():
     ratios = [b / a for a, b in zip(log, log[1:])]
     assert all(r == pytest.approx(ratios[0], rel=1e-12, abs=0.0) for r in ratios)
 
-    linear = SweepGrid(min=0.0, max=1.0, points=5, spacing="linear").values()
-    assert linear == [0.0, 0.25, 0.5, 0.75, 1.0]
-
     assert SweepGrid(min=3.0, max=9.0, points=1).values() == [3.0]
+
+
+_positive = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_positive, hi=_positive, points=st.integers(2, 40))
+def test_accepted_grid_values_are_finite_and_within_the_bounds(lo, hi, points):
+    try:
+        grid = SweepGrid(min=lo, max=hi, points=points)
+    except InputError:
+        assert not (lo < hi and math.isfinite(lo * (hi / lo)))
+        return
+    values = grid.values()
+    assert len(values) == points and values[0] == lo
+    ceiling = math.nextafter(math.nextafter(hi, math.inf), math.inf)  # max + 2 ulp
+    assert all(0.0 < value <= ceiling and math.isfinite(value) for value in values), values
 
 
 def test_format_number(tmp_path):
