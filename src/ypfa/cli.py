@@ -34,7 +34,7 @@ from functools import partial
 from itertools import chain
 
 from . import __version__
-from .config import format_si, parse_config_file, parse_quantity
+from .config import parse_config_file, parse_quantity
 from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
                    PhysicalConstants, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
@@ -89,7 +89,7 @@ _PRESETS: dict[str, dict] = {
                   "sweep.exponents": [1.0, 2.0, 3.0, 4.0],
                   "rd_grid_factors": (0.1, 100.0, 200)},
     "fig4-right": {"command": "xi-power-sweep", "mode": "n",
-                   "n_grid": [0.25 * i for i in range(1, 17)],
+                   "sweep.exponents": [0.25 * i for i in range(1, 17)],
                    "sweep.rd_factors": [1.0, 2.0, 10.0, 100.0]},
     "fig5": {"command": "xi-yukawa-sweep",
              "sweep.lambdas": [100 * _UM, 500 * _UM, 1000 * _UM],
@@ -136,11 +136,7 @@ def _vector(settings: dict, key: str, fallback: str | None = None) -> list[float
     value = settings.get(key)
     if value is None:
         raise InputError(f"missing setting {key!r}")
-    if not isinstance(value, list):
-        value = [value]
-    if not value:
-        raise InputError(f"setting {key!r} must not be empty")
-    return value
+    return value if isinstance(value, list) else [value]
 
 
 def _rd_grid(settings: dict, radius: float, default: tuple) -> SweepGrid:
@@ -198,8 +194,8 @@ def _emit(args, settings: dict, header, rows: list, grid: dict, counters: dict) 
     payload = {
         "subcommand": args.command,
         "tool_version": __version__,
-        "config_si": {key: ([format_si(v) for v in value] if isinstance(value, list)
-                            else format_si(value))
+        "config_si": {key: ([repr(v) for v in value] if isinstance(value, list)
+                            else repr(value))
                       for key, value in sorted(settings.items())
                       if not isinstance(value, (tuple, str))},
         "grid": grid,
@@ -267,7 +263,7 @@ def cmd_eta_sweep(args) -> int:
     rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
                  {"lambda": asdict(grid), "radii": radii,
-                  "d2_values": [format_si(v) for v in d2_values]},
+                  "d2_values": [repr(v) for v in d2_values]},
                  {"regimes": dict(Counter(row[-1] for row in rows))})
 
 
@@ -286,7 +282,7 @@ def cmd_eta_layered_sweep(args) -> int:
     rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
                  rows, {"lambda": asdict(grid), "radii": radii,
-                        "d2_values": [format_si(v) for v in d2_values],
+                        "d2_values": [repr(v) for v in d2_values],
                         "plotted_radius": args.plotted_radius}, {})
 
 
@@ -294,22 +290,19 @@ def cmd_xi_power_sweep(args) -> int:
     settings = _settings(args, args.preset)
     mode = args.mode or settings.get("mode", "rd")
     radius = _scalar(settings, "sphere.radius")
+    exponents = _vector(settings, "sweep.exponents")
     if mode == "rd":
-        exponents = _vector(settings, "sweep.exponents")
         rd_grid = _rd_grid(settings, radius, (0.1, 100.0, 200))
         tasks = [(rd, n, _xi_geometry(settings, rd), n)
                  for rd in rd_grid.values() for n in exponents]
         header, grid = ("Rd_m", "N", "xi"), {"rd": asdict(rd_grid), "exponents": exponents}
     elif mode == "n":
-        exponents = _vector(settings, "n_grid" if "n_grid" in settings else "sweep.exponents")
         rd_factors = _vector(settings, "sweep.rd_factors")
         tasks = [(n, factor * radius, _xi_geometry(settings, factor * radius), n)
                  for n in exponents for factor in rd_factors]
         header, grid = ("N", "Rd_m", "xi"), {"n": exponents, "rd_factors": rd_factors}
     else:
         raise InputError(f"mode must be 'rd' or 'n', got {mode!r}")
-    if any(n <= 0 for n in exponents):
-        raise InputError("power-law exponents must be > 0")
     rows = map_ordered(_row_xi_power, tasks, args.workers)
     return _emit(args, settings, header, rows, grid,
                  {"rows_near_pole": sum(1 for row in rows if math.isnan(row[-1]))})
@@ -367,7 +360,7 @@ def cmd_limits(args) -> int:
                  {"lambda": asdict(grid), "method": args.method, "geometry": args.geometry},
                  {"rows_above_pfa_reliable_lambda":
                   sum(1 for row in rows if row[0] > PFA_RELIABLE_LAMBDA_MAX),
-                  "pfa_reliable_lambda_max_m": format_si(PFA_RELIABLE_LAMBDA_MAX)})
+                  "pfa_reliable_lambda_max_m": repr(PFA_RELIABLE_LAMBDA_MAX)})
 
 
 # ---------------------------------------------------------------- parser

@@ -10,28 +10,27 @@ Format:
 
 Keys are dotted, values are a number plus an optional unit. Lengths accept
 nm/um/mm/m, densities g/cm3 or kg/m3; plain numbers are dimensionless.
-``inf`` means an infinitely thick layer / infinite radius. Comma-separated
+Numbers are whatever ``float`` parses, so ``inf`` (any case, with or without
+a unit) means an infinitely thick layer / infinite radius. Comma-separated
 values parse to lists. Everything is converted to SI on parse; the in-memory
-model carries no unit suffixes. The caller may name keys whose value is a
-word (such as ``mode = n``); those keep their text.
+model carries no unit suffixes, and ``repr`` of a parsed value round-trips to
+the same float. The caller may name keys whose value is a word (such as
+``mode = n``); those keep their text.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Collection
 
-from .core import INFINITE, InputError
+from .core import InputError
 
 _LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
 _DENSITY_UNITS = {"g/cm3": 1000.0, "kg/m3": 1.0}
 
 
 def parse_quantity(text: str) -> float:
-    """Parse one scalar: number with optional length/density unit, or 'inf'."""
+    """Parse one scalar: a float() number with an optional length/density unit."""
     text = text.strip()
-    if text.lower() == "inf":
-        return INFINITE
     parts = text.split()
     if len(parts) == 1:
         try:
@@ -93,9 +92,3 @@ def parse_config_file(path: str, words: Collection[str] = ()
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config_text(handle.read(), source=path, words=words)
 
-
-def format_si(value: float) -> str:
-    """Format an SI value for manifests; round-trips to the same float."""
-    if math.isinf(value):
-        return "inf"
-    return repr(value)

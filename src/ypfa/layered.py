@@ -23,8 +23,9 @@ Their ratio eta_delta = Psi_sphere / (R * S_virtual) is therefore
 independent of both the separation and the slab stack. eta_delta_at
 evaluates it for every sphere and virtual plate of a sweep at one lam;
 eta_delta is its single-point case. Each of U, F and F_pfa is built as a
-core.SeparationLaw (the ``*_law`` builders): the stack and shell factors
-once per lam, then one exponential per separation.
+core.SeparationLaw: the stack and shell factors once per lam, then one
+exponential per separation. F and F_pfa have public ``*_law`` builders,
+which limits evaluates at every residual separation; U's law is private.
 
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
 for nanometre lam; every term here is assembled so that each exponential
@@ -148,12 +149,6 @@ def _epfa_law(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants,
                          over)
 
 
-def layered_epfa_energy_law(cfg: LayeredConfig, p: YukawaParams,
-                            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
-    """Exact layered energy as a law in the separation (cfg.separation unused)."""
-    return _epfa_law(cfg, p, c, 1.0)
-
-
 def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
                            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
     """Exact layered force U/lam as a law in the separation."""
@@ -175,7 +170,7 @@ def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
 def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams,
                         c: PhysicalConstants = PhysicalConstants()) -> float:
     """Exact interaction energy of the layered sphere and layered slab (J)."""
-    return layered_epfa_energy_law(cfg, p, c)(cfg.separation)
+    return _epfa_law(cfg, p, c, 1.0)(cfg.separation)
 
 
 def layered_epfa_force(cfg: LayeredConfig, p: YukawaParams,

@@ -29,6 +29,8 @@ from .yukawa import SphereSlabConfig, slab_slab_pressure, sphere_slab_force_exac
 
 _SPEC_1D = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
 _SPEC_2D = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-300)
+#: G of the default constants; every other callee takes them by default
+_G = PhysicalConstants().G
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def _grid(quick: bool, separations, lams, scales):
                 yield a, lam, scale
 
 
-def check_slab_slab_pressure(c, quick):
+def check_slab_slab_pressure(quick):
     pairs = []
     combos = [(3.5e-6, INFINITE), (1e-6, 10e-6), (INFINITE, INFINITE)]
     if quick:
@@ -112,49 +114,49 @@ def check_slab_slab_pressure(c, quick):
     for a, lam, _ in _grid(quick, (5e-8, 2e-7, 1e-6), (1e-7, 1e-6, 1e-5), (1.0,)):
         for d1, d2 in combos:
             p = YukawaParams(1.0, lam)
-            closed = slab_slab_pressure(a, d1, 2330.0, d2, 4100.0, p, c)
-            report = oracle_slab_slab_pressure(a, d1, 2330.0, d2, 4100.0, p, c, _SPEC_1D)
+            closed = slab_slab_pressure(a, d1, 2330.0, d2, 4100.0, p)
+            report = oracle_slab_slab_pressure(a, d1, 2330.0, d2, 4100.0, p, q=_SPEC_1D)
             pairs.append((f"a={a:g} lam={lam:g} d1={d1:g} d2={d2:g}", closed, report))
     return _family("slab_slab_pressure", 1e-9, pairs)
 
 
-def check_sphere_slab_exact(c, quick):
+def check_sphere_slab_exact(quick):
     pairs = []
     for a, lam, scale in _grid(quick, (5e-8, 2e-7, 1e-6), (1e-7, 1e-6, 1e-5), (0.5, 1.0, 2.0)):
         cfg = replace(_scaled_sphere_slab(scale), separation=a)
         p = YukawaParams(1.0, lam)
-        closed = sphere_slab_force_exact(cfg, p, c)
-        energy = oracle_sphere_slab_yukawa(cfg, p, c, _SPEC_1D)
+        closed = sphere_slab_force_exact(cfg, p)
+        energy = oracle_sphere_slab_yukawa(cfg, p, q=_SPEC_1D)
         force = replace(energy, value=energy.value / lam,
                         error_estimate=energy.error_estimate / lam)
         pairs.append((f"a={a:g} lam={lam:g} scale={scale:g}", closed, force))
     return _family("sphere_slab_force_exact", 1e-9, pairs)
 
 
-def check_layered_stack_potential(c, quick):
+def check_layered_stack_potential(quick):
     pairs = []
     stack = _layered_stack()
     for z, lam, _ in _grid(quick, (1e-7, 5e-7, 2e-6), (1e-7, 1e-6, 1e-5), (1.0,)):
         p = YukawaParams(1.0, lam)
-        closed = layered_slab_potential(z, stack, p, c)
-        report = oracle_layered_stack_potential(z, stack, p, c, _SPEC_1D)
+        closed = layered_slab_potential(z, stack, p)
+        report = oracle_layered_stack_potential(z, stack, p, q=_SPEC_1D)
         pairs.append((f"z={z:g} lam={lam:g}", closed, report))
     return _family("layered_slab_potential", 1e-9, pairs)
 
 
-def check_layered_epfa_energy(c, quick):
+def check_layered_epfa_energy(quick):
     pairs = []
     stack = _layered_stack()
     for a, lam, scale in _grid(quick, (1e-7, 5e-7, 2e-6), (2e-7, 1e-6, 1e-5), (0.5, 1.0, 2.0)):
         cfg = LayeredConfig(separation=a, sphere=_layered_sphere(scale), slab=stack)
         p = YukawaParams(1.0, lam)
-        closed = layered_epfa_energy(cfg, p, c)
-        report = oracle_layered_sphere_slab(cfg, p, c, _SPEC_2D)
+        closed = layered_epfa_energy(cfg, p)
+        report = oracle_layered_sphere_slab(cfg, p, q=_SPEC_2D)
         pairs.append((f"a={a:g} lam={lam:g} scale={scale:g}", closed, report))
     return _family("layered_epfa_energy", 1e-6, pairs)
 
 
-def check_layered_pfa_assembly(c, quick):
+def check_layered_pfa_assembly(quick):
     """Nine-term assembly: the factorized PFA force equals the sum over the
     nine layer pairs of 2 pi R x their slab-slab pressure at the pair's
     standoff (analytic)."""
@@ -181,25 +183,25 @@ def check_layered_pfa_assembly(c, quick):
                 else:
                     pressure = slab_slab_pressure(a + off1 + off2, layer1.thickness,
                                                   layer1.density, layer2.thickness,
-                                                  layer2.density, p, c)
+                                                  layer2.density, p)
                 total_direct += 2.0 * math.pi * sphere.core_radius * lam * pressure
         report = OracleReport(total_direct, 0.0, True)
-        pairs.append((f"a={a:g} lam={lam:g} (factorized)", layered_pfa_force(cfg, p, c), report))
+        pairs.append((f"a={a:g} lam={lam:g} (factorized)", layered_pfa_force(cfg, p), report))
     return _family("layered_pfa_term_assembly", 1e-13, pairs)
 
 
-def check_disk_gravity(c, quick):
+def check_disk_gravity(quick):
     pairs = []
     for z, lam, scale in _grid(quick, (1e-7, 5e-7, 2e-6), (0.0,), (0.5, 1.0, 2.0)):
         probe = AxisProbe(z=z)
         disk = _scaled_disk(scale)
-        closed = disk_gravity_force(probe, disk, c)
-        report = oracle_disk_point(probe, disk, "newton", c, _SPEC_1D)
+        closed = disk_gravity_force(probe, disk)
+        report = oracle_disk_point(probe, disk, "newton", q=_SPEC_1D)
         pairs.append((f"z={z:g} scale={scale:g}", closed, report))
     return _family("disk_gravity_force", 1e-9, pairs)
 
 
-def check_disk_power(c, quick):
+def check_disk_power(quick):
     generic, n1, n3 = [], [], []
     exponents = (1.5, 2.5, 4.0)
     for idx, (z, _lam, scale) in enumerate(
@@ -210,33 +212,33 @@ def check_disk_power(c, quick):
         label = f"z={z:g} scale={scale:g}"
         for exponent, rows, name in ((n, generic, f"{label} n={n:g}"), (1.0, n1, label),
                                      (3.0, n3, label)):
-            closed = disk_power_force(probe, disk, PowerLawParams(k=c.G, n=exponent))
-            report = oracle_disk_point(probe, disk, "power", c, _SPEC_2D, n=exponent)
-            rows.append((name, closed, replace(report, value=report.value * c.G,
-                                               error_estimate=report.error_estimate * c.G)))
+            closed = disk_power_force(probe, disk, PowerLawParams(k=_G, n=exponent))
+            report = oracle_disk_point(probe, disk, "power", q=_SPEC_2D, n=exponent)
+            rows.append((name, closed, replace(report, value=report.value * _G,
+                                               error_estimate=report.error_estimate * _G)))
     return [_family("disk_power_force", 1e-8, generic),
             _family("disk_power_force_n1", 1e-8, n1),
             _family("disk_power_force_n3", 1e-8, n3)]
 
 
-def check_disk_yukawa(c, quick):
+def check_disk_yukawa(quick):
     forces, potentials = [], []
     for z, lam, scale in _grid(quick, (1e-7, 5e-7, 2e-6), (5e-7, 5e-6, 5e-5), (0.5, 1.0, 2.0)):
         probe = AxisProbe(z=z)
         disk = _scaled_disk(scale)
         p = YukawaParams(1.0, lam)
         label = f"z={z:g} lam={lam:g} scale={scale:g}"
-        closed = disk_yukawa_force(probe, disk, p, c)
-        report = oracle_disk_point(probe, disk, "yukawa", c, _SPEC_2D, p=p)
+        closed = disk_yukawa_force(probe, disk, p)
+        report = oracle_disk_point(probe, disk, "yukawa", q=_SPEC_2D, p=p)
         forces.append((label, closed, report))
-        closed = disk_yukawa_potential(probe, disk, p, c)
-        report = oracle_disk_point(probe, disk, "yukawa_potential", c, _SPEC_2D, p=p)
+        closed = disk_yukawa_potential(probe, disk, p)
+        report = oracle_disk_point(probe, disk, "yukawa_potential", q=_SPEC_2D, p=p)
         potentials.append((label, closed, report))
     return [_family("disk_yukawa_force", 1e-8, forces),
             _family("disk_yukawa_potential", 1e-8, potentials)]
 
 
-def check_slicing_equivalence(c, quick):
+def check_slicing_equivalence(quick):
     configs = [(150e-6, 1e-6, 1e-7), (150e-6, 1e-5, 1e-7), (75e-6, 5e-6, 5e-7),
                (150e-6, 1e-4, 1e-6), (50e-6, 5e-7, 1e-7)]
     if quick:
@@ -246,51 +248,50 @@ def check_slicing_equivalence(c, quick):
         cfg = SphereSlabConfig(separation=a, sphere_radius=radius, sphere_density=4100.0,
                                slab_thickness=3.5e-6, slab_density=2330.0)
         p = YukawaParams(1.0, lam)
-        horizontal, columns = oracle_slicing_equivalence(cfg, p, c, _SPEC_1D)
+        horizontal, columns = oracle_slicing_equivalence(cfg, p, q=_SPEC_1D)
         label = f"R={radius:g} lam={lam:g} a={a:g}"
         # columns-vs-horizontal mutual agreement, then both vs the closed form
         pairs.append((f"{label} (h vs v)", horizontal.value, columns))
-        closed_energy = sphere_slab_force_exact(cfg, p, c) * lam
+        closed_energy = sphere_slab_force_exact(cfg, p) * lam
         pairs.append((f"{label} (closed vs h)", closed_energy, horizontal))
         pairs.append((f"{label} (closed vs v)", closed_energy, columns))
     return _family("slicing_equivalence", 1e-8, pairs)
 
 
-def check_two_spheres(c, quick):
+def check_two_spheres(quick):
     radius, rho, gap = 50e-6, 3000.0, 0.1 * 50e-6
     exact, epfa = oracle_two_spheres(radius, radius, 2 * radius + gap, rho, rho,
-                                     "newton", None, c, _SPEC_1D)
+                                     "newton", q=_SPEC_1D)
     failure = _family("two_sphere_epfa_failure", 0.01,
                       [(f"gap=0.1R", exact.value, epfa)], sense="exceeds")
     trend = []
     for factor in (2.2, 3.0, 5.0, 10.0):
         exact, epfa = oracle_two_spheres(radius, radius, factor * radius, rho, rho,
-                                         "newton", None, c, _SPEC_1D)
+                                         "newton", q=_SPEC_1D)
         trend.append((f"d={factor:g}R ratio={epfa.value / exact.value:.6g}",
                       exact.value, epfa))
     p = YukawaParams(1.0, 25e-6)
     exact, epfa = oracle_two_spheres(radius, radius, 2.2 * radius, rho, rho,
-                                     "yukawa", p, c, _SPEC_2D)
+                                     "yukawa", p, q=_SPEC_2D)
     trend.append((f"yukawa lam=R/2 ratio={epfa.value / exact.value:.6g}",
                   exact.value, epfa))
     recorded = _family("two_sphere_trend", math.inf, trend, sense="recorded")
     return [failure, recorded]
 
 
-def run_suite(c: PhysicalConstants = PhysicalConstants(),
-              quick: bool = False) -> list[CheckResult]:
+def run_suite(quick: bool = False) -> list[CheckResult]:
     """Run every check family; returns their results in a fixed order."""
     results: list[CheckResult] = []
-    results.append(check_slab_slab_pressure(c, quick))
-    results.append(check_sphere_slab_exact(c, quick))
-    results.append(check_layered_stack_potential(c, quick))
-    results.append(check_layered_epfa_energy(c, quick))
-    results.append(check_layered_pfa_assembly(c, quick))
-    results.append(check_disk_gravity(c, quick))
-    results.extend(check_disk_power(c, quick))
-    results.extend(check_disk_yukawa(c, quick))
-    results.append(check_slicing_equivalence(c, quick))
-    results.extend(check_two_spheres(c, quick))
+    results.append(check_slab_slab_pressure(quick))
+    results.append(check_sphere_slab_exact(quick))
+    results.append(check_layered_stack_potential(quick))
+    results.append(check_layered_epfa_energy(quick))
+    results.append(check_layered_pfa_assembly(quick))
+    results.append(check_disk_gravity(quick))
+    results.extend(check_disk_power(quick))
+    results.extend(check_disk_yukawa(quick))
+    results.append(check_slicing_equivalence(quick))
+    results.extend(check_two_spheres(quick))
     return results
 
 

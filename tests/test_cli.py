@@ -343,7 +343,7 @@ def test_xi_power_sweep_thick_disk(tmp_path):
     assert "diverges for n = 0.25" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
-    cfg.write_text(THICK_DISK + "n_grid = 1.5, 2, 2.5, 3, 4\n")
+    cfg.write_text(THICK_DISK + "sweep.exponents = 1.5, 2, 2.5, 3, 4\n")
     assert run("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
                "--output", str(out)) == 0
     cells = [line.split(",")[2] for line in read(out).splitlines()[1:]]
@@ -578,16 +578,74 @@ def test_malformed_rd_grid_factors_named(tmp_path, capsys, command, preset, fact
     assert not out.exists()
 
 
-def test_scalar_n_grid_is_a_one_point_axis(tmp_path):
+def test_scalar_exponent_is_a_one_point_axis(tmp_path):
     # a lone value is a one-element list, as for every other list setting
     out = tmp_path / "n.csv"
     cfg = tmp_path / "cfg"
-    cfg.write_text("n_grid = 2\n")
+    cfg.write_text("sweep.exponents = 2\n")
     assert run("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
                "--output", str(out)) == 0
     rows = [line.split(",") for line in read(out).splitlines()[1:]]
     assert [float(row[0]) for row in rows] == [2.0] * 4
     assert json.loads(read(str(out) + ".manifest.json"))["grid"]["n"] == [2.0]
+
+
+def test_fig4_right_sweeps_the_configured_exponents(tmp_path):
+    # the preset used to set its exponents under a key of their own that won
+    # over sweep.exponents, while the manifest recorded the ignored values
+    out = tmp_path / "n.csv"
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sweep.exponents = 1.5, 2\n")
+    assert run("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
+               "--output", str(out)) == 0
+    assert len(read(out).splitlines()) == 1 + 2 * 4
+    manifest = json.loads(read(str(out) + ".manifest.json"))
+    assert manifest["grid"]["n"] == [1.5, 2.0]
+    assert manifest["config_si"]["sweep.exponents"] == ["1.5", "2.0"]
+
+
+def test_fig4_right_in_rd_mode(tmp_path):
+    out = tmp_path / "rd.csv"
+    assert run("xi-power-sweep", "--preset", "fig4-right", "--mode", "rd",
+               "--output", str(out)) == 0
+    assert len(read(out).splitlines()) == 1 + 16 * 200
+
+
+def test_n_grid_is_an_unknown_setting(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n_grid = 2\n")
+    out = tmp_path / "n.csv"
+    assert run("xi-power-sweep", "--preset", "fig4-right", "--config", str(cfg),
+               "--output", str(out)) == 1
+    assert "unknown setting 'n_grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("exponents, fragment", [("-1, 2", "got -1.0"), ("0, 2", "got 0.0"),
+                                                 ("nan, 2", "got nan")])
+def test_nonpositive_exponent_fails_naming_it(tmp_path, exponents, fragment, workers):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"sweep.exponents = {exponents}\nsweep.rd_factors = 2, 10\n")
+    out = tmp_path / "n.csv"
+    done = run_subprocess("xi-power-sweep", "--mode", "n", "--config", str(cfg),
+                          "--workers", workers, "--output", str(out))
+    assert done.returncode == 1, done.stderr
+    assert fragment in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_negative_infinity_recorded_in_the_manifest(tmp_path):
+    # manifest numbers are repr: -inf used to be written as "inf"
+    cfg = tmp_path / "cfg"
+    cfg.write_text("slab.thickness = -inf\n")
+    out = tmp_path / "eta.csv"
+    assert run("eta-sweep", "--config", str(cfg), "--lambda-points", "3",
+               "--output", str(out)) == 0
+    config_si = json.loads(read(str(out) + ".manifest.json"))["config_si"]
+    assert config_si["slab.thickness"] == "-inf"
+    assert config_si["pfa.d2"] == "inf"
 
 
 def test_preset_of_another_subcommand_fails(tmp_path, capsys):
