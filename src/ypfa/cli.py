@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
+from typing import Callable, Iterable
 
 from . import __version__
 from .config import parse_config_file, parse_quantity
@@ -189,18 +190,22 @@ def _xi_geometry(settings: dict, rd: float) -> XiInputs:
                               density=_scalar(settings, "disk.density")))
 
 
-def _emit(args, settings: dict, header, rows: list, grid: dict, counters: dict) -> int:
-    """Write the CSV and its manifest (byte-stable apart from the timestamp)."""
+def _emit(args, settings: dict, header, rows: Iterable, grid: dict,
+          counters: Callable[[], dict]) -> int:
+    """Write the CSV, then its manifest (byte-stable apart from the timestamp).
+
+    rows may stream: counters is called only once every row is written.
+    """
+    written = write_csv(args.output, header, rows)
     payload = {
         "subcommand": args.command,
         "tool_version": __version__,
-        "config_si": {key: ([repr(v) for v in value] if isinstance(value, list)
+        "config_si": {key: ([repr(float(v)) for v in value] if isinstance(value, (list, tuple))
                             else repr(value))
-                      for key, value in sorted(settings.items())
-                      if not isinstance(value, (tuple, str))},
+                      for key, value in sorted(settings.items()) if not isinstance(value, str)},
         "grid": grid,
-        "rows": write_csv(args.output, header, rows),
-        "counters": counters,
+        "rows": written,
+        "counters": counters(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(args.output + ".manifest.json", "w", encoding="utf-8", newline="\n") as handle:
@@ -242,6 +247,13 @@ def _row_xi_yukawa(task):
 
 # ---------------------------------------------------------------- commands
 
+def _tallied(rows: Iterable, regimes: Counter):
+    """rows unchanged, counting each row's last cell into regimes as it passes."""
+    for row in rows:
+        regimes[row[-1]] += 1
+        yield row
+
+
 def _key_cells(radii: list[float], d2_values: list[float]) -> list[tuple[str, str]]:
     """The (R, D2) key cells of one lambda's rows, in row order."""
     return [(NUMBER_FORMAT % radius, NUMBER_FORMAT % d2)
@@ -260,11 +272,13 @@ def cmd_eta_sweep(args) -> int:
     for radius in radii[1:]:
         check_radius(radius)
     task = partial(_rows_eta, _key_cells(radii, d2_values), radii, d2_values)
-    rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
+    regimes = Counter()
+    rows = _tallied(chain.from_iterable(map_ordered(task, grid.values(), args.workers)),
+                    regimes)
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
                  {"lambda": asdict(grid), "radii": radii,
                   "d2_values": [repr(v) for v in d2_values]},
-                 {"regimes": dict(Counter(row[-1] for row in rows))})
+                 lambda: {"regimes": dict(regimes)})
 
 
 def cmd_eta_layered_sweep(args) -> int:
@@ -279,11 +293,11 @@ def cmd_eta_layered_sweep(args) -> int:
     plates = [virtual_plate(spheres[0], d2) for d2 in d2_values]
     spheres += [sphere_for(radius) for radius in radii[1:]]
     task = partial(_rows_eta_layered, _key_cells(radii, d2_values), spheres, plates)
-    rows = list(chain.from_iterable(map_ordered(task, grid.values(), args.workers)))
+    rows = chain.from_iterable(map_ordered(task, grid.values(), args.workers))
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
                  rows, {"lambda": asdict(grid), "radii": radii,
                         "d2_values": [repr(v) for v in d2_values],
-                        "plotted_radius": args.plotted_radius}, {})
+                        "plotted_radius": args.plotted_radius}, dict)
 
 
 def cmd_xi_power_sweep(args) -> int:
@@ -303,9 +317,9 @@ def cmd_xi_power_sweep(args) -> int:
         header, grid = ("N", "Rd_m", "xi"), {"n": exponents, "rd_factors": rd_factors}
     else:
         raise InputError(f"mode must be 'rd' or 'n', got {mode!r}")
-    rows = map_ordered(_row_xi_power, tasks, args.workers)
+    rows = list(map_ordered(_row_xi_power, tasks, args.workers))
     return _emit(args, settings, header, rows, grid,
-                 {"rows_near_pole": sum(1 for row in rows if math.isnan(row[-1]))})
+                 lambda: {"rows_near_pole": sum(1 for row in rows if math.isnan(row[-1]))})
 
 
 def cmd_xi_yukawa_sweep(args) -> int:
@@ -316,7 +330,7 @@ def cmd_xi_yukawa_sweep(args) -> int:
              for rd in rd_grid.values() for lam in lambdas]
     rows = map_ordered(_row_xi_yukawa, tasks, args.workers)
     return _emit(args, settings, ("Rd_m", "lambda_m", "ln_xi"), rows,
-                 {"rd": asdict(rd_grid), "lambdas": lambdas}, {})
+                 {"rd": asdict(rd_grid), "lambdas": lambdas}, dict)
 
 
 def cmd_oracle_verify(args) -> int:
@@ -358,9 +372,9 @@ def cmd_limits(args) -> int:
                                                          constants)]
     return _emit(args, settings, header, rows,
                  {"lambda": asdict(grid), "method": args.method, "geometry": args.geometry},
-                 {"rows_above_pfa_reliable_lambda":
-                  sum(1 for row in rows if row[0] > PFA_RELIABLE_LAMBDA_MAX),
-                  "pfa_reliable_lambda_max_m": repr(PFA_RELIABLE_LAMBDA_MAX)})
+                 lambda: {"rows_above_pfa_reliable_lambda":
+                          sum(1 for row in rows if row[0] > PFA_RELIABLE_LAMBDA_MAX),
+                          "pfa_reliable_lambda_max_m": repr(PFA_RELIABLE_LAMBDA_MAX)})
 
 
 # ---------------------------------------------------------------- parser

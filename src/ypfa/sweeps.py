@@ -6,8 +6,10 @@ with 12 significant digits (NUMBER_FORMAT), locale-independent. Sweep tasks
 run in grid order, optionally in a process pool that starts no more
 processes than there are tasks or usable CPUs. The eta sweeps compute their
 rows one lambda at a time (a task returns every row of its lambda), the
-other sweeps one row per task. The rows are always assembled in grid order,
-so the output bytes do not depend on the worker count.
+other sweeps one row per task. Results come back lazily and in grid order,
+so rows stream from the tasks into the CSV without the whole sweep being
+held in memory, and the output bytes do not depend on the worker count.
+A CSV appears at its path only once every row is written.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InputError
 
@@ -25,6 +29,14 @@ from .core import InputError
 #: Key cells that repeat across rows are formatted once with it and passed
 #: to write_csv as str cells.
 NUMBER_FORMAT = "%.11e"
+
+#: The most items the pool sends a worker at once. Each chunk's results
+#: wait in the parent until the CSV reaches them, so larger chunks cost
+#: memory; much smaller ones cost time in pickling round trips.
+POOL_CHUNK_MAX = 256
+
+#: Rows write_csv takes from its iterable, kind-checks and writes at a time.
+CSV_BATCH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -60,38 +72,63 @@ class SweepGrid:
         return [self.min * ratio ** (i / n) for i in range(self.points)]
 
 
-def map_ordered(func: Callable, items: Sequence, workers: int) -> list:
-    """Apply func to items, preserving input order regardless of workers.
+def map_ordered(func: Callable, items: Sequence, workers: int) -> Iterator:
+    """An iterator of func(item) over items, in input order at any worker count.
 
-    The pool gets no more processes than there are items or usable CPUs:
-    it starts all of them at the first submit.
+    The worker count is checked at the call; func runs only as the iterator
+    is consumed. One worker maps in process. A pool gets no more processes
+    than there are items or usable CPUs, starts all of them at the first
+    next(), sends them chunks of at most POOL_CHUNK_MAX items and stays open
+    until the iterator is exhausted or closed.
     """
     if workers < 1:
         raise InputError(f"worker count must be >= 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1, len(items))
     if workers <= 1:
-        return [func(item) for item in items]
+        return map(func, items)
+    return _pooled(func, items, workers)
+
+
+def _pooled(func: Callable, items: Sequence, workers: int) -> Iterator:
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
-        return list(pool.map(func, items, chunksize=chunk))
+        chunk = min(POOL_CHUNK_MAX, max(1, len(items) // (workers * 4)))
+        yield from pool.map(func, items, chunksize=chunk)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> int:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
     """Write rows (numbers or strings) as CSV; returns the row count.
 
     Numbers are written as NUMBER_FORMAT (nan and inf as Python spells them) and
     str cells verbatim, by one % per row on a format built once from the cell
     kinds of the first row; a column whose kind changes later is a TypeError.
-    The rows stream to writelines through a lazy map, so no second copy of
-    the whole file is held in memory.
+    rows may be any iterable: it is consumed CSV_BATCH_ROWS rows at a time,
+    each batch kind-checked before it is written, so memory does not grow
+    with the row count. The rows go to a temporary file beside path, which
+    replaces path only once every row is written; on any exception the
+    temporary file is removed and path is left as it was.
     """
-    kinds = ["%s" if isinstance(cell, str) else NUMBER_FORMAT for cell in rows[0]] if rows else []
-    if any(kind == "%s" and set(map(type, map(itemgetter(column), rows))) != {str}
-           for column, kind in enumerate(kinds)):
-        raise TypeError("a str column of the CSV holds cells of other kinds")
+    rows = iter(rows)
+    batch = list(islice(rows, CSV_BATCH_ROWS))
+    first = batch[0] if batch else ()
+    kinds = ["%s" if isinstance(cell, str) else NUMBER_FORMAT for cell in first]
+    str_columns = [column for column, kind in enumerate(kinds) if kind == "%s"]
     line = ",".join(kinds) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(map(line.__mod__, map(tuple, rows)))
-    return len(rows)
+    temp = f"{path}.{os.getpid()}.tmp"
+    count = 0
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            while batch:
+                if any(set(map(type, map(itemgetter(column), batch))) != {str}
+                       for column in str_columns):
+                    raise TypeError("a str column of the CSV holds cells of other kinds")
+                handle.writelines(map(line.__mod__, map(tuple, batch)))
+                count += len(batch)
+                batch = list(islice(rows, CSV_BATCH_ROWS))
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+    return count

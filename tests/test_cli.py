@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +197,40 @@ def test_first_error_in_grid_order_at_any_worker_count(tmp_path, capsys, command
         assert not out.exists()
     assert errors[0] == errors[1]
     assert "eta is undefined at lambda = 1e+08 m: the plate factor" in errors[0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("old", [None, b"an older file\n"])
+def test_sweep_failing_mid_stream_leaves_no_output(tmp_path, capsys, workers, old):
+    # the config of test_first_error_in_grid_order_at_any_worker_count on a
+    # 1,000-point grid: rows stream until lambda ~ 1e8 m, past the first
+    # CSV batch, then the sweep fails
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sweep.radii = 50 um, 150 um\nsweep.d2_values = 1 mm, 1e-300 m\n")
+    out = tmp_path / "out.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert run("eta-sweep", "--config", str(cfg), "--lambda-min", "1 m", "--lambda-max",
+               "1e16 m", "--lambda-points", "1000", "--workers", workers,
+               "--output", str(out)) == 1
+    assert "eta is undefined at lambda = " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg"] + ["out.csv"] * (old is not None)
+    if old is not None:
+        assert out.read_bytes() == old
+
+
+def test_eta_sweep_memory_does_not_grow_with_the_rows(tmp_path):
+    # 60,000 rows held at once take about 9.6 MiB; streamed, far less
+    out = tmp_path / "dense.csv"
+    tracemalloc.start()
+    try:
+        assert run("eta-sweep", "--preset", "fig2-left", "--lambda-points", "20000",
+                   "--workers", "1", "--output", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(read(str(out) + ".manifest.json"))["rows"] == 60000
+    assert peak < 4 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -646,6 +681,26 @@ def test_negative_infinity_recorded_in_the_manifest(tmp_path):
     config_si = json.loads(read(str(out) + ".manifest.json"))["config_si"]
     assert config_si["slab.thickness"] == "-inf"
     assert config_si["pfa.d2"] == "inf"
+
+
+@pytest.mark.parametrize("command, preset, factors", [
+    ("xi-power-sweep", "fig4-left", "0.1, 100, 200"),
+    ("xi-yukawa-sweep", "fig5", "1, 100, 200"),
+])
+def test_preset_rd_grid_factors_recorded_as_a_config_file_records_them(tmp_path, command,
+                                                                       preset, factors):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"rd_grid_factors = {factors}\n")
+    manifests = []
+    for name, extra in (("preset.csv", []), ("config.csv", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run(command, "--preset", preset, *extra, "--output", str(out)) == 0
+        manifest = json.loads(read(str(out) + ".manifest.json"))
+        manifest.pop("timestamp")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["config_si"]["rd_grid_factors"] == [
+        repr(float(value)) for value in factors.split(", ")]
 
 
 def test_preset_of_another_subcommand_fails(tmp_path, capsys):

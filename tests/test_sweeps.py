@@ -105,6 +105,7 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, header, rows):
     [(1.0, "a"), (2.0, None)],
     [(1.0, 2.0), (3.0, "b")],     # a numeric column meets a str
     [(1.0, 2.0), ("c", 4.0)],
+    [(1.0, "a")] * ypfa.sweeps.CSV_BATCH_ROWS + [(2.0, 3.0)],   # past the first batch
 ])
 def test_write_csv_column_changing_kind_is_refused_or_unchanged(tmp_path, rows):
     """A column whose kind changes partway through the file gives the old
@@ -117,10 +118,74 @@ def test_write_csv_column_changing_kind_is_refused_or_unchanged(tmp_path, rows):
     assert path.read_bytes() == _reference_csv(("x", "y"), rows)
 
 
+def test_write_csv_streams_any_iterable(tmp_path):
+    rows = [(float(i), "r") for i in range(2 * ypfa.sweeps.CSV_BATCH_ROWS + 3)]
+    path = tmp_path / "out.csv"
+    assert write_csv(str(path), ("x", "label"), iter(rows)) == len(rows)
+    assert path.read_bytes() == _reference_csv(("x", "label"), rows)
+
+
+@pytest.mark.parametrize("old", [None, b"an older file\n"])
+def test_write_csv_failing_rows_leave_the_path_as_it_was(tmp_path, old):
+    def rows():
+        yield from ((float(i),) for i in range(2 * ypfa.sweeps.CSV_BATCH_ROWS))
+        raise RuntimeError("a task failed")
+
+    path = tmp_path / "out.csv"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(RuntimeError, match="a task failed"):
+        write_csv(str(path), ("x",), rows())
+    assert os.listdir(tmp_path) == ["out.csv"] * (old is not None)
+    if old is not None:
+        assert path.read_bytes() == old
+
+
 def test_map_ordered_preserves_order():
     items = list(range(24))
-    assert map_ordered(_square, items, workers=1) == [i * i for i in items]
-    assert map_ordered(_square, items, workers=3) == [i * i for i in items]
+    assert list(map_ordered(_square, items, workers=1)) == [i * i for i in items]
+    assert list(map_ordered(_square, items, workers=3)) == [i * i for i in items]
+
+
+def test_map_ordered_preserves_order_across_pool_chunks():
+    # more items than two workers take in one chunk each, so results come
+    # back from several chunks and must still be yielded in input order
+    items = list(range(4 * 2 * ypfa.sweeps.POOL_CHUNK_MAX + 7))
+    assert len(items) // (2 * 4) >= ypfa.sweeps.POOL_CHUNK_MAX
+    assert list(map_ordered(_square, items, workers=2)) == [i * i for i in items]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_ordered_calls_func_only_as_it_is_consumed(monkeypatch, workers):
+    # neither a pool nor func starts before the first next()
+    events = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its start, maps in process."""
+
+        def __init__(self, max_workers):
+            events.append("pool")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return map(func, items)
+
+    def recording(x):
+        events.append(x)
+        return x * x
+
+    monkeypatch.setattr(ypfa.sweeps, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = map_ordered(recording, [1, 2, 3], workers)
+    assert events == []
+    assert next(results) == 1
+    assert events == ["pool"] * (workers > 1) + [1]
+    assert list(results) == [4, 9]
 
 
 def _square(x):
@@ -162,6 +227,6 @@ def test_map_ordered_caps_the_pool_at_the_cpus_and_items(monkeypatch, has_affini
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert map_ordered(_square, [1, 2, 3, 4, 5], 10 ** 6) == [1, 4, 9, 16, 25]
-    assert map_ordered(_square, [1, 2, 3], 10 ** 6) == [1, 4, 9]
+    assert list(map_ordered(_square, [1, 2, 3, 4, 5], 10 ** 6)) == [1, 4, 9, 16, 25]
+    assert list(map_ordered(_square, [1, 2, 3], 10 ** 6)) == [1, 4, 9]
     assert sizes == [4, 3]
