@@ -4,19 +4,19 @@ Grids are log-spaced; their bounds must be finite with a representable top
 point. CSV format: UTF-8, mandatory header, LF line endings, scientific notation
 with 12 significant digits (NUMBER_FORMAT), locale-independent. Sweep tasks
 run in grid order, optionally in a process pool that starts no more
-processes than there are tasks or usable CPUs. The eta sweeps compute their
-rows one lambda at a time (a task returns every row of its lambda), the
-other sweeps one row per task. Results come back lazily and in grid order,
-so rows stream from the tasks into the CSV without the whole sweep being
-held in memory, and the output bytes do not depend on the worker count.
-A CSV appears at its path only once every row is written.
+processes than there are tasks or usable CPUs. The pool's modules, among them
+multiprocessing, load at the first pooled map: a one-worker run never imports
+them. The eta sweeps compute their rows one lambda at a time (a task returns
+every row of its lambda), the other sweeps one row per task. Results come back
+lazily and in grid order, so rows stream from the tasks into the CSV without
+the whole sweep being held in memory, and the output bytes do not depend on
+the worker count. A CSV appears at its path only once every row is written.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
@@ -88,6 +88,12 @@ def map_ordered(func: Callable, items: Sequence, workers: int) -> Iterator:
     if workers <= 1:
         return map(func, items)
     return _pooled(func, items, workers)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures.ProcessPoolExecutor, imported at the first call."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+    return executor(max_workers=max_workers)
 
 
 def _pooled(func: Callable, items: Sequence, workers: int) -> Iterator:

@@ -29,15 +29,19 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_subprocess(*argv):
-    """The CLI in a fresh interpreter, so a hang fails on the timeout
-    instead of hanging the suite."""
+def run_python(code, *argv):
+    """code in a fresh interpreter that imports ypfa from src, so a hang
+    fails on the timeout instead of hanging the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from ypfa.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter."""
+    return run_python("import sys; from ypfa.cli import main; sys.exit(main(sys.argv[1:]))",
+                      *argv)
 
 
 def test_eta_sweep_single_point(tmp_path):
@@ -107,14 +111,48 @@ def test_eta_sweep_unwritable_output():
                "--output", "/nonexistent-dir/x.csv") == 1
 
 
-def test_determinism_across_worker_counts(tmp_path):
+@pytest.mark.parametrize("command, preset, extra", [
+    pytest.param("eta-sweep", "fig2-left", ("--lambda-points", "40"), id="fig2-left"),
+    pytest.param("eta-layered-sweep", "fig3-right", (), id="fig3-right"),
+    pytest.param("xi-power-sweep", "fig4-left", (), id="fig4-left"),
+    pytest.param("xi-power-sweep", "fig4-right", (), id="fig4-right"),
+    pytest.param("xi-yukawa-sweep", "fig5", (), id="fig5"),
+])
+def test_determinism_across_worker_counts(tmp_path, command, preset, extra):
     bodies = []
     for workers in (1, 4, 8):
         out = tmp_path / f"w{workers}.csv"
-        assert run("eta-sweep", "--preset", "fig2-left", "--output", str(out),
-                   "--lambda-points", "40", "--workers", str(workers)) == 0
+        assert run(command, "--preset", preset, "--output", str(out), *extra,
+                   "--workers", str(workers)) == 0
         bodies.append(read(out))
     assert bodies[0] == bodies[1] == bodies[2]
+
+
+_POOL_FREE_RUNS = """
+import sys
+from ypfa.cli import build_parser, main
+eta, residuals, limits = sys.argv[1:]
+build_parser()
+assert main(["eta-sweep", "--lambda-points", "3", "--output", eta]) == 0
+assert main(["limits", "--residuals", residuals, "--lambda-points", "3",
+             "--output", limits]) == 0
+assert main(["oracle-verify", "--quick"]) == 0
+print(sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules)))
+import concurrent.futures, ypfa.sweeps
+pool = ypfa.sweeps.ProcessPoolExecutor(max_workers=1)  # starts no process before a submit
+print(type(pool) is concurrent.futures.ProcessPoolExecutor)
+pool.shutdown()
+"""
+
+
+def test_one_worker_runs_never_import_the_pool(tmp_path):
+    # the pool's modules load at the first pooled map: a fresh process that
+    # parses every subcommand and makes one-worker runs of three of them
+    # never imports them, and the sweeps seam still builds the real pool
+    done = run_python(_POOL_FREE_RUNS, str(tmp_path / "eta.csv"), RESIDUALS,
+                      str(tmp_path / "limits.csv"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
 def _quantities(values) -> str:
