@@ -40,7 +40,7 @@ from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere
                    PhysicalConstants, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta_at, virtual_plate
-from .limits import PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
+from .limits import METHODS, PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
 from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, write_csv
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, check_d2, check_radius, eta_at
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    _add_io, _add_lambda)
     sub.add_argument("--residuals", required=True,
                      help="CSV with header separation_m,residual_N")
-    sub.add_argument("--method", choices=("pfa", "epfa"), default="epfa")
+    sub.add_argument("--method", choices=METHODS, default="epfa")
     sub.add_argument("--geometry", choices=("homogeneous", "layered"),
                      default="homogeneous")
     return parser

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Collection
 
-from .core import InputError
+from .core import InputError, read_text
 
 _LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
 _DENSITY_UNITS = {"g/cm3": 1000.0, "kg/m3": 1.0}
@@ -89,6 +89,5 @@ def parse_config_text(text: str, source: str = "<config>", words: Collection[str
 
 def parse_config_file(path: str, words: Collection[str] = ()
                       ) -> dict[str, float | list[float] | str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), source=path, words=words)
+    return parse_config_text(read_text(path), source=path, words=words)
 

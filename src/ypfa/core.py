@@ -34,6 +34,15 @@ class DegenerateInputError(InputError):
     """Inputs that make the requested quantity undefined (e.g. all-zero forces)."""
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a byte that does not decode is an InputError naming path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 class PoleProximityError(InputError):
     """Power-law exponent too close to the integrable pole at N = 1.
 

@@ -24,8 +24,9 @@ independent of both the separation and the slab stack. eta_delta_at
 evaluates it for every sphere and virtual plate of a sweep at one lam;
 eta_delta is its single-point case. Each of U, F and F_pfa is built as a
 core.SeparationLaw: the stack and shell factors once per lam, then one
-exponential per separation. F and F_pfa have public ``*_law`` builders,
-which limits evaluates at every residual separation; U's law is private.
+exponential per separation. F and F_pfa have public ``*_law`` builders, which
+LayeredConfig.law(method, p, c) hands to limits (with 1/eta_delta from
+pfa_over_epfa) for every residual separation; U's law is private.
 
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
 for nanometre lam; every term here is assembled so that each exponential
@@ -68,6 +69,25 @@ class LayeredConfig:
     def virtual_plate(self) -> LayeredSlab:
         """virtual_plate(sphere, d2), built on first use and kept for every lam."""
         return virtual_plate(self.sphere, self.d2)
+
+    def law(self, method: str, p: YukawaParams,
+            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+        """The 'pfa' or 'epfa' force as a law in the separation."""
+        return {"pfa": layered_pfa_law, "epfa": layered_epfa_force_law}[method](self, p, c)
+
+    def pfa_over_epfa(self, epfa: SeparationLaw) -> float:
+        """F_pfa/F_epfa = 1/eta_delta bit for bit from the epfa law at one lam.
+
+        The PFA law, not built, would carry S_virtual in place of Psi_sphere.
+        Raises DegenerateInputError where eta_delta does. A bare sphere takes
+        eta_delta's route through eta too: the laws' own ratio differs there
+        in the last bits.
+        """
+        sphere, lam = self.sphere, epfa.lam
+        if _bare(sphere):
+            return 1.0 / eta(sphere.outer_radius, self.d2, lam).eta
+        return 1.0 / _exact_over_pfa(sphere, epfa.curvature,
+                                     slab_stack_factor(self.virtual_plate, lam), lam)
 
 
 def virtual_plate(sphere: LayeredSphere, d2: float) -> LayeredSlab:
@@ -254,19 +274,3 @@ def eta_delta_at(lam: float, spheres: Sequence[LayeredSphere],
                     "zero or subnormal (lambda >> sphere radius)")
             rows.append((value, eta_hom, value / eta_hom))
     return rows
-
-
-def layered_pfa_over_epfa(cfg: LayeredConfig, epfa: SeparationLaw) -> float:
-    """F_pfa/F_epfa = 1/eta_delta from layered_epfa_force_law at one lam.
-
-    The PFA law would carry the same S_slab and the curvature factor S_virtual
-    in place of Psi_sphere, so this is 1/eta_delta bit for bit without
-    building it, and it raises DegenerateInputError where eta_delta does. A
-    bare sphere takes eta_delta's route through eta too: the laws' own ratio
-    differs there in the last bits.
-    """
-    sphere, lam = cfg.sphere, epfa.lam
-    if _bare(sphere):
-        return 1.0 / eta(sphere.outer_radius, cfg.d2, lam).eta
-    return 1.0 / _exact_over_pfa(sphere, epfa.curvature,
-                                 slab_stack_factor(cfg.virtual_plate, lam), lam)

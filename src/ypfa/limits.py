@@ -12,13 +12,14 @@ curve by the separation-independent factor 1/eta (homogeneous) or
 1/eta_delta (layered): overestimating the force claims stronger limits.
 
 For a laterally infinite slab every one of these forces (the exact one
-being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda): the
-separation enters only through the exponential. Each lambda therefore gets
-the SeparationLaw of its method, which gives the bound (one exp per residual
-row, bit-identical to the force functions); for epfa, shift_vs_pfa =
-F_pfa/F_epfa comes from that law's curvature factor and the PFA's, without
-building the pfa law. limit_shift is the same ratio.
-The virtual plate's d2 is a field of both geometry configs (layered: a LayeredSlab).
+being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda). Each
+geometry config supplies its laws and ratio: geometry.law(method, p, c) is
+that method's SeparationLaw, which gives the bound (one exp per residual row,
+bit-identical to the force functions); for epfa, shift_vs_pfa =
+geometry.pfa_over_epfa(law) = F_pfa/F_epfa, without building the pfa law.
+limit_shift is the same ratio. Rows whose unit-alpha force is zero,
+subnormal (too imprecise to bound alpha) or nan are skipped. The virtual
+plate's d2 is a field of both geometry configs (layered: a LayeredSlab).
 
 Residuals are taken as given; no interpolation between tabulated
 separations and no statistical machinery. The bundled
@@ -28,15 +29,12 @@ measurements.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DegenerateInputError, InputError, PhysicalConstants, YukawaParams
-from .layered import LayeredConfig, layered_epfa_force_law, layered_pfa_law, layered_pfa_over_epfa
+from .core import DegenerateInputError, InputError, PhysicalConstants, YukawaParams, read_text
 from .sweeps import SweepGrid
-from .yukawa import (SphereSlabConfig, sphere_slab_exact_law, sphere_slab_pfa_law,
-                     sphere_slab_pfa_over_exact)
 
 #: Above roughly this Yukawa range the parallel-plate-mapped model deviates
 #: appreciably from the exact force; sweep manifests flag these rows.
@@ -71,8 +69,7 @@ class ResidualBound:
     def from_csv(cls, path: str) -> "ResidualBound":
         """Read `separation_m,residual_N` rows; errors name the offending line."""
         entries = []
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        lines = read_text(path).splitlines()
         if not lines:
             raise InputError(f"{path}: empty residual file")
         if lines[0].strip() != "separation_m,residual_N":
@@ -107,46 +104,30 @@ class ExclusionPoint(NamedTuple):
     shift_vs_pfa: float | None = None  # alpha_epfa/alpha_pfa, epfa method only
 
 
-def _unit_alpha_laws(geometry):
-    """(pfa builder, epfa builder, ratio) for the geometry's alpha = 1 laws.
-
-    Each builder takes (geometry, params, constants) and is called only for a
-    law that is read, so a pfa run never pays for or fails on the epfa law;
-    ratio(geometry, epfa) is F_pfa/F_epfa from the epfa law's curvature factor.
-    """
-    if isinstance(geometry, LayeredConfig):
-        return layered_pfa_law, layered_epfa_force_law, layered_pfa_over_epfa
-    if isinstance(geometry, SphereSlabConfig):
-        return sphere_slab_pfa_law, sphere_slab_exact_law, sphere_slab_pfa_over_exact
-    raise InputError(f"unsupported geometry {type(geometry).__name__}")
-
-
 def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
                 c: PhysicalConstants = PhysicalConstants()) -> ExclusionPoint:
     """Best alpha bound over all tabulated separations at one lambda.
 
-    Separations whose unit-alpha force underflows to zero cannot constrain
-    alpha and are skipped; if none constrains it the input is degenerate.
-    epfa computes shift_vs_pfa only after its bound is found.
+    Separations whose unit-alpha force is zero, subnormal or nan are skipped;
+    if none is left the input is degenerate. geometry supplies law and
+    pfa_over_epfa; epfa computes shift_vs_pfa only after its bound is found.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    p = YukawaParams(alpha=1.0, lam=lam)
-    pfa_law, epfa_law, pfa_over_epfa = _unit_alpha_laws(geometry)
-    law = (pfa_law if method == "pfa" else epfa_law)(geometry, p, c)
+    law = geometry.law(method, YukawaParams(alpha=1.0, lam=lam), c)
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
         force = abs(law(separation))
-        if force == 0.0 or math.isnan(force):
+        if not force >= sys.float_info.min:
             continue
         bound = residual / force
         if best is None or bound < best[0]:
             best = (bound, separation)
     if best is None:
         raise DegenerateInputError(
-            "no separation yields a nonzero unit-alpha force (zero densities, lambda far "
-            "below every separation, or for pfa a virtual plate d2 far below lambda)")
-    shift = pfa_over_epfa(geometry, law) if method == "epfa" else None
+            "no separation yields a normal (not zero or subnormal) unit-alpha force (zero "
+            "densities, lambda far below every separation, or for pfa d2 far below lambda)")
+    shift = geometry.pfa_over_epfa(law) if method == "epfa" else None
     return ExclusionPoint(lam=lam, alpha_bound=best[0], best_separation=best[1],
                           method=method, shift_vs_pfa=shift)
 
@@ -164,5 +145,4 @@ def limit_shift(lam: float, geometry, c: PhysicalConstants = PhysicalConstants()
     or 1/eta_delta (layered), alpha_limit's shift_vs_pfa. Equals e^2/2 at
     lambda = R for a homogeneous sphere over a half-space.
     """
-    _, epfa_law, pfa_over_epfa = _unit_alpha_laws(geometry)
-    return pfa_over_epfa(geometry, epfa_law(geometry, YukawaParams(alpha=1.0, lam=lam), c))
+    return geometry.pfa_over_epfa(geometry.law("epfa", YukawaParams(alpha=1.0, lam=lam), c))

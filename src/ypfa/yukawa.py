@@ -23,7 +23,8 @@ independent of the separation a, is written once (_phi_over_plate). eta_at
 evaluates it for every (R, D2) pair at one lam from one Phi per radius and
 one plate factor per D2; eta is its single-point case. Both forces are
 core.SeparationLaw builders (``*_law``): a caller scanning many separations
-at one lam evaluates the prefactor once, then one exp per gap.
+at one lam evaluates the prefactor once, then one exp per gap. limits gets
+them from SphereSlabConfig.law(method, p, c), and 1/eta from pfa_over_epfa.
 
 The naive Phi cancels catastrophically for u << 1, so ``phi`` reports one
 of two regimes: 'series_small_u' (Taylor series, u < 1e-3) and 'direct',
@@ -76,6 +77,18 @@ class SphereSlabConfig:
         if not self.slab_density >= 0.0:
             raise InputError(f"slab density must be >= 0, got {self.slab_density}")
         check_d2(self.d2)
+
+    def law(self, method: str, p: YukawaParams,
+            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+        """The 'pfa' or 'epfa' (exact) force as a law in the separation."""
+        return {"pfa": sphere_slab_pfa_law, "epfa": sphere_slab_exact_law}[method](self, p, c)
+
+    def pfa_over_epfa(self, epfa: SeparationLaw) -> float:
+        """F_pfa/F_exact = 1/eta(R, d2, lam) bit for bit from the exact law at one lam.
+
+        The PFA law, not built, would carry 1 - e^(-d2/lam) in place of Phi(2R/lam).
+        """
+        return 1.0 / _phi_over_plate(epfa.curvature, plate_factor(self.d2, epfa.lam), epfa.lam)
 
 
 @dataclass(frozen=True)
@@ -208,16 +221,6 @@ def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
         raise DegenerateInputError(f"eta is undefined at lambda = {lam:g} m: the plate factor "
                                    "1 - e^(-d2/lambda) is zero or subnormal (d2 << lambda)")
     return phi_value / plate
-
-
-def sphere_slab_pfa_over_exact(cfg: SphereSlabConfig, exact: SeparationLaw) -> float:
-    """F_pfa/F_exact = 1/eta from the exact law built above at one lam.
-
-    The PFA law would carry the same slab factor and the curvature factor
-    1 - e^(-d2/lam) in place of the exact law's Phi(2R/lam), so this is
-    1/eta(R, d2, lam) bit for bit without building it.
-    """
-    return 1.0 / _phi_over_plate(exact.curvature, plate_factor(cfg.d2, exact.lam), exact.lam)
 
 
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,

@@ -510,6 +510,19 @@ def test_limits_malformed_residuals(tmp_path):
                "--output", str(tmp_path / "x.csv")) == 1
 
 
+@pytest.mark.parametrize("flag", ["--residuals", "--config"])
+def test_limits_non_utf8_input_is_an_input_error(tmp_path, flag):
+    # a byte that does not decode as UTF-8 used to end in a traceback
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"separation_m,residual_N\n1e-7,5e-16 # \xff\n")
+    # a repeated --residuals takes the last value
+    done = run_subprocess("limits", "--residuals", RESIDUALS, flag, str(bad),
+                          "--output", str(tmp_path / "x.csv"))
+    assert done.returncode == 1, done.stderr
+    assert str(bad) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_oracle_verify_quick_passes(capsys):
     assert run("oracle-verify", "--quick") == 0
     out = capsys.readouterr().out

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-import ypfa.limits
+import ypfa.layered
+import ypfa.yukawa
 from ypfa import (INFINITE, DegenerateInputError, InputError, LayeredConfig, ResidualBound,
                   SphereSlabConfig, SweepGrid, YukawaParams, alpha_limit, eta, eta_delta,
                   exclusion_curve, layered_epfa_force, layered_pfa_force, limit_shift,
@@ -130,6 +131,21 @@ def test_alpha_limit_underflow_is_degenerate_not_wrong(layered_cfg):
     assert shift == pytest.approx(1 / 1.00126, abs=1e-4)
 
 
+def test_alpha_limit_skips_subnormal_forces(geometry):
+    # at this lam the 100 nm row's unit-alpha force is about 1e-318 N, a
+    # subnormal that has lost most of its digits: it must not set the bound
+    lam = 1.5338811635920455e-10
+    assert 0.0 < abs(geometry.law("epfa", YukawaParams(1.0, lam))(1e-7)) < 1e-308
+    with pytest.raises(DegenerateInputError, match="subnormal"):
+        alpha_limit(lam, ResidualBound(entries=((1e-7, 1e-16),)), geometry, "epfa")
+    # a normal-force row with a bound weaker than the subnormal row's still sets it
+    bounds = ResidualBound(entries=((9.5e-8, 1.0), (1e-7, 1e-16)))
+    point = alpha_limit(lam, bounds, geometry, "epfa")
+    assert point.best_separation == 9.5e-8
+    assert point.alpha_bound == 1.0 / abs(geometry.law("epfa", YukawaParams(1.0, lam))(9.5e-8))
+    assert point.alpha_bound > 1e302
+
+
 def test_alpha_limit_continuous_across_phi_branch_switch(geometry):
     # u = 2R/lam crosses the series/direct threshold at lam = 2R/1e-3
     lam_switch = 2 * geometry.sphere_radius / 1e-3
@@ -167,8 +183,8 @@ def test_pfa_method_builds_only_the_pfa_law(geometry, layered_cfg, monkeypatch):
     def refuse(*args, **kwargs):
         raise InputError("epfa law built")
 
-    monkeypatch.setattr(ypfa.limits, "sphere_slab_exact_law", refuse)
-    monkeypatch.setattr(ypfa.limits, "layered_epfa_force_law", refuse)
+    monkeypatch.setattr(ypfa.yukawa, "sphere_slab_exact_law", refuse)
+    monkeypatch.setattr(ypfa.layered, "layered_epfa_force_law", refuse)
     for cfg, want in cases:
         assert alpha_limit(1e-6, flat_bounds(), cfg, "pfa") == want
         with pytest.raises(InputError, match="epfa law built"):
