@@ -35,10 +35,14 @@ class DegenerateInputError(InputError):
 
 
 def read_text(path: str) -> str:
-    """The UTF-8 text of a file; a byte that does not decode is an InputError naming path."""
+    """The UTF-8 text of a file, without a leading byte-order mark.
+
+    A byte that does not decode is an InputError naming path and the byte's
+    offset in the file (utf-8-sig would count it from after the mark).
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -10,15 +10,20 @@ them. The eta sweeps compute their rows one lambda at a time (a task returns
 every row of its lambda), the other sweeps one row per task. Results come back
 lazily and in grid order, so rows stream from the tasks into the CSV without
 the whole sweep being held in memory, and the output bytes do not depend on
-the worker count. A CSV appears at its path only once every row is written.
+the worker count. A pool is sent a new chunk of tasks only as the CSV takes
+an earlier one's results, so at any worker count the parent holds at most
+POOL_CHUNKS_PER_WORKER chunks per worker. A CSV appears at its path only once
+every row is written.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,10 +35,14 @@ from .core import InputError
 #: to write_csv as str cells.
 NUMBER_FORMAT = "%.11e"
 
-#: The most items the pool sends a worker at once. Each chunk's results
-#: wait in the parent until the CSV reaches them, so larger chunks cost
-#: memory; much smaller ones cost time in pickling round trips.
+#: The most items the pool sends a worker at once. A finished chunk's
+#: results wait in the parent until the CSV reaches them, so larger chunks
+#: cost memory; much smaller ones cost time in pickling round trips.
 POOL_CHUNK_MAX = 256
+
+#: Chunks per worker the pool holds at once, queued, running or finished but
+#: not yet taken by the CSV; the next chunk is sent only as one is taken.
+POOL_CHUNKS_PER_WORKER = 2
 
 #: Rows write_csv takes from its iterable, kind-checks and writes at a time.
 CSV_BATCH_ROWS = 1024
@@ -78,8 +87,10 @@ def map_ordered(func: Callable, items: Sequence, workers: int) -> Iterator:
     The worker count is checked at the call; func runs only as the iterator
     is consumed. One worker maps in process. A pool gets no more processes
     than there are items or usable CPUs, starts all of them at the first
-    next(), sends them chunks of at most POOL_CHUNK_MAX items and stays open
-    until the iterator is exhausted or closed.
+    next(), sends them chunks of at most POOL_CHUNK_MAX items, at most
+    POOL_CHUNKS_PER_WORKER chunks per worker at a time, and stays open until
+    the iterator is exhausted or closed; closing it cancels the chunks not
+    yet started.
     """
     if workers < 1:
         raise InputError(f"worker count must be >= 1, got {workers}")
@@ -96,10 +107,23 @@ def ProcessPoolExecutor(max_workers: int):
     return executor(max_workers=max_workers)
 
 
+def _map_chunk(func: Callable, chunk: Sequence) -> list:
+    return list(map(func, chunk))
+
+
 def _pooled(func: Callable, items: Sequence, workers: int) -> Iterator:
+    size = min(POOL_CHUNK_MAX, max(1, len(items) // (workers * 4)))
+    chunks = (items[start:start + size] for start in range(0, len(items), size))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = min(POOL_CHUNK_MAX, max(1, len(items) // (workers * 4)))
-        yield from pool.map(func, items, chunksize=chunk)
+        submit = partial(pool.submit, _map_chunk, func)
+        window = deque(map(submit, islice(chunks, POOL_CHUNKS_PER_WORKER * workers)))
+        try:
+            while window:
+                yield from window.popleft().result()
+                window.extend(map(submit, islice(chunks, 1)))
+        finally:
+            for future in window:
+                future.cancel()
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:

@@ -271,6 +271,31 @@ def test_eta_sweep_memory_does_not_grow_with_the_rows(tmp_path):
     assert peak < 4 * 2 ** 20, peak
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="a pool needs 2 usable CPUs")
+def test_eta_sweep_memory_through_the_pool_stays_near_one_worker(tmp_path):
+    # a pool sent every chunk at once piles finished rows in the parent:
+    # 120,000 rows once peaked about 5 MiB above the one-worker sweep
+    import concurrent.futures.process  # noqa: F401  (the pool's imports stay out of the peaks)
+
+    peaks = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"dense-{workers}.csv"
+        tracemalloc.start()
+        try:
+            assert run("eta-sweep", "--preset", "fig2-left", "--lambda-points", "40000",
+                       "--workers", workers, "--output", str(out)) == 0
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["2"] - peaks["1"] < 1.5 * 2 ** 20, peaks
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_worker_count_below_one_fails(tmp_path, workers):
     out = tmp_path / "x.csv"
@@ -508,6 +533,23 @@ def test_limits_malformed_residuals(tmp_path):
     nan_row.write_text("separation_m,residual_N\n1e-7,5e-16\n2e-7,nan\n")
     assert run("limits", "--residuals", str(nan_row),
                "--output", str(tmp_path / "x.csv")) == 1
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--residuals", read(RESIDUALS)),
+    ("--config", "sphere.radius = 100 um\ngap = 150 nm\n"),
+])
+def test_limits_accepts_a_byte_order_mark(tmp_path, flag, text):
+    # spreadsheet exports often start with one; it was read as part of the header
+    outputs = []
+    for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        given = tmp_path / f"{name}.txt"
+        given.write_bytes(mark + text.encode("utf-8"))
+        out = tmp_path / f"{name}.csv"
+        assert run("limits", "--residuals", RESIDUALS, flag, str(given),
+                   "--lambda-points", "20", "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flag", ["--residuals", "--config"])

@@ -155,25 +155,55 @@ def test_map_ordered_preserves_order_across_pool_chunks():
     assert list(map_ordered(_square, items, workers=2)) == [i * i for i in items]
 
 
+class _Deferred:
+    """A future whose result() makes its call at that moment."""
+
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.outstanding.remove(self)
+        return self.fn(*self.args)
+
+    def cancel(self):
+        self.pool.outstanding.remove(self)
+        self.pool.cancelled += 1
+        return True
+
+
+class _DeferredPool:
+    """A ProcessPoolExecutor stand-in that runs each submitted call in
+    process, when its future's result() is asked for, and records the
+    futures submitted but not yet taken or cancelled."""
+
+    outstanding: list
+    submitted = cancelled = most_outstanding = 0
+
+    def __enter__(self):
+        self.outstanding = []
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = _Deferred(self, fn, args)
+        self.outstanding.append(future)
+        self.submitted += 1
+        self.most_outstanding = max(self.most_outstanding, len(self.outstanding))
+        return future
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_ordered_calls_func_only_as_it_is_consumed(monkeypatch, workers):
     # neither a pool nor func starts before the first next()
     events = []
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its start, maps in process."""
+    class InProcessPool(_DeferredPool):
+        """Stands in for ProcessPoolExecutor: records its start, runs calls in process."""
 
         def __init__(self, max_workers):
             events.append("pool")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize=1):
-            return map(func, items)
 
     def recording(x):
         events.append(x)
@@ -192,6 +222,34 @@ def _square(x):
     return x * x
 
 
+def test_map_ordered_keeps_a_bounded_window_of_chunks(monkeypatch):
+    # a pool sent every chunk at once holds every finished chunk's results
+    # in the parent; at most the window may wait, and closing the iterator
+    # cancels the waiting chunks and sends no more
+    pools = []
+
+    class WindowPool(_DeferredPool):
+        def __init__(self, max_workers):
+            pools.append(self)
+
+    monkeypatch.setattr(ypfa.sweeps, "ProcessPoolExecutor", WindowPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    window = ypfa.sweeps.POOL_CHUNKS_PER_WORKER * 2
+    items = list(range(20 * 2 * 4 * ypfa.sweeps.POOL_CHUNK_MAX + 5))
+    assert list(map_ordered(_square, items, workers=2)) == [i * i for i in items]
+    assert pools[0].submitted > 10 * window
+    assert pools[0].most_outstanding == window
+    assert pools[0].outstanding == []
+
+    results = map_ordered(_square, items, workers=2)
+    assert next(results) == 0
+    assert pools[1].submitted == window
+    results.close()
+    assert pools[1].outstanding == []
+    assert pools[1].cancelled == window - 1
+    assert pools[1].submitted == window
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_map_ordered_rejects_a_count_below_one(workers):
     with pytest.raises(InputError, match=f"got {workers}"):
@@ -206,20 +264,11 @@ def test_map_ordered_caps_the_pool_at_the_cpus_and_items(monkeypatch, has_affini
     # platform has no sched_getaffinity)
     sizes = []
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    class RecordingPool(_DeferredPool):
+        """Stands in for ProcessPoolExecutor: records max_workers, runs calls in process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize=1):
-            return map(func, items)
 
     monkeypatch.setattr(ypfa.sweeps, "ProcessPoolExecutor", RecordingPool)
     if has_affinity:
