@@ -68,7 +68,6 @@ _DEFAULTS: dict[str, float | list[float]] = {
     "slab.top.thickness": 210 * _NM,
     "slab.top.density": 19280.0,
     "pfa.d2": INFINITE,
-    "disk.radius": 300 * _UM,
     "disk.thickness": 3.5 * _UM,
     "disk.density": 2330.0,
 }
@@ -103,8 +102,20 @@ _KNOWN_KEYS = set(_DEFAULTS).union(*_PRESETS.values()) - {"command"}
 _WORD_KEYS = {"mode"}
 
 
-def _settings(args, preset: str | None = None) -> dict:
-    settings = dict(_DEFAULTS)
+class _Settings(dict):
+    """Resolved settings that remember every key looked up with get."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _settings(args, preset: str | None = None) -> _Settings:
+    settings = _Settings(_DEFAULTS)
     if preset is not None:
         if preset not in _PRESETS:
             raise InputError(f"unknown preset {preset!r}; known: {sorted(_PRESETS)}")
@@ -190,11 +201,12 @@ def _xi_geometry(settings: dict, rd: float) -> XiInputs:
                               density=_scalar(settings, "disk.density")))
 
 
-def _emit(args, settings: dict, header, rows: Iterable, grid: dict,
+def _emit(args, settings: _Settings, header, rows: Iterable, grid: dict,
           counters: Callable[[], dict]) -> int:
     """Write the CSV, then its manifest (byte-stable apart from the timestamp).
 
     rows may stream: counters is called only once every row is written.
+    config_si lists the numeric settings the run read.
     """
     written = write_csv(args.output, header, rows)
     payload = {
@@ -202,7 +214,8 @@ def _emit(args, settings: dict, header, rows: Iterable, grid: dict,
         "tool_version": __version__,
         "config_si": {key: ([repr(float(v)) for v in value] if isinstance(value, (list, tuple))
                             else repr(value))
-                      for key, value in sorted(settings.items()) if not isinstance(value, str)},
+                      for key, value in sorted(settings.items())
+                      if key in settings.read and not isinstance(value, str)},
         "grid": grid,
         "rows": written,
         "counters": counters(),
@@ -220,13 +233,13 @@ def _emit(args, settings: dict, header, rows: Iterable, grid: dict,
 # rows, with the sweep's (R, D2) key cells and inputs bound first.
 
 def _rows_eta(keys, radii, d2_values, lam):
-    lam_cell = NUMBER_FORMAT % lam
+    lam_cell = format(lam, NUMBER_FORMAT)
     return [(lam_cell, r_cell, d2_cell, value, regime)
             for (r_cell, d2_cell), (value, regime) in zip(keys, eta_at(lam, radii, d2_values))]
 
 
 def _rows_eta_layered(keys, spheres, plates, lam):
-    lam_cell = NUMBER_FORMAT % lam
+    lam_cell = format(lam, NUMBER_FORMAT)
     return [(lam_cell, r_cell, d2_cell, *values)
             for (r_cell, d2_cell), values in zip(keys, eta_delta_at(lam, spheres, plates))]
 
@@ -256,7 +269,7 @@ def _tallied(rows: Iterable, regimes: Counter):
 
 def _key_cells(radii: list[float], d2_values: list[float]) -> list[tuple[str, str]]:
     """The (R, D2) key cells of one lambda's rows, in row order."""
-    return [(NUMBER_FORMAT % radius, NUMBER_FORMAT % d2)
+    return [(format(radius, NUMBER_FORMAT), format(d2, NUMBER_FORMAT))
             for radius in radii for d2 in d2_values]
 
 

@@ -207,15 +207,24 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
 def xi_power(x: XiInputs, n: float) -> float:
     """Power-law near/far ratio F_N(a)/F_N(a + 2R); unity only for N = 2, R_d -> inf.
 
-    A zero far force (a disk of zero density) leaves no ratio: DegenerateInputError.
+    A disk of zero density, or a force that underflows (zero or subnormal),
+    leaves no ratio: DegenerateInputError.
     """
     pl = PowerLawParams(k=1.0, n=n)
-    near = disk_power_force(AxisProbe(x.a), x.disk, pl)
-    far = disk_power_force(AxisProbe(x.a + 2.0 * x.sphere_radius), x.disk, pl)
-    if far == 0.0:
+    heights = (x.a, x.a + 2.0 * x.sphere_radius)
+    forces = [disk_power_force(AxisProbe(z), x.disk, pl) for z in heights]
+    if x.disk.density == 0.0:
         raise DegenerateInputError(f"xi_power is 0/0: the power-law force of a disk of "
                                    f"density {x.disk.density} is zero")
+    near, far = (_normal(force, "the power-law force", z) for z, force in zip(heights, forces))
     return near / far
+
+
+def _normal(value: float, name: str, z: float) -> float:
+    """value, or DegenerateInputError naming it where it underflows (zero or subnormal)."""
+    if abs(value) < sys.float_info.min:
+        raise DegenerateInputError(f"{name} underflows to {value!r} at height z = {z!r} m")
+    return value
 
 
 def _yukawa_bracket(z: float, disk: Disk, lam: float) -> float:
@@ -361,13 +370,16 @@ def xi_yukawa(x: XiInputs, p: YukawaParams) -> float:
     log1p((C(a) - C(a+2R))/C(a+2R)) with the drop from _bracket_drop.
     On a disk of INFINITE thickness C = 1 - e^(-p1/lam) goes subnormal once
     lam >> p1, so there the logs and the drop are taken of lam C, which does not.
+    A bracket that underflows all the same (zero or subnormal, as far above a
+    small disk) leaves no log: DegenerateInputError names it and its height.
     """
     lam, disk = p.lam, x.disk
     thick = math.isinf(disk.thickness) and not math.isinf(disk.radius)
     if thick and lam > _LAMBDA_MAX_THICK:
         raise InputError(_LAMBDA_MAX_THICK_REFUSAL)
-    near, far = (_lam_one_minus_exp(_rim(z, disk.radius)[1], lam) if thick
-                 else _yukawa_bracket(z, disk, lam) for z in (x.a, x.a + 2.0 * x.sphere_radius))
+    near, far = (_normal(_lam_one_minus_exp(_rim(z, disk.radius)[1], lam) if thick
+                         else _yukawa_bracket(z, disk, lam), "the Yukawa bracket", z)
+                 for z in (x.a, x.a + 2.0 * x.sphere_radius))
     ln_near, ln_far = math.log(near), math.log(far)
     value = 2.0 * x.sphere_radius / lam + (ln_near - ln_far)
     if value >= _XI_DIRECT * (1.0 + abs(ln_near) + abs(ln_far)) or math.isinf(disk.radius):

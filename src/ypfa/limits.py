@@ -108,8 +108,9 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
                 c: PhysicalConstants = PhysicalConstants()) -> ExclusionPoint:
     """Best alpha bound over all tabulated separations at one lambda.
 
-    Separations whose unit-alpha force is zero, subnormal or nan are skipped;
-    if none is left the input is degenerate. geometry supplies law and
+    Separations whose unit-alpha force is zero, subnormal, nan or overflows
+    to inf (where residual / inf would bound alpha by 0) are skipped; if none
+    is left the input is degenerate. geometry supplies law and
     pfa_over_epfa; epfa computes shift_vs_pfa only after its bound is found.
     """
     if method not in METHODS:
@@ -118,15 +119,17 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
         force = abs(law(separation))
-        if not force >= sys.float_info.min:
+        if not sys.float_info.min <= force <= sys.float_info.max:
             continue
         bound = residual / force
         if best is None or bound < best[0]:
             best = (bound, separation)
     if best is None:
         raise DegenerateInputError(
-            "no separation yields a normal (not zero or subnormal) unit-alpha force (zero "
-            "densities, lambda far below every separation, or for pfa d2 far below lambda)")
+            f"at lambda = {lam:g} m no separation yields a normal (not zero, subnormal or "
+            "overflowing) unit-alpha force (zero densities, lambda far below every "
+            "separation, for pfa d2 far below lambda, or densities and lambda so large that "
+            "the force overflows)")
     shift = geometry.pfa_over_epfa(law) if method == "epfa" else None
     return ExclusionPoint(lam=lam, alpha_bound=best[0], best_separation=best[1],
                           method=method, shift_vs_pfa=shift)

@@ -24,16 +24,15 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InputError
 
-#: The one number format of every CSV cell: "%.11e", 12 significant digits.
-#: Key cells that repeat across rows are formatted once with it and passed
-#: to write_csv as str cells.
-NUMBER_FORMAT = "%.11e"
+#: The one number format spec of every CSV cell: ".11e", 12 significant
+#: digits. Key cells that repeat across rows are formatted once with it and
+#: passed to write_csv as str cells.
+NUMBER_FORMAT = ".11e"
 
 #: The most items the pool sends a worker at once. A finished chunk's
 #: results wait in the parent until the CSV reaches them, so larger chunks
@@ -44,7 +43,7 @@ POOL_CHUNK_MAX = 256
 #: not yet taken by the CSV; the next chunk is sent only as one is taken.
 POOL_CHUNKS_PER_WORKER = 2
 
-#: Rows write_csv takes from its iterable, kind-checks and writes at a time.
+#: Rows write_csv takes from its iterable and writes at a time.
 CSV_BATCH_ROWS = 1024
 
 
@@ -130,30 +129,26 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int
     """Write rows (numbers or strings) as CSV; returns the row count.
 
     Numbers are written as NUMBER_FORMAT (nan and inf as Python spells them) and
-    str cells verbatim, by one % per row on a format built once from the cell
-    kinds of the first row; a column whose kind changes later is a TypeError.
-    rows may be any iterable: it is consumed CSV_BATCH_ROWS rows at a time,
-    each batch kind-checked before it is written, so memory does not grow
-    with the row count. The rows go to a temporary file beside path, which
-    replaces path only once every row is written; on any exception the
+    str cells verbatim, by one str.format per row on a template built once
+    from the cell kinds of the first row; the template's specs refuse a later
+    cell of another kind (ValueError, or TypeError for None). rows may be any
+    iterable: it is consumed CSV_BATCH_ROWS rows at a time, so memory does not
+    grow with the row count. The rows go to a temporary file beside path,
+    which replaces path only once every row is written; on any exception the
     temporary file is removed and path is left as it was.
     """
     rows = iter(rows)
     batch = list(islice(rows, CSV_BATCH_ROWS))
     first = batch[0] if batch else ()
-    kinds = ["%s" if isinstance(cell, str) else NUMBER_FORMAT for cell in first]
-    str_columns = [column for column, kind in enumerate(kinds) if kind == "%s"]
-    line = ",".join(kinds) + "\n"
+    line = ",".join("{:s}" if isinstance(cell, str) else "{:" + NUMBER_FORMAT + "}"
+                    for cell in first) + "\n"
     temp = f"{path}.{os.getpid()}.tmp"
     count = 0
     try:
         with open(temp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
             while batch:
-                if any(set(map(type, map(itemgetter(column), batch))) != {str}
-                       for column in str_columns):
-                    raise TypeError("a str column of the CSV holds cells of other kinds")
-                handle.writelines(map(line.__mod__, map(tuple, batch)))
+                handle.writelines(starmap(line.format, batch))
                 count += len(batch)
                 batch = list(islice(rows, CSV_BATCH_ROWS))
         os.replace(temp, path)

@@ -642,6 +642,36 @@ def test_unknown_config_key_fails(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, preset", [("xi-power-sweep", "fig4-left"),
+                                             ("xi-yukawa-sweep", "fig5")])
+def test_disk_radius_is_an_unknown_setting(tmp_path, capsys, command, preset):
+    # both xi sweeps take their disk radii from rd_grid_factors or
+    # sweep.rd_factors; a disk.radius setting used to be accepted and ignored
+    cfg = tmp_path / "cfg"
+    cfg.write_text("disk.radius = 1 mm\n")
+    out = tmp_path / "out.csv"
+    assert run(command, "--preset", preset, "--config", str(cfg), "--output", str(out)) == 1
+    assert "unknown setting 'disk.radius'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unread_settings_leave_the_manifest_unchanged(tmp_path):
+    # config_si lists the settings the run read; eta-layered-sweep reads
+    # neither the gap nor the slab, so setting them changes no output byte
+    cfg = tmp_path / "no-slab.cfg"
+    cfg.write_text("gap = 0 m\nslab.base.thickness = 0 m\n")
+    outs = []
+    for name, extra in (("default.csv", []), ("no-slab.csv", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert run("eta-layered-sweep", "--preset", "fig3-left", "--lambda-points", "5",
+                   *extra, "--output", str(out)) == 0
+        manifest = json.loads(read(str(out) + ".manifest.json"))
+        manifest.pop("timestamp")
+        outs.append((out.read_bytes(), manifest))
+    assert outs[0] == outs[1]
+    assert "gap" not in outs[0][1]["config_si"]
+
+
 def test_manifests_identical_apart_from_timestamp(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -656,6 +686,29 @@ def test_manifests_identical_apart_from_timestamp(tmp_path):
 
 LAMBDA_GRID = {"min": 1e-9, "max": 1e-3, "points": 200, "spacing": "log"}
 LIMITS_COUNTERS = {"rows_above_pfa_reliable_lambda": 133, "pfa_reliable_lambda_max_m": "1e-07"}
+
+
+_DISK_KEYS = {"disk.density", "disk.thickness", "gap", "sphere.radius"}
+_COATED_SPHERE_KEYS = {"sphere.core_density", "sphere.inner_coat.density",
+                       "sphere.inner_coat.thickness", "sphere.outer_coat.density",
+                       "sphere.outer_coat.thickness"}
+_ETA_SWEEP_KEYS = {"sweep.d2_values", "sweep.radii"}
+#: the config_si keys of each run below, by the run's last argument: exactly
+#: the settings it reads
+CONFIG_SI_KEYS = {
+    "fig2-left": _ETA_SWEEP_KEYS,
+    "fig2-right": _ETA_SWEEP_KEYS,
+    "fig3-left": _COATED_SPHERE_KEYS | _ETA_SWEEP_KEYS,
+    "fig3-right": _COATED_SPHERE_KEYS | _ETA_SWEEP_KEYS,
+    "fig4-left": _DISK_KEYS | {"rd_grid_factors", "sweep.exponents"},
+    "fig4-right": _DISK_KEYS | {"sweep.exponents", "sweep.rd_factors"},
+    "fig5": _DISK_KEYS | {"rd_grid_factors", "sweep.lambdas"},
+    "homogeneous": {"constants.G", "pfa.d2", "slab.density", "slab.thickness",
+                    "sphere.density", "sphere.radius"},
+    "layered": {"constants.G", "pfa.d2", "sphere.core_radius"} | _COATED_SPHERE_KEYS
+               | {f"slab.{layer}.{quantity}" for layer in ("base", "middle", "top")
+                  for quantity in ("thickness", "density")},
+}
 
 
 @pytest.mark.parametrize("argv, subcommand, grid, counters, rows", [
@@ -688,6 +741,7 @@ def test_manifest_shape(tmp_path, argv, subcommand, grid, counters, rows):
     assert set(manifest["grid"]) == grid
     assert manifest["counters"] == counters
     assert manifest["rows"] == rows == len(read(out).splitlines()) - 1
+    assert set(manifest["config_si"]) == CONFIG_SI_KEYS[argv[-1]]
     if "lambda" in grid:
         assert manifest["grid"]["lambda"] == LAMBDA_GRID
 
@@ -765,14 +819,16 @@ def test_nonpositive_exponent_fails_naming_it(tmp_path, exponents, fragment, wor
 
 
 def test_negative_infinity_recorded_in_the_manifest(tmp_path):
-    # manifest numbers are repr: -inf used to be written as "inf"
+    # eta-sweep never reads slab.thickness, so its -inf is not recorded; every
+    # setting a subcommand reads refuses values <= 0, so no recorded one is
+    # -inf. Manifest numbers are repr: the read pfa.d2 is "inf".
     cfg = tmp_path / "cfg"
     cfg.write_text("slab.thickness = -inf\n")
     out = tmp_path / "eta.csv"
     assert run("eta-sweep", "--config", str(cfg), "--lambda-points", "3",
                "--output", str(out)) == 0
     config_si = json.loads(read(str(out) + ".manifest.json"))["config_si"]
-    assert config_si["slab.thickness"] == "-inf"
+    assert "slab.thickness" not in config_si
     assert config_si["pfa.d2"] == "inf"
 
 
@@ -988,3 +1044,38 @@ def test_eta_layered_sweep_reads_no_gap_or_slab_setting(tmp_path, capsys, settin
         assert run("limits", "--residuals", RESIDUALS, "--geometry", "layered", "--config",
                    str(cfg), "--output", str(tmp_path / "limits.csv")) == 1
         assert "slab base thickness must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, preset, message", [
+    ("xi-yukawa-sweep", "fig5", "the Yukawa bracket underflows to 0.0 at height z = 1e+308 m"),
+    ("xi-power-sweep", "fig4-left", "the power-law force underflows to -0.0 at height "
+                                    "z = 1e+308 m"),
+])
+def test_xi_sweep_far_above_the_disk_names_the_underflow(tmp_path, command, preset, message):
+    # fig5 ended in a math domain error traceback from log(0), fig4-left in
+    # a message blaming the disk's density
+    cfg = tmp_path / "cfg"
+    cfg.write_text("gap = 1e308 m\n")
+    out = tmp_path / "out.csv"
+    result = run_subprocess(command, "--preset", preset, "--config", str(cfg),
+                            "--output", str(out))
+    assert result.returncode == 1, result.stderr
+    assert message in result.stderr
+    assert "density" not in result.stderr
+    assert "Traceback" not in result.stderr
+    assert os.listdir(tmp_path) == ["cfg"]
+
+
+def test_limits_overflowing_unit_alpha_force_is_refused(tmp_path):
+    # at lambda = 1e98 m and 1e102 m every unit-alpha force overflows to inf,
+    # and residual / inf used to write an alpha bound of 0
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sphere.density = 1e12\nslab.density = 1e12\n")
+    out = tmp_path / "out.csv"
+    result = run_subprocess("limits", "--residuals", RESIDUALS, "--config", str(cfg),
+                            "--lambda-min", "1e90 m", "--lambda-max", "1e102 m",
+                            "--lambda-points", "4", "--output", str(out))
+    assert result.returncode == 1, result.stderr
+    assert "at lambda = 1e+98 m" in result.stderr and "overflow" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert os.listdir(tmp_path) == ["cfg"]

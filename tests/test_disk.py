@@ -320,6 +320,22 @@ def test_xi_power_of_a_massless_disk_is_degenerate():
         xi_power(xi_inputs(Disk(300e-6, 3.5e-6, 0.0)), 2.5)
 
 
+@pytest.mark.parametrize("a, thickness, z", [(1e10, 3.5e-6, "10000000000.0"),
+                                              (1e308, math.inf, "1e[+]308")])
+def test_xi_yukawa_far_above_a_small_disk_names_the_underflow(a, thickness, z):
+    # the bracket underflows to 0 and log(0) was a math domain error
+    inputs = XiInputs(a, 150e-6, Disk(3e-4, thickness, 2330.0))
+    with pytest.raises(DegenerateInputError, match=f"Yukawa bracket underflows.* z = {z} m"):
+        xi_yukawa(inputs, YukawaParams(1.0, 1e300))
+
+
+def test_xi_power_far_above_a_disk_names_the_underflow():
+    # both forces underflow; the message used to blame the density 2330
+    inputs = XiInputs(1e308, 150e-6, Disk(3e-4, 3.5e-6, 2330.0))
+    with pytest.raises(DegenerateInputError, match="power-law force underflows.* z = 1e[+]308 m"):
+        xi_power(inputs, 2.0)
+
+
 def test_thick_disk_ratios_are_finite():
     inputs = xi_inputs(THICK)
     for value in (xi_power(inputs, 2.0), xi_power(inputs, 2.5), xi_power(inputs, 3.0),

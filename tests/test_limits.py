@@ -131,6 +131,23 @@ def test_alpha_limit_underflow_is_degenerate_not_wrong(layered_cfg):
     assert shift == pytest.approx(1 / 1.00126, abs=1e-4)
 
 
+@pytest.mark.parametrize("method", ["pfa", "epfa"])
+def test_alpha_limit_skips_overflowing_forces(geometry, method):
+    # with 1e12 kg/m3 densities the unit-alpha force at lam = 1e98 m is inf,
+    # and residual / inf used to bound alpha by 0
+    dense = replace(geometry, sphere_density=1e12, slab_density=1e12)
+    law = dense.law(method, YukawaParams(1.0, 1e98))
+    assert math.isinf(law(1e-7))
+    with pytest.raises(DegenerateInputError, match="overflow"):
+        alpha_limit(1e98, flat_bounds(), dense, method)
+    # a row whose force is finite still sets the bound
+    finite = dense.law(method, YukawaParams(1.0, 1e90))
+    point = alpha_limit(1e90, flat_bounds(), dense, method)
+    assert point.alpha_bound > 0.0
+    assert point.alpha_bound == min(1e-16 / abs(finite(a)) for a, _ in flat_bounds().entries
+                                    if math.isfinite(finite(a)))
+
+
 def test_alpha_limit_skips_subnormal_forces(geometry):
     # at this lam the 100 nm row's unit-alpha force is about 1e-318 N, a
     # subnormal that has lost most of its digits: it must not set the bound
