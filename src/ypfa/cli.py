@@ -26,12 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from . import __version__
@@ -41,7 +43,7 @@ from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta_at, virtual_plate
 from .limits import METHODS, PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
-from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, write_csv
+from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, replacing, write_csv
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, check_d2, check_radius, eta_at
 
@@ -206,7 +208,8 @@ def _emit(args, settings: _Settings, header, rows: Iterable, grid: dict,
     """Write the CSV, then its manifest (byte-stable apart from the timestamp).
 
     rows may stream: counters is called only once every row is written.
-    config_si lists the numeric settings the run read.
+    config_si lists the numeric settings the run read. The manifest replaces
+    its path only once written; if it cannot be, the run's CSV is removed.
     """
     written = write_csv(args.output, header, rows)
     payload = {
@@ -221,27 +224,25 @@ def _emit(args, settings: _Settings, header, rows: Iterable, grid: dict,
         "counters": counters(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(args.output + ".manifest.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with replacing(args.output + ".manifest.json") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except BaseException:
+        os.remove(args.output)
+        raise
     return 0
 
 
 # ---------------------------------------------------------------- row workers
 # Each maps one task (printed key, then any prebuilt input) to its whole CSV
-# row, except the eta sweeps' workers: they map one lambda to all of its
-# rows, with the sweep's (R, D2) key cells and inputs bound first.
+# row, except the eta sweeps' one worker: it maps one lambda to all of its
+# rows, with the sweep's (R, D2) key cells, ratios_at, bodies and plates bound.
 
-def _rows_eta(keys, radii, d2_values, lam):
-    lam_cell = format(lam, NUMBER_FORMAT)
-    return [(lam_cell, r_cell, d2_cell, value, regime)
-            for (r_cell, d2_cell), (value, regime) in zip(keys, eta_at(lam, radii, d2_values))]
-
-
-def _rows_eta_layered(keys, spheres, plates, lam):
+def _rows_eta(keys, ratios_at, bodies, plates, lam):
     lam_cell = format(lam, NUMBER_FORMAT)
     return [(lam_cell, r_cell, d2_cell, *values)
-            for (r_cell, d2_cell), values in zip(keys, eta_delta_at(lam, spheres, plates))]
+            for (r_cell, d2_cell), values in zip(keys, ratios_at(lam, bodies, plates))]
 
 
 def _row_xi_power(task):
@@ -260,57 +261,51 @@ def _row_xi_yukawa(task):
 
 # ---------------------------------------------------------------- commands
 
-def _tallied(rows: Iterable, regimes: Counter):
-    """rows unchanged, counting each row's last cell into regimes as it passes."""
+def _tallied(rows: Iterable, tally: Counter, key: Callable):
+    """rows unchanged, counting key(row) into tally as each row passes."""
     for row in rows:
-        regimes[row[-1]] += 1
+        tally[key(row)] += 1
         yield row
 
 
-def _key_cells(radii: list[float], d2_values: list[float]) -> list[tuple[str, str]]:
-    """The (R, D2) key cells of one lambda's rows, in row order."""
-    return [(format(radius, NUMBER_FORMAT), format(d2, NUMBER_FORMAT))
+def _eta_rows(args, settings: _Settings, radius_key: str, body_for: Callable,
+              plate_for: Callable, ratios_at: Callable) -> tuple[Iterable, dict]:
+    """An eta sweep's streamed rows and its manifest grid.
+
+    body_for(radius) and plate_for(first body, d2) build the bodies and plates
+    once, in the order the first lambda's rows meet them; ratios_at(lam, bodies,
+    plates) gives one lambda's values in row order.
+    """
+    radii = _vector(settings, "sweep.radii", radius_key)
+    d2_values = _d2_values(args, settings)
+    grid = _lambda_grid(args)
+    bodies = [body_for(radii[0])]
+    plates = [plate_for(bodies[0], d2) for d2 in d2_values]
+    bodies += map(body_for, radii[1:])
+    keys = [(format(radius, NUMBER_FORMAT), format(d2, NUMBER_FORMAT))
             for radius in radii for d2 in d2_values]
+    task = partial(_rows_eta, keys, ratios_at, bodies, plates)
+    return (chain.from_iterable(map_ordered(task, grid.values(), args.workers)),
+            {"lambda": asdict(grid), "radii": radii, "d2_values": [repr(v) for v in d2_values]})
 
 
 def cmd_eta_sweep(args) -> int:
     settings = _settings(args, args.preset)
-    radii = _vector(settings, "sweep.radii", "sphere.radius")
-    d2_values = _d2_values(args, settings)
-    grid = _lambda_grid(args)
-    # once per sweep, in the order the first lambda's rows meet them
-    check_radius(radii[0])
-    for d2 in d2_values:
-        check_d2(d2)
-    for radius in radii[1:]:
-        check_radius(radius)
-    task = partial(_rows_eta, _key_cells(radii, d2_values), radii, d2_values)
     regimes = Counter()
-    rows = _tallied(chain.from_iterable(map_ordered(task, grid.values(), args.workers)),
-                    regimes)
-    return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), rows,
-                 {"lambda": asdict(grid), "radii": radii,
-                  "d2_values": [repr(v) for v in d2_values]},
+    rows, grid = _eta_rows(args, settings, "sphere.radius", check_radius,
+                           lambda _first, d2: check_d2(d2), eta_at)
+    return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"),
+                 _tallied(rows, regimes, itemgetter(-1)), grid,
                  lambda: {"regimes": dict(regimes)})
 
 
 def cmd_eta_layered_sweep(args) -> int:
     settings = _settings(args, args.preset)
-    sphere_for = _sphere_factory(settings, args.plotted_radius)
-    radii = _vector(settings, "sweep.radii", "sphere.core_radius")
-    d2_values = _d2_values(args, settings)
-    grid = _lambda_grid(args)
-    # once per sweep, in the order the first lambda's rows meet them; the
-    # virtual plates differ only in d2, so the first sphere's serve them all
-    spheres = [sphere_for(radii[0])]
-    plates = [virtual_plate(spheres[0], d2) for d2 in d2_values]
-    spheres += [sphere_for(radius) for radius in radii[1:]]
-    task = partial(_rows_eta_layered, _key_cells(radii, d2_values), spheres, plates)
-    rows = chain.from_iterable(map_ordered(task, grid.values(), args.workers))
+    rows, grid = _eta_rows(args, settings, "sphere.core_radius",
+                           _sphere_factory(settings, args.plotted_radius), virtual_plate,
+                           eta_delta_at)
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
-                 rows, {"lambda": asdict(grid), "radii": radii,
-                        "d2_values": [repr(v) for v in d2_values],
-                        "plotted_radius": args.plotted_radius}, dict)
+                 rows, {**grid, "plotted_radius": args.plotted_radius}, dict)
 
 
 def cmd_xi_power_sweep(args) -> int:
@@ -330,9 +325,10 @@ def cmd_xi_power_sweep(args) -> int:
         header, grid = ("N", "Rd_m", "xi"), {"n": exponents, "rd_factors": rd_factors}
     else:
         raise InputError(f"mode must be 'rd' or 'n', got {mode!r}")
-    rows = list(map_ordered(_row_xi_power, tasks, args.workers))
-    return _emit(args, settings, header, rows, grid,
-                 lambda: {"rows_near_pole": sum(1 for row in rows if math.isnan(row[-1]))})
+    near_pole = Counter()
+    rows = map_ordered(_row_xi_power, tasks, args.workers)
+    return _emit(args, settings, header, _tallied(rows, near_pole, lambda row: math.isnan(row[-1])),
+                 grid, lambda: {"rows_near_pole": near_pole[True]})
 
 
 def cmd_xi_yukawa_sweep(args) -> int:

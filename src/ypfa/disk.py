@@ -140,9 +140,9 @@ def disk_gravity_force(probe: AxisProbe, disk: Disk,
 
 
 def _expm1_over(m: float, x: float) -> float:
-    """E(m, x) = expm1(m x)/m, and its limit x where m x == 0."""
+    """E(m, x) = expm1(m x)/m, and its limit x where m == 0 or m x == 0."""
     mx = m * x
-    return x if mx == 0.0 else math.expm1(mx) / m
+    return x if m == 0.0 or mx == 0.0 else math.expm1(mx) / m
 
 
 def _power_force(z: float, disk: Disk, k: float, n: float) -> float:
@@ -157,10 +157,11 @@ def _power_force(z: float, disk: Disk, k: float, n: float) -> float:
         F = -pi K rho1 [D1 (2z + D1) L2 - z^2 (L1 - L2) + R_d^2 ln(s2/s1)],
 
     the one form here that squares lengths; its force is itself of order
-    R_d^2. Every x ln x term carries the disk radius R_d, the only radius in
-    the problem (printed variants of this formula sometimes carry a stray
-    sphere radius, which is dimensionally inconsistent); the kernel
-    quadrature check pins this reading.
+    R_d^2. Its bracket is at most R_d^2 D1 / z, and is taken as 0 where that
+    bound underflows (z^2 may overflow there). Every x ln x term carries the
+    disk radius R_d, the only radius in the problem (printed variants of this
+    formula sometimes carry a stray sphere radius, which is dimensionally
+    inconsistent); the kernel quadrature check pins this reading.
     """
     d1, rd, m = disk.thickness, disk.radius, 3.0 - n
     if math.isinf(rd):
@@ -169,8 +170,9 @@ def _power_force(z: float, disk: Disk, k: float, n: float) -> float:
         p2, _, l_drop, ln_s = _rim_drop(z, d1, rd)
         l2 = math.log1p(p2 / (z + d1))
         if n == 1.0:
-            return (-math.pi * k * disk.density
-                    * (d1 * (2.0 * z + d1) * l2 - z * z * l_drop + rd * rd * ln_s))
+            bracket = (0.0 if rd * (rd * (d1 / z)) < sys.float_info.min
+                       else d1 * (2.0 * z + d1) * l2 - z * z * l_drop + rd * rd * ln_s)
+            return -math.pi * k * disk.density * bracket
         bracket = z ** m * _expm1_over(m, l_drop)
         if l2 > 0.0:  # else the far term is 0, and ln_s is inf at D1 = INFINITE
             bracket -= math.hypot(z, rd) ** m * _expm1_over(m, ln_s) * one_minus_exp(m * l2)
@@ -184,7 +186,8 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
     POLE_GUARD of 1 raise PoleProximityError, and every other exponent,
     n = 3 included, takes the one N != 1 form of _power_force. Where the
     force diverges (n <= 1 with an INFINITE radius or thickness, n <= 3 with
-    both) it raises InputError.
+    both) it raises InputError, and so it does where the rim ratio R_d / z
+    (D1 / z for an INFINITE radius) overflows: _rim_drop's p1 / z is inf there.
     """
     z, n = probe.z, pl.n
     rd_inf, d1_inf = math.isinf(disk.radius), math.isinf(disk.thickness)
@@ -198,6 +201,10 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
         raise PoleProximityError(
             f"exponent {n} is within {POLE_GUARD} of the pole at 1; "
             "use exactly 1.0 for the special-case formula")
+    span = disk.thickness if rd_inf else disk.radius
+    if not math.isinf(span) and span / z > sys.float_info.max:
+        raise InputError(f"the power-law force at height z = {z!r} m is out of range: "
+                         f"{'D1' if rd_inf else 'R_d'} = {span:g} m over z overflows")
     try:
         return _power_force(z, disk, pl.k, n)
     except OverflowError:
@@ -207,8 +214,8 @@ def disk_power_force(probe: AxisProbe, disk: Disk, pl: PowerLawParams) -> float:
 def xi_power(x: XiInputs, n: float) -> float:
     """Power-law near/far ratio F_N(a)/F_N(a + 2R); unity only for N = 2, R_d -> inf.
 
-    A disk of zero density, or a force that underflows (zero or subnormal),
-    leaves no ratio: DegenerateInputError.
+    A disk of zero density, a force that underflows (zero or subnormal) or is
+    not finite, or a ratio that overflows leaves no ratio: DegenerateInputError.
     """
     pl = PowerLawParams(k=1.0, n=n)
     heights = (x.a, x.a + 2.0 * x.sphere_radius)
@@ -217,13 +224,16 @@ def xi_power(x: XiInputs, n: float) -> float:
         raise DegenerateInputError(f"xi_power is 0/0: the power-law force of a disk of "
                                    f"density {x.disk.density} is zero")
     near, far = (_normal(force, "the power-law force", z) for z, force in zip(heights, forces))
-    return near / far
+    return _normal(near / far, "xi_power", x.a)
 
 
 def _normal(value: float, name: str, z: float) -> float:
-    """value, or DegenerateInputError naming it where it underflows (zero or subnormal)."""
+    """value, or DegenerateInputError naming it and z where it underflows (zero
+    or subnormal) or is not finite (inf, as from an infinite density, or nan)."""
     if abs(value) < sys.float_info.min:
         raise DegenerateInputError(f"{name} underflows to {value!r} at height z = {z!r} m")
+    if not math.isfinite(value):
+        raise DegenerateInputError(f"{name} is {value!r}, not finite, at height z = {z!r} m")
     return value
 
 

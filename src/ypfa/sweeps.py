@@ -13,7 +13,7 @@ the whole sweep being held in memory, and the output bytes do not depend on
 the worker count. A pool is sent a new chunk of tasks only as the CSV takes
 an earlier one's results, so at any worker count the parent holds at most
 POOL_CHUNKS_PER_WORKER chunks per worker. A CSV appears at its path only once
-every row is written.
+every row is written; replacing, which does that, writes the CLI's manifests too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, starmap
@@ -125,35 +125,48 @@ def _pooled(func: Callable, items: Sequence, workers: int) -> Iterator:
                 future.cancel()
 
 
+@contextmanager
+def replacing(path: str) -> Iterator:
+    """A text handle (UTF-8, LF) on a temporary file beside path, which
+    replaces path once the block completes; on any exception the temporary
+    file is removed and path is left as it was."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
     """Write rows (numbers or strings) as CSV; returns the row count.
 
     Numbers are written as NUMBER_FORMAT (nan and inf as Python spells them) and
     str cells verbatim, by one str.format per row on a template built once
     from the cell kinds of the first row; the template's specs refuse a later
-    cell of another kind (ValueError, or TypeError for None). rows may be any
+    cell of another kind (ValueError, or TypeError for None), and a row of
+    another width than the first is a ValueError naming both. rows may be any
     iterable: it is consumed CSV_BATCH_ROWS rows at a time, so memory does not
-    grow with the row count. The rows go to a temporary file beside path,
-    which replaces path only once every row is written; on any exception the
-    temporary file is removed and path is left as it was.
+    grow with the row count. The rows go through replacing(path), so path is
+    replaced only once every row is written, and left as it was on any exception.
     """
     rows = iter(rows)
     batch = list(islice(rows, CSV_BATCH_ROWS))
     first = batch[0] if batch else ()
+    width = len(first)
     line = ",".join("{:s}" if isinstance(cell, str) else "{:" + NUMBER_FORMAT + "}"
                     for cell in first) + "\n"
-    temp = f"{path}.{os.getpid()}.tmp"
     count = 0
-    try:
-        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(header) + "\n")
-            while batch:
-                handle.writelines(starmap(line.format, batch))
-                count += len(batch)
-                batch = list(islice(rows, CSV_BATCH_ROWS))
-        os.replace(temp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(temp)
-        raise
+    with replacing(path) as handle:
+        handle.write(",".join(header) + "\n")
+        while batch:
+            if set(map(len, batch)) != {width}:
+                other = next(len(row) for row in batch if len(row) != width)
+                raise ValueError(f"a row has {other} cells, the first row {width}")
+            handle.writelines(starmap(line.format, batch))
+            count += len(batch)
+            batch = list(islice(rows, CSV_BATCH_ROWS))
     return count

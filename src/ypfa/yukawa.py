@@ -99,16 +99,18 @@ class EtaResult:
     regime: str
 
 
-def check_radius(radius: float) -> None:
-    """A sphere radius must be > 0 (nan is not)."""
+def check_radius(radius: float) -> float:
+    """radius, which must be > 0 (nan is not)."""
     if not radius > 0.0:
         raise InputError(f"radius must be > 0, got {radius}")
+    return radius
 
 
-def check_d2(d2: float) -> None:
-    """The virtual plate thickness d2 must be > 0 (INFINITE allowed; nan is not)."""
+def check_d2(d2: float) -> float:
+    """d2, the virtual plate thickness, which must be > 0 (INFINITE allowed; nan is not)."""
     if not d2 > 0.0:
         raise InputError(f"virtual plate thickness d2 must be > 0, got {d2}")
+    return d2
 
 
 def phi_series(u: float) -> float:
@@ -252,8 +254,7 @@ def eta(radius: float, d2: float, lam: float) -> EtaResult:
     check_radius(radius)
     if not lam > 0.0:
         raise InputError(f"lambda must be > 0, got {lam}")
-    check_d2(d2)
-    ((value, regime),) = eta_at(lam, [radius], [d2])
+    ((value, regime),) = eta_at(lam, [radius], [check_d2(d2)])
     return EtaResult(eta=value, regime=regime)
 
 

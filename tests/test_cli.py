@@ -111,21 +111,33 @@ def test_eta_sweep_unwritable_output():
                "--output", "/nonexistent-dir/x.csv") == 1
 
 
-@pytest.mark.parametrize("command, preset, extra", [
-    pytest.param("eta-sweep", "fig2-left", ("--lambda-points", "40"), id="fig2-left"),
-    pytest.param("eta-layered-sweep", "fig3-right", (), id="fig3-right"),
-    pytest.param("xi-power-sweep", "fig4-left", (), id="fig4-left"),
-    pytest.param("xi-power-sweep", "fig4-right", (), id="fig4-right"),
-    pytest.param("xi-yukawa-sweep", "fig5", (), id="fig5"),
+@pytest.mark.parametrize("command, preset, extra, config", [
+    pytest.param("eta-sweep", "fig2-left", ("--lambda-points", "40"), None, id="fig2-left"),
+    pytest.param("eta-layered-sweep", "fig3-right", (), None, id="fig3-right"),
+    pytest.param("xi-power-sweep", "fig4-left", (), None, id="fig4-left"),
+    pytest.param("xi-power-sweep", "fig4-right", (), None, id="fig4-right"),
+    pytest.param("xi-yukawa-sweep", "fig5", (), None, id="fig5"),
+    # 400 of the 600 rows are within POLE_GUARD of N = 1: the streamed
+    # rows_near_pole tally must not depend on the worker count
+    pytest.param("xi-power-sweep", "fig4-left", (), "sweep.exponents = 1.0000001, 2, 0.9999995\n",
+                 id="fig4-left-near-pole"),
 ])
-def test_determinism_across_worker_counts(tmp_path, command, preset, extra):
-    bodies = []
+def test_determinism_across_worker_counts(tmp_path, command, preset, extra, config):
+    if config is not None:
+        (tmp_path / "cfg").write_text(config)
+        extra = ("--config", str(tmp_path / "cfg"))
+    bodies, manifests = [], []
     for workers in (1, 4, 8):
         out = tmp_path / f"w{workers}.csv"
         assert run(command, "--preset", preset, "--output", str(out), *extra,
                    "--workers", str(workers)) == 0
         bodies.append(read(out))
+        manifests.append(json.loads(read(f"{out}.manifest.json")))
+        del manifests[-1]["timestamp"]
     assert bodies[0] == bodies[1] == bodies[2]
+    assert manifests[0] == manifests[1] == manifests[2]
+    if config is not None:
+        assert manifests[0]["counters"] == {"rows_near_pole": 400}
 
 
 _POOL_FREE_RUNS = """
@@ -255,6 +267,16 @@ def test_sweep_failing_mid_stream_leaves_no_output(tmp_path, capsys, workers, ol
     assert sorted(os.listdir(tmp_path)) == ["cfg"] + ["out.csv"] * (old is not None)
     if old is not None:
         assert out.read_bytes() == old
+
+
+def test_unwritable_manifest_leaves_no_csv(tmp_path, capsys):
+    # a directory at the manifest's path: the CSV was left without its manifest
+    out = tmp_path / "out.csv"
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    assert run("eta-sweep", "--preset", "fig2-left", "--output", str(out)) == 1
+    assert "I/O error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["out.csv.manifest.json"]
+    assert os.listdir(tmp_path / "out.csv.manifest.json") == []
 
 
 def test_eta_sweep_memory_does_not_grow_with_the_rows(tmp_path):
@@ -1062,6 +1084,25 @@ def test_xi_sweep_far_above_the_disk_names_the_underflow(tmp_path, command, pres
     assert result.returncode == 1, result.stderr
     assert message in result.stderr
     assert "density" not in result.stderr
+    assert "Traceback" not in result.stderr
+    assert os.listdir(tmp_path) == ["cfg"]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("gap = 1e-320 m", "the power-law force at height z = 1e-320 m is out of range: "
+                       "R_d = 1.5e-05 m over z overflows"),
+    ("disk.density = inf", "the power-law force is -inf, not finite, at height "
+                           "z = 1.0000000000000001e-07 m"),
+])
+def test_xi_power_sweep_refuses_a_subnormal_gap_and_an_infinite_density(tmp_path, setting, message):
+    # the subnormal gap ended in a ZeroDivisionError traceback; the infinite
+    # density exited 0 with every row nan, each counted as near a pole
+    cfg = tmp_path / "cfg"
+    cfg.write_text(setting + "\n")
+    result = run_subprocess("xi-power-sweep", "--preset", "fig4-left", "--config", str(cfg),
+                            "--output", str(tmp_path / "out.csv"))
+    assert result.returncode == 1, result.stderr
+    assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert os.listdir(tmp_path) == ["cfg"]
 

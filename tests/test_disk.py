@@ -336,6 +336,53 @@ def test_xi_power_far_above_a_disk_names_the_underflow():
         xi_power(inputs, 2.0)
 
 
+@pytest.mark.parametrize("disk, length, n", [
+    (disk, length, n)
+    for disk, length in [(Disk(1.5e-4, 3.5e-6, 2330.0), "R_d = 0.00015 m"),
+                         (Disk(1.5e-4, math.inf, 2330.0), "R_d = 0.00015 m"),
+                         (Disk(math.inf, 3.5e-6, 2330.0), "D1 = 3.5e-06 m")]
+    for n in [1.0, 2.0, 2.5, 3.0, 4.0]
+    if n > 1.0 or math.inf not in (disk.radius, disk.thickness)  # else it diverges
+])
+def test_xi_power_at_a_subnormal_gap_is_out_of_range(disk, length, n):
+    # R_d / z (D1 / z) overflows, and with it _rim_drop's p1 / z: this gave nan
+    # at n = 1, inf at n = 2 and 2.5 and a ZeroDivisionError at n = 3
+    with pytest.raises(InputError, match=f"height z = 1e-320 m is out of range: {length} over z"):
+        xi_power(xi_inputs(disk, a=1e-320), n)
+
+
+def test_expm1_over_takes_its_limit_at_m_zero():
+    from ypfa.disk import _expm1_over
+    assert _expm1_over(0.0, math.inf) == math.inf
+    assert _expm1_over(0.0, 2.5) == 2.5
+
+
+@pytest.mark.parametrize("n", [1.0, 2.0, 3.0, 4.0])
+def test_xi_power_of_an_infinitely_dense_disk_is_refused(n):
+    # both forces are -inf: the ratio was nan, and the CLI counted its rows near a pole
+    with pytest.raises(DegenerateInputError,
+                       match=r"power-law force is -inf, not finite, at height z = 1e-07 m"):
+        xi_power(xi_inputs(Disk(300e-6, 3.5e-6, math.inf)), n)
+
+
+def test_xi_power_that_overflows_is_refused():
+    # both forces are normal, but the near one is over 1e308 times the far one
+    inputs = XiInputs(1.0, 150.0, Disk(1e3, 1e2, 1e100))
+    with pytest.raises(DegenerateInputError, match="xi_power is inf, not finite, at height z = 1.0"):
+        xi_power(inputs, 130.0)
+
+
+def test_n1_power_ratio_far_above_a_disk_is_never_nan():
+    # z^2 overflows in the N = 1 bracket past z ~ 1e154: the force was nan,
+    # and so was xi_power. At 1e308 m its bound R_d^2 D1 / z underflows.
+    disk = Disk(3e-4, 3.5e-6, 2330.0)
+    assert disk_power_force(AxisProbe(1e308), disk, PowerLawParams(1.0, 1.0)) == 0.0
+    with pytest.raises(DegenerateInputError, match="power-law force underflows to -0.0"):
+        xi_power(XiInputs(1e308, 150e-6, disk), 1.0)
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        xi_power(XiInputs(1e200, 150e-6, disk), 1.0)
+
+
 def test_thick_disk_ratios_are_finite():
     inputs = xi_inputs(THICK)
     for value in (xi_power(inputs, 2.0), xi_power(inputs, 2.5), xi_power(inputs, 3.0),

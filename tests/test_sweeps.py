@@ -118,6 +118,25 @@ def test_write_csv_column_changing_kind_is_refused_or_unchanged(tmp_path, rows):
     assert path.read_bytes() == _reference_csv(("x", "y"), rows)
 
 
+@pytest.mark.parametrize("rows, widths", [
+    ([(1.0,), (2.0, 3.0)], (2, 1)),                                     # a longer row
+    ([(1.0, "a"), (2.0,)], (1, 2)),                                     # a shorter row
+    ([(1.0,)] * ypfa.sweeps.CSV_BATCH_ROWS + [(2.0, 3.0)], (2, 1)),     # past the first batch
+])
+@pytest.mark.parametrize("old", [None, b"an older file\n"])
+def test_write_csv_refuses_a_row_of_another_width(tmp_path, rows, widths, old):
+    # str.format ignores cells its template does not name: without the width
+    # check the longer row was written with its last cell dropped
+    path = tmp_path / "out.csv"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(ValueError, match="a row has %d cells, the first row %d" % widths):
+        write_csv(str(path), ("x",), rows)
+    assert os.listdir(tmp_path) == ["out.csv"] * (old is not None)
+    if old is not None:
+        assert path.read_bytes() == old
+
+
 def test_write_csv_streams_any_iterable(tmp_path):
     rows = [(float(i), "r") for i in range(2 * ypfa.sweeps.CSV_BATCH_ROWS + 3)]
     path = tmp_path / "out.csv"
