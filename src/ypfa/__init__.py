@@ -9,8 +9,7 @@ coupling-strength exclusion bounds.
 __version__ = "0.1.0"
 
 from .core import (G_DEFAULT, INFINITE, NO_LAYER, DegenerateInputError, Disk, InputError, Layer,
-                   LayeredSlab, LayeredSphere, PhysicalConstants, PoleProximityError,
-                   PowerLawParams, YukawaParams)
+                   LayeredSlab, LayeredSphere, PoleProximityError, PowerLawParams, YukawaParams)
 from .disk import (AxisProbe, XiInputs, disk_gravity_force, disk_power_force,
                    disk_yukawa_force, disk_yukawa_potential, xi_power, xi_yukawa)
 from .layered import (EtaDeltaResult, LayeredConfig, eta_delta, layered_epfa_energy,

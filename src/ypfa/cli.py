@@ -38,11 +38,11 @@ from typing import Callable, Iterable
 
 from . import __version__
 from .config import parse_config_file, parse_quantity
-from .core import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
-                   PhysicalConstants, PoleProximityError, YukawaParams)
+from .core import (G_DEFAULT, INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
+                   PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta_at, virtual_plate
-from .limits import METHODS, PFA_RELIABLE_LAMBDA_MAX, ResidualBound, exclusion_curve
+from .limits import METHODS, ResidualBound, exclusion_curve
 from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, replacing, write_csv
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, check_d2, check_radius, eta_at
@@ -51,7 +51,7 @@ _UM = 1e-6
 _NM = 1e-9
 
 _DEFAULTS: dict[str, float | list[float]] = {
-    "constants.G": PhysicalConstants().G,
+    "constants.G": G_DEFAULT,
     "gap": 100 * _NM,
     "sphere.radius": 150 * _UM,
     "sphere.density": 4100.0,
@@ -359,7 +359,7 @@ def cmd_oracle_verify(args) -> int:
 def cmd_limits(args) -> int:
     settings = _settings(args)
     bounds = ResidualBound.from_csv(args.residuals)
-    constants = PhysicalConstants(G=_scalar(settings, "constants.G"))
+    g = _scalar(settings, "constants.G")
     d2 = parse_quantity(args.d2) if args.d2 else _scalar(settings, "pfa.d2")
     if args.geometry == "layered":
         sphere_for = _sphere_factory(settings, "core")
@@ -377,13 +377,10 @@ def cmd_limits(args) -> int:
     grid = _lambda_grid(args)
     width = 5 if args.method == "epfa" else 4  # only epfa rows carry shift_vs_pfa
     header = ("lambda_m", "alpha_bound", "best_separation_m", "method", "shift_vs_pfa")[:width]
-    rows = [point[:width] for point in exclusion_curve(grid, bounds, geometry, args.method,
-                                                         constants)]
+    rows = [point[:width] for point in exclusion_curve(grid, bounds, geometry, args.method, g)]
     return _emit(args, settings, header, rows,
                  {"lambda": asdict(grid), "method": args.method, "geometry": args.geometry},
-                 lambda: {"rows_above_pfa_reliable_lambda":
-                          sum(1 for row in rows if row[0] > PFA_RELIABLE_LAMBDA_MAX),
-                          "pfa_reliable_lambda_max_m": repr(PFA_RELIABLE_LAMBDA_MAX)})
+                 dict)
 
 
 # ---------------------------------------------------------------- parser

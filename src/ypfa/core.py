@@ -4,6 +4,8 @@ Conventions used throughout the package:
 
 - all lengths are metres, densities kg/m^3, masses kg, forces newtons;
 - attractive forces are negative;
+- G is the constant G_DEFAULT: every force is alpha G times a G-free factor,
+  so limits bounds alpha relative to another G through alpha alone;
 - an infinitely thick layer is represented by IEEE +inf (``INFINITE``), so
   factors of the form (1 - e^(-D/lambda)) evaluate to exactly 1.0 with no
   rounding.
@@ -53,17 +55,6 @@ class PoleProximityError(InputError):
     The N != 1 closed form suffers 0/0 cancellation there; callers must use
     the exact special-case value N = 1.0 instead. N = 3 is a regular point.
     """
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants; only G is needed by this package."""
-
-    G: float = G_DEFAULT
-
-    def __post_init__(self):
-        if not 0.0 < self.G < math.inf:
-            raise InputError(f"G must be finite and > 0, got {self.G}")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import (DegenerateInputError, Disk, InputError, PhysicalConstants, PoleProximityError,
+from .core import (G_DEFAULT, DegenerateInputError, Disk, InputError, PoleProximityError,
                    PowerLawParams, YukawaParams)
 from .numerics import gauss_legendre, one_minus_exp
 
@@ -54,6 +54,8 @@ _EDGE_UNDERFLOW = -746.0
 _LAMBDA_MAX_THICK = sys.float_info.max / -_EDGE_UNDERFLOW
 _LAMBDA_MAX_THICK_REFUSAL = (f"on a disk of infinite thickness lambda must be below about "
                              f"{_LAMBDA_MAX_THICK:.3g} m")
+#: below this R_d / z the N = 1 power-law bracket takes its far-field form
+_FAR_FIELD = 2.0 ** -27
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,9 @@ def _grav_bracket(z: float, disk: Disk) -> float:
     return _rim_drop(z, disk.thickness, disk.radius)[1]
 
 
-def disk_gravity_force(probe: AxisProbe, disk: Disk,
-                       c: PhysicalConstants = PhysicalConstants()) -> float:
+def disk_gravity_force(probe: AxisProbe, disk: Disk) -> float:
     """Newtonian force on the axis probe (N, < 0); -2 pi G rho1 D1 for R_d -> inf."""
-    return -2.0 * math.pi * c.G * disk.density * _grav_bracket(probe.z, disk)
+    return -2.0 * math.pi * G_DEFAULT * disk.density * _grav_bracket(probe.z, disk)
 
 
 def _expm1_over(m: float, x: float) -> float:
@@ -158,9 +159,13 @@ def _power_force(z: float, disk: Disk, k: float, n: float) -> float:
 
     the one form here that squares lengths; its force is itself of order
     R_d^2. Its bracket is at most R_d^2 D1 / z, and is taken as 0 where that
-    bound underflows (z^2 may overflow there). Every x ln x term carries the
-    disk radius R_d, the only radius in the problem (printed variants of this
-    formula sometimes carry a stray sphere radius, which is dimensionally
+    bound underflows (z^2 may overflow there). Far above the disk
+    (R_d < 2^-27 z) the first two terms nearly cancel and L1 - L2 goes
+    subnormal, then 0, so there the bracket is its far-field form
+    R_d^2 ln(s2/s1), whose neglected part is below (R_d/z)^2 / 2 of it:
+    less than half an ulp. Every x ln x term carries the disk radius R_d,
+    the only radius in the problem (printed variants of this formula
+    sometimes carry a stray sphere radius, which is dimensionally
     inconsistent); the kernel quadrature check pins this reading.
     """
     d1, rd, m = disk.thickness, disk.radius, 3.0 - n
@@ -170,8 +175,12 @@ def _power_force(z: float, disk: Disk, k: float, n: float) -> float:
         p2, _, l_drop, ln_s = _rim_drop(z, d1, rd)
         l2 = math.log1p(p2 / (z + d1))
         if n == 1.0:
-            bracket = (0.0 if rd * (rd * (d1 / z)) < sys.float_info.min
-                       else d1 * (2.0 * z + d1) * l2 - z * z * l_drop + rd * rd * ln_s)
+            if rd * (rd * (d1 / z)) < sys.float_info.min:
+                bracket = 0.0
+            elif rd < _FAR_FIELD * z:
+                bracket = rd * (rd * ln_s)
+            else:
+                bracket = d1 * (2.0 * z + d1) * l2 - z * z * l_drop + rd * rd * ln_s
             return -math.pi * k * disk.density * bracket
         bracket = z ** m * _expm1_over(m, l_drop)
         if l2 > 0.0:  # else the far term is 0, and ln_s is inf at D1 = INFINITE
@@ -258,8 +267,7 @@ def _yukawa_bracket(z: float, disk: Disk, lam: float) -> float:
     return math.exp(-p2 / lam) * one_minus_exp(p_drop / lam) + main * one_minus_exp(p2 / lam)
 
 
-def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams,
-                      c: PhysicalConstants = PhysicalConstants()) -> float:
+def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams) -> float:
     """Exact Yukawa force on the axis probe (N, < 0), -dU/dz of the potential.
 
     The finite-radius corrections inside the bracket fall off as
@@ -267,7 +275,7 @@ def disk_yukawa_force(probe: AxisProbe, disk: Disk, p: YukawaParams,
     below e^(-45) of the leading term.
     """
     lam = p.lam
-    return (-2.0 * math.pi * p.alpha * c.G * disk.density * lam
+    return (-2.0 * math.pi * p.alpha * G_DEFAULT * disk.density * lam
             * math.exp(-probe.z / lam) * _yukawa_bracket(probe.z, disk, lam))
 
 
@@ -300,8 +308,7 @@ def _graded_integral(f, first: float, d1: float, log_bound) -> float:
     return math.fsum(panels)
 
 
-def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
-                          c: PhysicalConstants = PhysicalConstants()) -> float:
+def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams) -> float:
     """Exact Yukawa potential energy of the axis probe (J, < 0).
 
     U(z) = -2 pi alpha G rho1 e^(-z/lam)
@@ -320,7 +327,7 @@ def disk_yukawa_potential(probe: AxisProbe, disk: Disk, p: YukawaParams,
     infinite slab potential.
     """
     lam, z, rd = p.lam, probe.z, disk.radius
-    prefactor = -2.0 * math.pi * p.alpha * c.G * disk.density
+    prefactor = -2.0 * math.pi * p.alpha * G_DEFAULT * disk.density
     if math.isinf(rd):
         return prefactor * lam * math.exp(-z / lam) * (lam * one_minus_exp(disk.thickness / lam))
 

@@ -5,10 +5,11 @@ potential
 
     V(z) = -2 pi alpha G lam^2 e^(-z/lam) * S_slab,
 
-where S_slab is an effective density: each layer's density weighted by its
-thickness factor (1 - e^(-t/lam)) and attenuated by e^(-cover/lam) for the
-material covering it. The exact (= surface-element summed, EPFA) energy of a
-layered sphere above that slab factorizes the same way,
+with G = core.G_DEFAULT, where S_slab is an effective density: each
+layer's density weighted by its thickness factor (1 - e^(-t/lam)) and
+attenuated by e^(-cover/lam) for the material covering it. The exact
+(= surface-element summed, EPFA) energy of a layered sphere above that slab
+factorizes the same way,
 
     U(a) = -4 pi^2 alpha G lam^4 e^(-a/lam) * S_slab * Psi_sphere,
     F(a) = U(a) / lam,
@@ -25,7 +26,7 @@ evaluates it for every sphere and virtual plate of a sweep at one lam;
 eta_delta is its single-point case. Each of U, F and F_pfa is built as a
 core.SeparationLaw: the stack and shell factors once per lam, then one
 exponential per separation. F and F_pfa have public ``*_law`` builders, which
-LayeredConfig.law(method, p, c) hands to limits (with 1/eta_delta from
+LayeredConfig.law(method, p) hands to limits (with 1/eta_delta from
 pfa_over_epfa) for every residual separation; U's law is private.
 
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import (INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
-                   LayeredSphere, PhysicalConstants, SeparationLaw, YukawaParams)
+from .core import (G_DEFAULT, INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
+                   LayeredSphere, SeparationLaw, YukawaParams)
 from .numerics import one_minus_exp
 from .yukawa import _phi_over_plate, check_d2, eta, phi, phi_of_radius, plate_factor
 
@@ -70,10 +71,9 @@ class LayeredConfig:
         """virtual_plate(sphere, d2), built on first use and kept for every lam."""
         return virtual_plate(self.sphere, self.d2)
 
-    def law(self, method: str, p: YukawaParams,
-            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    def law(self, method: str, p: YukawaParams) -> SeparationLaw:
         """The 'pfa' or 'epfa' force as a law in the separation."""
-        return {"pfa": layered_pfa_law, "epfa": layered_epfa_force_law}[method](self, p, c)
+        return {"pfa": layered_pfa_law, "epfa": layered_epfa_force_law}[method](self, p)
 
     def pfa_over_epfa(self, epfa: SeparationLaw) -> float:
         """F_pfa/F_epfa = 1/eta_delta bit for bit from the epfa law at one lam.
@@ -150,64 +150,57 @@ def sphere_shell_factor(sphere: LayeredSphere, lam: float) -> float:
     ])
 
 
-def layered_slab_potential(z: float, slab: LayeredSlab, p: YukawaParams,
-                           c: PhysicalConstants = PhysicalConstants()) -> float:
+def layered_slab_potential(z: float, slab: LayeredSlab, p: YukawaParams) -> float:
     """Potential per unit test mass at height z above the slab's top face (J/kg)."""
     if not z > 0.0:
         raise InputError(f"height above the stack must be > 0, got {z}")
     lam = p.lam
-    return (-2.0 * math.pi * p.alpha * c.G * lam * lam * math.exp(-z / lam)
+    return (-2.0 * math.pi * p.alpha * G_DEFAULT * lam * lam * math.exp(-z / lam)
             * slab_stack_factor(slab, lam))
 
 
-def _epfa_law(cfg: LayeredConfig, p: YukawaParams, c: PhysicalConstants,
-              over: float) -> SeparationLaw:
+def _epfa_law(cfg: LayeredConfig, p: YukawaParams, over: float) -> SeparationLaw:
     """U/over as a law in the separation: over = 1 for the energy, lam for the force."""
     lam = p.lam
-    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(4), lam,
+    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * p.lam_power(4), lam,
                          slab_stack_factor(cfg.slab, lam), sphere_shell_factor(cfg.sphere, lam),
                          over)
 
 
-def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams,
-                           c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams) -> SeparationLaw:
     """Exact layered force U/lam as a law in the separation."""
-    return _epfa_law(cfg, p, c, p.lam)
+    return _epfa_law(cfg, p, p.lam)
 
 
-def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams,
-                    c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams) -> SeparationLaw:
     """Layered PFA force as a law in the separation (cfg.separation unused).
 
     The virtual plate thickness is cfg.d2, which LayeredConfig checks.
     """
     lam = p.lam
-    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * c.G * p.lam_power(3)
+    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * p.lam_power(3)
                          * cfg.sphere.core_radius, lam, slab_stack_factor(cfg.slab, lam),
                          slab_stack_factor(cfg.virtual_plate, lam))
 
 
-def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams,
-                        c: PhysicalConstants = PhysicalConstants()) -> float:
+def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams) -> float:
     """Exact interaction energy of the layered sphere and layered slab (J)."""
-    return _epfa_law(cfg, p, c, 1.0)(cfg.separation)
+    return _epfa_law(cfg, p, 1.0)(cfg.separation)
 
 
-def layered_epfa_force(cfg: LayeredConfig, p: YukawaParams,
-                       c: PhysicalConstants = PhysicalConstants()) -> float:
+def layered_epfa_force(cfg: LayeredConfig, p: YukawaParams) -> float:
     """Exact force on the layered sphere, U/lam (N, < 0)."""
-    return layered_epfa_force_law(cfg, p, c)(cfg.separation)
+    return layered_epfa_force_law(cfg, p)(cfg.separation)
 
 
-def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams,
-                      c: PhysicalConstants = PhysicalConstants()) -> float:
+def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams) -> float:
     """PFA force 2 pi R E_stack(a) for the layered pair (N, < 0).
 
     Uses the factorized form S_slab * S_virtual: the sum of the nine layer
     pairs' parallel-plate energies 2 pi R lam P, with each slab layer facing
     each layer of the virtual plate at its own standoff.
     """
-    return layered_pfa_law(cfg, p, c)(cfg.separation)
+    return layered_pfa_law(cfg, p)(cfg.separation)
 
 
 def _bare(sphere: LayeredSphere) -> bool:

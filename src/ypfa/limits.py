@@ -13,13 +13,18 @@ curve by the separation-independent factor 1/eta (homogeneous) or
 
 For a laterally infinite slab every one of these forces (the exact one
 being the EPFA result) has the form prefactor(lambda) * e^(-a/lambda). Each
-geometry config supplies its laws and ratio: geometry.law(method, p, c) is
+geometry config supplies its laws and ratio: geometry.law(method, p) is
 that method's SeparationLaw, which gives the bound (one exp per residual row,
 bit-identical to the force functions); for epfa, shift_vs_pfa =
 geometry.pfa_over_epfa(law) = F_pfa/F_epfa, without building the pfa law.
 limit_shift is the same ratio. Rows whose unit-alpha force is zero,
 subnormal (too imprecise to bound alpha) or nan are skipped. The virtual
 plate's d2 is a field of both geometry configs (layered: a LayeredSlab).
+
+The force laws use the CODATA G_DEFAULT, and every one is alpha G times a
+G-free factor. A bound relative to another gravitational constant g is
+therefore taken with alpha = g / G_DEFAULT as the unit coupling, which is
+exactly 1.0 at the default.
 
 Residuals are taken as given; no interpolation between tabulated
 separations and no statistical machinery. The bundled
@@ -29,16 +34,13 @@ measurements.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DegenerateInputError, InputError, PhysicalConstants, YukawaParams, read_text
+from .core import G_DEFAULT, DegenerateInputError, InputError, YukawaParams, read_text
 from .sweeps import SweepGrid
-
-#: Above roughly this Yukawa range the parallel-plate-mapped model deviates
-#: appreciably from the exact force; sweep manifests flag these rows.
-PFA_RELIABLE_LAMBDA_MAX = 100e-9
 
 METHODS = ("pfa", "epfa")
 
@@ -105,17 +107,23 @@ class ExclusionPoint(NamedTuple):
 
 
 def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
-                c: PhysicalConstants = PhysicalConstants()) -> ExclusionPoint:
-    """Best alpha bound over all tabulated separations at one lambda.
+                g: float = G_DEFAULT) -> ExclusionPoint:
+    """Best alpha bound over all tabulated separations at one lambda, relative to G = g.
 
-    Separations whose unit-alpha force is zero, subnormal, nan or overflows
-    to inf (where residual / inf would bound alpha by 0) are skipped; if none
-    is left the input is degenerate. geometry supplies law and
-    pfa_over_epfa; epfa computes shift_vs_pfa only after its bound is found.
+    The unit-alpha force at G = g is the law at alpha = g / G_DEFAULT, which
+    must be finite and > 0. Separations whose unit-alpha force is zero,
+    subnormal, nan or overflows to inf (where residual / inf would bound
+    alpha by 0) are skipped; if none is left the input is degenerate.
+    geometry supplies law and pfa_over_epfa; epfa computes shift_vs_pfa only
+    after its bound is found.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    law = geometry.law(method, YukawaParams(alpha=1.0, lam=lam), c)
+    unit = g / G_DEFAULT
+    if not 0.0 < unit < math.inf:
+        raise InputError(f"G must be finite, > 0 and below {sys.float_info.max * G_DEFAULT:.3g} "
+                         f"(G / G_DEFAULT must not overflow), got {g}")
+    law = geometry.law(method, YukawaParams(alpha=unit, lam=lam))
     best: tuple[float, float] | None = None
     for separation, residual in bounds.entries:
         force = abs(law(separation))
@@ -136,16 +144,16 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
 
 
 def exclusion_curve(lambda_grid: SweepGrid, bounds: ResidualBound, geometry, method: str,
-                    c: PhysicalConstants = PhysicalConstants()) -> list[ExclusionPoint]:
+                    g: float = G_DEFAULT) -> list[ExclusionPoint]:
     """alpha_limit mapped over the lambda grid, in grid order."""
-    return [alpha_limit(lam, bounds, geometry, method, c) for lam in lambda_grid.values()]
+    return [alpha_limit(lam, bounds, geometry, method, g) for lam in lambda_grid.values()]
 
 
-def limit_shift(lam: float, geometry, c: PhysicalConstants = PhysicalConstants()) -> float:
+def limit_shift(lam: float, geometry) -> float:
     """Factor by which the exact-force analysis weakens the pfa-claimed bound.
 
     alpha_epfa / alpha_pfa = F_pfa / F_epfa = 1/eta (homogeneous geometry)
     or 1/eta_delta (layered), alpha_limit's shift_vs_pfa. Equals e^2/2 at
     lambda = R for a homogeneous sphere over a half-space.
     """
-    return geometry.pfa_over_epfa(geometry.law("epfa", YukawaParams(alpha=1.0, lam=lam), c))
+    return geometry.pfa_over_epfa(geometry.law("epfa", YukawaParams(alpha=1.0, lam=lam)))

@@ -41,11 +41,12 @@ are negative.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .core import Disk, InputError, PhysicalConstants, YukawaParams
+from .core import G_DEFAULT, Disk, InputError, YukawaParams
 
 if TYPE_CHECKING:  # types only; no closed-form code is executed from here
     from .disk import AxisProbe
@@ -166,44 +167,33 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     """
     if not hi > lo:
         raise InputError(f"empty integration range [{lo}, {hi}]")
-    edges = _initial_mesh(lo, hi, sharp_edges)
-    # panel i is [lefts[i], rights[i]] with K15 value vals[i] and error errs[i]
-    lefts = edges[:-1]
-    rights = edges[1:]
-    vals: list[float] = []
-    errs: list[float] = []
-    for a, b in zip(lefts, rights):
+
+    def panel(a: float, b: float) -> tuple[float, float, float, float]:
+        # heap entry of [a, b]: the smallest is the worst panel, ties leftmost
         val, err = _gk_panel(f, a, b)
-        vals.append(val)
-        errs.append(err)
+        return -err, a, b, val
+
+    edges = _initial_mesh(lo, hi, sharp_edges)
+    panels = [panel(a, b) for a, b in zip(edges, edges[1:])]
+    heapq.heapify(panels)
     rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
     subdivisions = 0
     while True:
         try:
-            total_val = math.fsum(vals)
-            total_err = math.fsum(errs)
+            total_val = math.fsum(entry[3] for entry in panels)
+            total_err = -math.fsum(entry[0] for entry in panels)
         except (ValueError, OverflowError):  # inf - inf, or a finite sum past DBL_MAX
-            total_val, total_err = sum(vals), math.inf
+            total_val, total_err = sum(entry[3] for entry in panels), math.inf
         if not math.isfinite(total_err):
             return total_val, total_err, subdivisions, False
         if total_err <= max(rel_tol * abs(total_val), abs_tol):
             return total_val, total_err, subdivisions, True
         if subdivisions >= spec.max_subdivisions:
             return total_val, total_err, subdivisions, False
-        worst_err = max(errs)
-        worst = errs.index(worst_err)
-        if errs.count(worst_err) > 1:
-            worst = min((i for i, e in enumerate(errs) if e == worst_err),
-                        key=lefts.__getitem__)
-        a, b = lefts[worst], rights[worst]
+        _, a, b, _ = heapq.heappop(panels)
         mid = 0.5 * (a + b)
-        rights[worst] = mid
-        vals[worst], errs[worst] = _gk_panel(f, a, mid)
-        val, err = _gk_panel(f, mid, b)
-        lefts.append(mid)
-        rights.append(b)
-        vals.append(val)
-        errs.append(err)
+        heapq.heappush(panels, panel(a, mid))
+        heapq.heappush(panels, panel(mid, b))
         subdivisions += 1
 
 
@@ -277,7 +267,6 @@ def _ring_polar_integral(r: float, height: float, lam: float) -> float:
 # --------------------------------------------------------------------------
 
 def oracle_sphere_slab_yukawa(cfg: "SphereSlabConfig", p: YukawaParams,
-                              c: PhysicalConstants = PhysicalConstants(),
                               q: QuadratureSpec = QuadratureSpec()) -> OracleReport:
     """Exact sphere-slab Yukawa interaction energy (J) by horizontal slices.
 
@@ -292,7 +281,7 @@ def oracle_sphere_slab_yukawa(cfg: "SphereSlabConfig", p: YukawaParams,
         w = z - centre
         area = math.pi * (radius * radius - w * w)
         return cfg.sphere_density * area * _slab_potential(
-            z, cfg.slab_thickness, cfg.slab_density, p.alpha, p.lam, c.G)
+            z, cfg.slab_thickness, cfg.slab_density, p.alpha, p.lam, G_DEFAULT)
 
     val, err, _, ok = integrate_adaptive(slice_energy, a, a + 2.0 * radius, q,
                                          sharp_edges=[(a, p.lam)])
@@ -300,7 +289,6 @@ def oracle_sphere_slab_yukawa(cfg: "SphereSlabConfig", p: YukawaParams,
 
 
 def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
-                               c: PhysicalConstants = PhysicalConstants(),
                                q: QuadratureSpec = QuadratureSpec(),
                                ) -> tuple[OracleReport, OracleReport]:
     """Sphere-slab energy (J) via both volume parameterizations.
@@ -310,7 +298,7 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
     column contributing its parallel-plate energy (_column_energy): the
     EPFA construction. Both must agree: the slab potential depends on z only.
     """
-    horizontal = oracle_sphere_slab_yukawa(cfg, p, c, q)
+    horizontal = oracle_sphere_slab_yukawa(cfg, p, q)
 
     a, radius = cfg.separation, cfg.sphere_radius
 
@@ -320,7 +308,7 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
         cos_phi = math.cos(phi)
         energy = _column_energy(a + radius - radius * cos_phi, 2.0 * radius * cos_phi,
                                 cfg.sphere_density, cfg.slab_thickness, cfg.slab_density,
-                                p.alpha, p.lam, c.G)
+                                p.alpha, p.lam, G_DEFAULT)
         return 2.0 * math.pi * radius * radius * math.sin(phi) * cos_phi * energy
 
     # for lam << R the shadow mass sits below s ~ sqrt(2 R lam)
@@ -331,7 +319,6 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
 
 def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
                               rho2: float, p: YukawaParams,
-                              c: PhysicalConstants = PhysicalConstants(),
                               q: QuadratureSpec = QuadratureSpec()) -> OracleReport:
     """Yukawa pressure (Pa) between parallel slabs by one 1D quadrature.
 
@@ -344,7 +331,7 @@ def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
         raise InputError(f"gap must be > 0, got {a}")
     lam = p.lam
     val, err, _, ok = integrate_adaptive(
-        lambda z2: rho2 * _slab_potential(a + z2, d1, rho1, p.alpha, lam, c.G) / lam,
+        lambda z2: rho2 * _slab_potential(a + z2, d1, rho1, p.alpha, lam, G_DEFAULT) / lam,
         0.0, min(d2, _EXP_CUTOFF * lam), q, sharp_edges=[(0.0, lam)])
     return OracleReport(val, err, ok)
 
@@ -365,7 +352,6 @@ def _stack_segments(slab) -> list[tuple[float, float, float]]:
 
 
 def oracle_layered_stack_potential(z: float, slab, p: YukawaParams,
-                                   c: PhysicalConstants = PhysicalConstants(),
                                    q: QuadratureSpec = QuadratureSpec()) -> OracleReport:
     """Potential per unit mass (J/kg) at height z above a layered stack.
 
@@ -377,14 +363,13 @@ def oracle_layered_stack_potential(z: float, slab, p: YukawaParams,
         raise InputError(f"height must be > 0, got {z}")
     lam = p.lam
     return _summed(integrate_adaptive(
-        lambda depth: (-2.0 * math.pi * p.alpha * c.G * density * lam
+        lambda depth: (-2.0 * math.pi * p.alpha * G_DEFAULT * density * lam
                        * math.exp(-(z + depth) / lam)),
         lo, min(hi, lo + _EXP_CUTOFF * lam), q, sharp_edges=[(lo, lam)])
         for lo, hi, density in _stack_segments(slab))
 
 
 def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
-                               c: PhysicalConstants = PhysicalConstants(),
                                q: QuadratureSpec = QuadratureSpec()) -> OracleReport:
     """Layered sphere / layered slab energy (J) by spherical quadrature.
 
@@ -403,7 +388,7 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
     centre_height = cfg.separation + r_out
 
     # stack potential at the slab top; it decays as e^(-z/lam) above it
-    prefactor = math.fsum(_slab_potential(lo, hi - lo, rho, p.alpha, lam, c.G)
+    prefactor = math.fsum(_slab_potential(lo, hi - lo, rho, p.alpha, lam, G_DEFAULT)
                           for lo, hi, rho in _stack_segments(slab))
 
     def region_energy(lo: float, hi: float, rho: float) -> tuple[float, float, int, bool]:
@@ -430,7 +415,6 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
 def oracle_two_spheres(r1: float, r2: float, center_distance: float,
                        rho1: float, rho2: float, kernel: str = "newton",
                        p: YukawaParams | None = None,
-                       c: PhysicalConstants = PhysicalConstants(),
                        q: QuadratureSpec = QuadratureSpec(),
                        ) -> tuple[OracleReport, OracleReport]:
     """Force between two spheres: (exact, surface-element construction).
@@ -458,12 +442,12 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
     if kernel == "newton":
         m1 = 4.0 / 3.0 * math.pi * r1 ** 3 * rho1
         m2 = 4.0 / 3.0 * math.pi * r2 ** 3 * rho2
-        exact = OracleReport(-c.G * m1 * m2 / (d * d), 0.0, True)
+        exact = OracleReport(-G_DEFAULT * m1 * m2 / (d * d), 0.0, True)
     else:
         lam = p.lam
         # e^(-d/lam) = e^(-R1/lam) e^(-R2/lam) e^(-gap/lam): each coefficient
         # takes the factor that cancels its cosh(R/lam), so none overflows
-        coeff1 = _ball_force_coefficient(r1, rho1, p.alpha, lam, c.G) * math.exp(-r1 / lam)
+        coeff1 = _ball_force_coefficient(r1, rho1, p.alpha, lam, G_DEFAULT) * math.exp(-r1 / lam)
         coeff2 = _ball_force_coefficient(r2, rho2, 1.0, lam, 1.0) * math.exp(-r2 / lam)
         exact = OracleReport(-coeff1 * coeff2 * math.exp(-(d - r1 - r2) / lam)
                              * (1.0 / (lam * d) + 1.0 / (d * d)), 0.0, True)
@@ -476,10 +460,10 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
         chord1 = 2.0 * math.sqrt(max(r1 * r1 - s * s, 0.0))
         chord2 = 2.0 * math.sqrt(max(r2 * r2 - s * s, 0.0))
         if kernel == "newton":
-            per_area = -2.0 * math.pi * c.G * rho1 * rho2 * chord1 * chord2
+            per_area = -2.0 * math.pi * G_DEFAULT * rho1 * rho2 * chord1 * chord2
         else:
             gap = d - 0.5 * chord1 - 0.5 * chord2
-            per_area = (rho2 * _slab_potential(gap, chord1, rho1, p.alpha, lam, c.G)
+            per_area = (rho2 * _slab_potential(gap, chord1, rho1, p.alpha, lam, G_DEFAULT)
                         * -math.expm1(-chord2 / lam))
         return 2.0 * math.pi * s * per_area
 
@@ -530,7 +514,6 @@ def _disk_layer(kernel: str, u: float, rd: float, n: float | None,
 
 
 def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
-                      c: PhysicalConstants = PhysicalConstants(),
                       q: QuadratureSpec = QuadratureSpec(),
                       n: float | None = None,
                       p: YukawaParams | None = None) -> OracleReport:
@@ -556,7 +539,7 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
         raise InputError(f"the disk oracle needs R_d / z <= 1e300, got {rd:g} m / {z:g} m")
 
     if kernel == "newton":
-        prefactor = -c.G * disk.density
+        prefactor = -G_DEFAULT * disk.density
     elif kernel == "power":
         if n is None:
             raise InputError("power kernel needs the exponent n")
@@ -564,7 +547,7 @@ def oracle_disk_point(probe: "AxisProbe", disk: Disk, kernel: str,
     elif kernel in ("yukawa", "yukawa_potential"):
         if p is None:
             raise InputError(f"{kernel} kernel needs YukawaParams")
-        prefactor = -p.alpha * c.G * disk.density
+        prefactor = -p.alpha * G_DEFAULT * disk.density
     else:
         raise InputError(f"unknown disk kernel {kernel!r}")
 

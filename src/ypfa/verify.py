@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (INFINITE, Disk, Layer, LayeredSlab, LayeredSphere, PhysicalConstants,
-                   PowerLawParams, YukawaParams)
+from .core import (G_DEFAULT, INFINITE, Disk, Layer, LayeredSlab, LayeredSphere, PowerLawParams,
+                   YukawaParams)
 from .disk import AxisProbe, disk_gravity_force, disk_power_force, disk_yukawa_force, \
     disk_yukawa_potential
 from .layered import LayeredConfig, layered_epfa_energy, layered_pfa_force, \
@@ -29,8 +29,6 @@ from .yukawa import SphereSlabConfig, slab_slab_pressure, sphere_slab_force_exac
 
 _SPEC_1D = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
 _SPEC_2D = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-300)
-#: G of the default constants; every other callee takes them by default
-_G = PhysicalConstants().G
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,10 @@ def check_disk_power(quick):
         label = f"z={z:g} scale={scale:g}"
         for exponent, rows, name in ((n, generic, f"{label} n={n:g}"), (1.0, n1, label),
                                      (3.0, n3, label)):
-            closed = disk_power_force(probe, disk, PowerLawParams(k=_G, n=exponent))
+            closed = disk_power_force(probe, disk, PowerLawParams(k=G_DEFAULT, n=exponent))
             report = oracle_disk_point(probe, disk, "power", q=_SPEC_2D, n=exponent)
-            rows.append((name, closed, replace(report, value=report.value * _G,
-                                               error_estimate=report.error_estimate * _G)))
+            rows.append((name, closed, replace(report, value=report.value * G_DEFAULT,
+                                               error_estimate=report.error_estimate * G_DEFAULT)))
     return [_family("disk_power_force", 1e-8, generic),
             _family("disk_power_force_n1", 1e-8, n1),
             _family("disk_power_force_n3", 1e-8, n3)]

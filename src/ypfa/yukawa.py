@@ -5,7 +5,8 @@ Slab-slab pressure, the exact sphere-slab force, the parallel-plate-mapped
 
 Sign conventions:
 - energies and attractive forces/pressures are negative;
-- every force integrates the pair potential U(r) = -alpha G m1 m2 e^(-r/lam) / r.
+- every force integrates the pair potential U(r) = -alpha G m1 m2 e^(-r/lam) / r,
+  with G = core.G_DEFAULT.
 
 The exact sphere-slab force is
 
@@ -24,7 +25,7 @@ evaluates it for every (R, D2) pair at one lam from one Phi per radius and
 one plate factor per D2; eta is its single-point case. Both forces are
 core.SeparationLaw builders (``*_law``): a caller scanning many separations
 at one lam evaluates the prefactor once, then one exp per gap. limits gets
-them from SphereSlabConfig.law(method, p, c), and 1/eta from pfa_over_epfa.
+them from SphereSlabConfig.law(method, p), and 1/eta from pfa_over_epfa.
 
 The naive Phi cancels catastrophically for u << 1, so ``phi`` reports one
 of two regimes: 'series_small_u' (Taylor series, u < 1e-3) and 'direct',
@@ -40,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (INFINITE, DegenerateInputError, InputError, PhysicalConstants, SeparationLaw,
+from .core import (G_DEFAULT, INFINITE, DegenerateInputError, InputError, SeparationLaw,
                    YukawaParams)
 from .numerics import one_minus_exp, x_cosh_x_minus_sinh_x
 
@@ -78,10 +79,9 @@ class SphereSlabConfig:
             raise InputError(f"slab density must be >= 0, got {self.slab_density}")
         check_d2(self.d2)
 
-    def law(self, method: str, p: YukawaParams,
-            c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+    def law(self, method: str, p: YukawaParams) -> SeparationLaw:
         """The 'pfa' or 'epfa' (exact) force as a law in the separation."""
-        return {"pfa": sphere_slab_pfa_law, "epfa": sphere_slab_exact_law}[method](self, p, c)
+        return {"pfa": sphere_slab_pfa_law, "epfa": sphere_slab_exact_law}[method](self, p)
 
     def pfa_over_epfa(self, epfa: SeparationLaw) -> float:
         """F_pfa/F_exact = 1/eta(R, d2, lam) bit for bit from the exact law at one lam.
@@ -174,7 +174,7 @@ def phi_of_radius(radius: float, lam: float) -> tuple[float, str]:
 
 
 def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
-                       p: YukawaParams, c: PhysicalConstants = PhysicalConstants()) -> float:
+                       p: YukawaParams) -> float:
     """Yukawa pressure between two parallel slabs separated by gap a (Pa).
 
         P(a) = -2 pi alpha G rho1 rho2 lam^2 e^(-a/lam)
@@ -185,30 +185,28 @@ def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
     if not a > 0.0:
         raise InputError(f"gap must be > 0, got {a}")
     lam = p.lam
-    return (-2.0 * math.pi * p.alpha * c.G * rho1 * rho2 * lam * lam
+    return (-2.0 * math.pi * p.alpha * G_DEFAULT * rho1 * rho2 * lam * lam
             * math.exp(-a / lam) * one_minus_exp(d1 / lam) * one_minus_exp(d2 / lam))
 
 
-def _sphere_slab_head(cfg: SphereSlabConfig, p: YukawaParams, c: PhysicalConstants) -> float:
+def _sphere_slab_head(cfg: SphereSlabConfig, p: YukawaParams) -> float:
     """-4 pi^2 alpha G rho1 rho2 lam^3 R, shared by the exact and PFA forces."""
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
+    return (-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * cfg.slab_density * cfg.sphere_density
             * p.lam_power(3) * cfg.sphere_radius)
 
 
-def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams,
-                          c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams) -> SeparationLaw:
     """Exact sphere-slab force as a law in the separation (cfg.separation unused)."""
     lam = p.lam
     phi_value, _ = phi_of_radius(cfg.sphere_radius, lam)
-    return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
+    return SeparationLaw(_sphere_slab_head(cfg, p), lam,
                          one_minus_exp(cfg.slab_thickness / lam), phi_value)
 
 
-def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams,
-                        c: PhysicalConstants = PhysicalConstants()) -> SeparationLaw:
+def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams) -> SeparationLaw:
     """PFA sphere-slab force as a law in the separation (cfg.separation unused)."""
     lam = p.lam
-    return SeparationLaw(_sphere_slab_head(cfg, p, c), lam,
+    return SeparationLaw(_sphere_slab_head(cfg, p), lam,
                          one_minus_exp(cfg.slab_thickness / lam), plate_factor(cfg.d2, lam))
 
 
@@ -225,20 +223,18 @@ def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
     return phi_value / plate
 
 
-def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams,
-                            c: PhysicalConstants = PhysicalConstants()) -> float:
+def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams) -> float:
     """Exact (volume-integrated) Yukawa force on the sphere, in N (< 0)."""
-    return sphere_slab_exact_law(cfg, p, c)(cfg.separation)
+    return sphere_slab_exact_law(cfg, p)(cfg.separation)
 
 
-def sphere_slab_force_pfa(cfg: SphereSlabConfig, p: YukawaParams,
-                          c: PhysicalConstants = PhysicalConstants()) -> float:
+def sphere_slab_force_pfa(cfg: SphereSlabConfig, p: YukawaParams) -> float:
     """Parallel-plate-mapped sphere-slab force 2 pi R E_pp(a), in N (< 0).
 
     With cfg.d2 INFINITE (the half-space limit of the virtual plate) the
     PFA magnitude is always >= the exact magnitude.
     """
-    return sphere_slab_pfa_law(cfg, p, c)(cfg.separation)
+    return sphere_slab_pfa_law(cfg, p)(cfg.separation)
 
 
 def eta(radius: float, d2: float, lam: float) -> EtaResult:

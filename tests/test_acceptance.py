@@ -10,10 +10,10 @@ import math
 import pytest
 
 from ypfa import (INFINITE, Disk, Layer, LayeredConfig, LayeredSlab, LayeredSphere,
-                  PhysicalConstants, ResidualBound, SphereSlabConfig, SweepGrid, XiInputs,
-                  YukawaParams, alpha_limit, eta, eta_delta, layered_epfa_energy,
-                  layered_epfa_force, layered_pfa_force, oracle_disk_point,
-                  oracle_slicing_equivalence, oracle_sphere_slab_yukawa, oracle_two_spheres,
+                  ResidualBound, SphereSlabConfig, SweepGrid, XiInputs, YukawaParams,
+                  alpha_limit, eta, eta_delta, layered_epfa_energy, layered_epfa_force,
+                  layered_pfa_force, oracle_disk_point, oracle_slicing_equivalence,
+                  oracle_sphere_slab_yukawa, oracle_two_spheres,
                   sphere_slab_force_exact, sphere_slab_force_pfa, xi_power, xi_yukawa)
 from ypfa.cli import main
 from ypfa.disk import AxisProbe

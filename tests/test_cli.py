@@ -508,8 +508,7 @@ def test_limits_identity_between_methods(tmp_path):
         assert ratio == pytest.approx(1.0 / eta(150e-6, INFINITE, lam).eta, rel=1e-10, abs=0.0)
         assert float(epfa_row[4]) == pytest.approx(ratio, rel=1e-10, abs=0.0)
     manifest = json.loads(read(str(out_epfa) + ".manifest.json"))
-    # of the 8 log points on [10 nm, 10 um], five lie above 100 nm
-    assert manifest["counters"]["rows_above_pfa_reliable_lambda"] == 5
+    assert manifest["counters"] == {}
 
 
 def test_limits_bounds_grow_like_exp_a_over_lambda(tmp_path):
@@ -604,17 +603,18 @@ def test_oracle_verify_corrupted_constant_fails(capsys, monkeypatch):
     assert "sphere_slab_force_exact" in captured.err
 
 
-@pytest.mark.parametrize("argv,quantity", [
-    (["limits", "--residuals", RESIDUALS], "G must be finite"),
-], ids=["limits"])
-def test_infinite_gravitational_constant_fails(tmp_path, argv, quantity):
-    # unchecked, G = inf makes limits write alpha_bound = 0 on every row
+@pytest.mark.parametrize("g", ["0", "-1", "nan", "inf", "1e299"])
+def test_infinite_gravitational_constant_fails(tmp_path, g):
+    # limits applies G as the unit coupling G / G_DEFAULT, which must be
+    # finite and > 0: unchecked, G = inf writes alpha_bound = 0 on every row,
+    # and from G = 1.2e298 up G / G_DEFAULT overflows
     cfg = tmp_path / "cfg"
-    cfg.write_text("constants.G = inf\n")
+    cfg.write_text(f"constants.G = {g}\n")
     out = tmp_path / "out.csv"
-    done = run_subprocess(*argv, "--config", str(cfg), "--output", str(out))
+    done = run_subprocess("limits", "--residuals", RESIDUALS, "--config", str(cfg),
+                          "--output", str(out))
     assert done.returncode == 1, done.stderr
-    assert quantity in done.stderr
+    assert "G must be finite, > 0 and below 1.2e+298" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
 
@@ -707,7 +707,7 @@ def test_manifests_identical_apart_from_timestamp(tmp_path):
 
 
 LAMBDA_GRID = {"min": 1e-9, "max": 1e-3, "points": 200, "spacing": "log"}
-LIMITS_COUNTERS = {"rows_above_pfa_reliable_lambda": 133, "pfa_reliable_lambda_max_m": "1e-07"}
+LIMITS_COUNTERS: dict = {}
 
 
 _DISK_KEYS = {"disk.density", "disk.thickness", "gap", "sphere.radius"}

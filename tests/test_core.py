@@ -3,14 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ypfa import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
-                  PhysicalConstants, PowerLawParams, SphereSlabConfig, YukawaParams)
+from ypfa import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere, PowerLawParams,
+                  SphereSlabConfig, YukawaParams)
 from ypfa.config import parse_config_text, parse_quantity
 
 
 def test_type_invariants():
-    with pytest.raises(InputError):
-        PhysicalConstants(G=0.0)
     with pytest.raises(InputError):
         YukawaParams(alpha=1.0, lam=0.0)
     with pytest.raises(InputError):
@@ -36,15 +34,13 @@ def test_type_invariants():
     (LayeredSphere, dict(core_radius=1e-6, core_density=1.0, outer_coat=Layer(INFINITE, 1.0)),
      "outer radius"),
     (Disk, dict(radius=1e-6, thickness=1e-6, density=math.nan), "disk density"),
-    (PhysicalConstants, dict(G=INFINITE), "G must be finite"),
-    (PhysicalConstants, dict(G=math.nan), "G must be finite"),
     (SphereSlabConfig, dict(separation=1e-7, sphere_radius=1e-4, sphere_density=math.nan,
                             slab_thickness=1e-6, slab_density=1.0), "sphere density"),
     (SphereSlabConfig, dict(separation=1e-7, sphere_radius=1e-4, sphere_density=1.0,
                             slab_thickness=1e-6, slab_density=-5.0), "slab density"),
 ], ids=["layer-thickness-nan", "layer-density-nan", "core-radius-nan", "core-radius-inf",
         "core-density-nan", "inner-coat-inf", "outer-coat-inf", "disk-density-nan",
-        "G-inf", "G-nan", "sphere-density-nan", "slab-density-negative"])
+        "sphere-density-nan", "slab-density-negative"])
 def test_nan_and_infinite_geometry_rejected(kind, kwargs, quantity):
     with pytest.raises(InputError, match=quantity):
         kind(**kwargs)

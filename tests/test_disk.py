@@ -3,12 +3,10 @@ import math
 import mpmath
 import pytest
 
-from ypfa import (DegenerateInputError, Disk, InputError, PhysicalConstants, PoleProximityError,
+from ypfa import (G_DEFAULT, DegenerateInputError, Disk, InputError, PoleProximityError,
                   PowerLawParams, XiInputs, YukawaParams, disk_gravity_force, disk_power_force,
                   disk_yukawa_force, disk_yukawa_potential, oracle_disk_point, xi_power, xi_yukawa)
 from ypfa.disk import AxisProbe
-
-C = PhysicalConstants()
 
 
 def probe(z=100e-9):
@@ -24,7 +22,7 @@ def xi_inputs(disk, a=100e-9, radius=150e-6):
 def test_gravity_infinite_plane_limit():
     infinite = Disk(radius=math.inf, thickness=3.5e-6, density=2330.0)
     got = disk_gravity_force(probe(), infinite)
-    want = -2 * math.pi * C.G * 2330.0 * 3.5e-6
+    want = -2 * math.pi * G_DEFAULT * 2330.0 * 3.5e-6
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     # independent of the probe height
     assert disk_gravity_force(probe(1e-3), infinite) == got
@@ -72,7 +70,7 @@ def test_xi_gravity_thin_disk_limit():
 # --------------------------------------------------------------- power law
 
 def test_power_n2_equals_gravity(reference_disk):
-    got = disk_power_force(probe(), reference_disk, PowerLawParams(k=C.G, n=2.0))
+    got = disk_power_force(probe(), reference_disk, PowerLawParams(k=G_DEFAULT, n=2.0))
     want = disk_gravity_force(probe(), reference_disk)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -88,10 +86,10 @@ def test_power_n3_infinite_plane_log_behavior():
 
 @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 4.0])
 def test_power_against_quadrature(n, reference_disk):
-    got = disk_power_force(probe(), reference_disk, PowerLawParams(k=C.G, n=n))
+    got = disk_power_force(probe(), reference_disk, PowerLawParams(k=G_DEFAULT, n=n))
     report = oracle_disk_point(probe(), reference_disk, "power", n=n)
     assert report.converged
-    assert report.check_against(got / C.G) < 1e-8
+    assert report.check_against(got / G_DEFAULT) < 1e-8
 
 
 def test_power_pole_guard(reference_disk):
@@ -137,8 +135,8 @@ def test_thick_disk_gravity_and_yukawa_limits_match_mpmath():
     # Yukawa bracket to 1 - e^(-p1/lam)
     z, lam = 1e-6, 10e-6
     p1 = mp_rim_gap(z, THICK.radius)
-    want_gravity = -2 * mp80.pi * mp80.mpf(C.G) * 2330 * p1
-    want_yukawa = (-2 * mp80.pi * mp80.mpf(C.G) * 2330 * lam * mp80.exp(-mp80.mpf(z) / lam)
+    want_gravity = -2 * mp80.pi * mp80.mpf(G_DEFAULT) * 2330 * p1
+    want_yukawa = (-2 * mp80.pi * mp80.mpf(G_DEFAULT) * 2330 * lam * mp80.exp(-mp80.mpf(z) / lam)
                    * (1 - mp80.exp(-p1 / lam)))
     got_gravity = disk_gravity_force(probe(z), THICK)
     got_yukawa = disk_yukawa_force(probe(z), THICK, YukawaParams(1.0, lam))
@@ -178,7 +176,7 @@ def test_power_n2_on_a_deep_disk_equals_gravity(d1):
     # slant distance: 1.3e-11 off the same n = 2 law at D1 = 1 m and 2.2e-5
     # at D1 = 1e6 m
     disk = Disk(radius=100e-6, thickness=d1, density=2330.0)
-    got = disk_power_force(probe(1e-6), disk, PowerLawParams(k=C.G, n=2.0))
+    got = disk_power_force(probe(1e-6), disk, PowerLawParams(k=G_DEFAULT, n=2.0))
     assert got == pytest.approx(disk_gravity_force(probe(1e-6), disk), rel=1e-14, abs=0.0)
 
 
@@ -254,7 +252,7 @@ def mp_thick_disk_potential(z, rd, lam):
     for bend in (mp.log(z), mp.log(rd), mp.log(lam)):
         points.update(bend + 0.5 * k for k in range(-20, 21) if lo < bend + 0.5 * k < hi)
     depth = (scaled(lo) + mp.quad(scaled, sorted(points), method="gauss-legendre")) * rd * rd
-    return -2 * mp.pi * mp.mpf(C.G) * 2330 * mp.exp(-z / lam) * depth
+    return -2 * mp.pi * mp.mpf(G_DEFAULT) * 2330 * mp.exp(-z / lam) * depth
 
 
 @pytest.mark.parametrize("rd", [1e-20, 10e-9, 300e-6, 1e4])
@@ -373,14 +371,30 @@ def test_xi_power_that_overflows_is_refused():
 
 
 def test_n1_power_ratio_far_above_a_disk_is_never_nan():
-    # z^2 overflows in the N = 1 bracket past z ~ 1e154: the force was nan,
-    # and so was xi_power. At 1e308 m its bound R_d^2 D1 / z underflows.
+    # z^2 overflows in the full N = 1 bracket past z ~ 1e154, so there the
+    # far-field form must keep the force, and xi_power, finite. At 1e308 m
+    # its bound R_d^2 D1 / z underflows.
     disk = Disk(3e-4, 3.5e-6, 2330.0)
     assert disk_power_force(AxisProbe(1e308), disk, PowerLawParams(1.0, 1.0)) == 0.0
     with pytest.raises(DegenerateInputError, match="power-law force underflows to -0.0"):
         xi_power(XiInputs(1e308, 150e-6, disk), 1.0)
-    with pytest.raises(DegenerateInputError, match="not finite"):
-        xi_power(XiInputs(1e200, 150e-6, disk), 1.0)
+    assert xi_power(XiInputs(1e200, 150e-6, disk), 1.0) == 1.0
+
+
+@pytest.mark.parametrize("z", [1e-7, 1e-3, 1.0, 4.02e4, 4.03e4, 1e5, 1e90, 1e101, 1e105,
+                               1e150, 1e155, 1e200])
+def test_n1_power_force_far_above_a_small_disk_matches_mpmath(z):
+    # -pi K rho1 times the integral of u ln(1 + R_d^2/u^2) over the depth. The
+    # full bracket's L1 - L2 underflows past z/R_d ~ 1e101 (twice the force)
+    # and its z^2 overflows from z ~ 1.34e154 (nan); the far-field form takes
+    # over at R_d / z = 2^-27, between z = 4.02e4 and 4.03e4 m.
+    rd, d1 = 3e-4, 3.5e-6
+    got = disk_power_force(AxisProbe(z), Disk(rd, d1, 1.0), PowerLawParams(1.0, 1.0))
+    mp = mpmath.MPContext()
+    mp.dps = 30 + max(0, round(math.log10(z / d1)))  # z + D1 must keep D1's digits
+    u0, radius, depth = mp.mpf(z), mp.mpf(rd), mp.mpf(d1)
+    want = -mp.pi * mp.quad(lambda u: u * mp.log1p(radius ** 2 / u ** 2), [u0, u0 + depth])
+    assert abs(got / want - 1) < 4e-16
 
 
 def test_thick_disk_ratios_are_finite():
@@ -424,7 +438,7 @@ def test_yukawa_force_infinite_plane_reduction():
     infinite = Disk(radius=math.inf, thickness=3.5e-6, density=2330.0)
     lam = 1e-7
     got = disk_yukawa_force(probe(), infinite, YukawaParams(1.0, lam))
-    want = (-2 * math.pi * C.G * 2330.0 * lam * math.exp(-1e-7 / lam)
+    want = (-2 * math.pi * G_DEFAULT * 2330.0 * lam * math.exp(-1e-7 / lam)
             * -math.expm1(-3.5e-6 / lam))
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -433,7 +447,7 @@ def test_yukawa_potential_infinite_plane_reduction():
     infinite = Disk(radius=math.inf, thickness=3.5e-6, density=2330.0)
     lam = 1e-7
     got = disk_yukawa_potential(probe(), infinite, YukawaParams(1.0, lam))
-    want = (-2 * math.pi * C.G * 2330.0 * lam * lam * math.exp(-1e-7 / lam)
+    want = (-2 * math.pi * G_DEFAULT * 2330.0 * lam * lam * math.exp(-1e-7 / lam)
             * -math.expm1(-3.5e-6 / lam))
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -502,7 +516,7 @@ def mp_yukawa_potential(z, disk, lam):
         edge, error = mp.quad(lambda v: mp.exp(exponent(v) - start), breaks + [d1], error=True)
         assert error < mp.mpf(10) ** -40
         inner -= mp.exp(start) * edge
-    return -2 * mp.pi * mp.mpf(C.G) * mp.mpf(disk.density) * lam * mp.exp(-z / lam) * inner
+    return -2 * mp.pi * mp.mpf(G_DEFAULT) * mp.mpf(disk.density) * lam * mp.exp(-z / lam) * inner
 
 
 @pytest.mark.parametrize("z,disk,lam", [

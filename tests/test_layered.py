@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from ypfa import (INFINITE, NO_LAYER, DegenerateInputError, InputError, Layer, LayeredConfig,
-                  LayeredSlab, LayeredSphere, PhysicalConstants, SphereSlabConfig, YukawaParams,
+from ypfa import (G_DEFAULT, INFINITE, NO_LAYER, DegenerateInputError, InputError, Layer,
+                  LayeredConfig, LayeredSlab, LayeredSphere, SphereSlabConfig, YukawaParams,
                   eta, eta_delta, layered_epfa_energy, layered_epfa_force, layered_pfa_force,
                   layered_slab_potential, oracle_layered_sphere_slab,
                   oracle_layered_stack_potential, slab_slab_pressure,
@@ -238,23 +238,22 @@ def test_eta_delta_flattens_the_homogeneous_ratio(coated_sphere, coated_stack):
 # The product forms the layered forces had before they were split into a
 # separation law; the laws must reproduce them bit for bit.
 
-def _product_energy(cfg, p, c):
+def _product_energy(cfg, p):
     lam = p.lam
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 4
+    return (-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * lam ** 4
             * math.exp(-cfg.separation / lam)
             * slab_stack_factor(cfg.slab, lam) * sphere_shell_factor(cfg.sphere, lam))
 
 
-def _product_pfa(cfg, p, c):
+def _product_pfa(cfg, p):
     lam = p.lam
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * lam ** 3 * cfg.sphere.core_radius
+    return (-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * lam ** 3 * cfg.sphere.core_radius
             * math.exp(-cfg.separation / lam)
             * slab_stack_factor(cfg.slab, lam)
             * slab_stack_factor(cfg.virtual_plate, lam))
 
 
 def test_layered_forces_equal_their_product_form(coated_sphere, coated_stack):
-    c = PhysicalConstants(G=6.1e-11)
     zeros = 0
     # nanometre to kilometre ranges; at lam = 0.1 nm every force underflows to 0
     for lam in (1e-10, 1e-9, 3.7e-8, 1e-6, 150e-6, 2e-3, 1.0, 1e3):
@@ -262,10 +261,10 @@ def test_layered_forces_equal_their_product_form(coated_sphere, coated_stack):
         for a in (1e-8, 1e-7, 1e-6):
             for d2 in (INFINITE, 1e-6, 10.0):
                 cfg = LayeredConfig(a, coated_sphere, coated_stack, d2)
-                energy = layered_epfa_energy(cfg, p, c)
-                assert energy == _product_energy(cfg, p, c)
-                assert layered_epfa_force(cfg, p, c) == _product_energy(cfg, p, c) / lam
-                assert layered_pfa_force(cfg, p, c) == _product_pfa(cfg, p, c)
+                energy = layered_epfa_energy(cfg, p)
+                assert energy == _product_energy(cfg, p)
+                assert layered_epfa_force(cfg, p) == _product_energy(cfg, p) / lam
+                assert layered_pfa_force(cfg, p) == _product_pfa(cfg, p)
                 zeros += energy == 0.0
     assert zeros >= 2
 

@@ -5,10 +5,10 @@ import pytest
 
 import ypfa.layered
 import ypfa.yukawa
-from ypfa import (INFINITE, DegenerateInputError, InputError, LayeredConfig, ResidualBound,
-                  SphereSlabConfig, SweepGrid, YukawaParams, alpha_limit, eta, eta_delta,
-                  exclusion_curve, layered_epfa_force, layered_pfa_force, limit_shift,
-                  sphere_slab_force_exact, sphere_slab_force_pfa)
+from ypfa import (G_DEFAULT, INFINITE, DegenerateInputError, InputError, LayeredConfig,
+                  ResidualBound, SphereSlabConfig, SweepGrid, YukawaParams, alpha_limit, eta,
+                  eta_delta, exclusion_curve, layered_epfa_force, layered_pfa_force,
+                  limit_shift, sphere_slab_force_exact, sphere_slab_force_pfa)
 
 
 def flat_bounds(residual=1e-16):
@@ -235,9 +235,9 @@ def test_argmin_stable_under_uniform_scaling(geometry):
     assert base.best_separation == scaled.best_separation
 
 
-def _direct_alpha_limit(lam, bounds, geometry, method):
+def _direct_alpha_limit(lam, bounds, geometry, method, alpha=1.0):
     """min over rows of residual / |F(a)|, rebuilding the geometry per row."""
-    p = YukawaParams(alpha=1.0, lam=lam)
+    p = YukawaParams(alpha=alpha, lam=lam)
     best = None
     for a, residual in bounds.entries:
         cfg = replace(geometry, separation=a)
@@ -265,3 +265,19 @@ def test_alpha_limit_equals_direct_minimum(geometry, layered_cfg, method, layere
         point = alpha_limit(lam, bounds, cfg, method)
         assert (point.alpha_bound, point.best_separation) == \
             _direct_alpha_limit(lam, bounds, cfg, method)
+
+
+@pytest.mark.parametrize("method", ["pfa", "epfa"])
+@pytest.mark.parametrize("layered", [False, True])
+def test_alpha_limit_at_another_g_uses_the_unit_coupling(geometry, layered_cfg, method, layered):
+    # every force is alpha G times a G-free factor, so the unit-alpha force
+    # at G = g is the force at alpha = g / G_DEFAULT
+    g = 6.1e-11
+    cfg = layered_cfg if layered else replace(geometry, d2=10e-6)
+    bounds = ResidualBound(entries=((6e-8, 2e-16), (1e-7, 1.3e-16), (2.2e-7, 9e-17),
+                                    (5e-7, 4e-17), (1e-6, 3e-17)))
+    for lam in (1e-9, 2e-8, 1.7e-7, 4e-6, 150e-6, 1.0):
+        point = alpha_limit(lam, bounds, cfg, method, g)
+        assert (point.alpha_bound, point.best_separation) == \
+            _direct_alpha_limit(lam, bounds, cfg, method, alpha=g / G_DEFAULT)
+        assert exclusion_curve(SweepGrid(lam, lam, 1), bounds, cfg, method, g) == [point]

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 import ypfa.oracle
-from ypfa import (InputError, LayeredConfig, PhysicalConstants, QuadratureSpec,
+from ypfa import (G_DEFAULT, InputError, LayeredConfig, QuadratureSpec,
                   SphereSlabConfig, YukawaParams, oracle_disk_point,
                   oracle_layered_sphere_slab, oracle_layered_stack_potential,
                   oracle_slab_slab_pressure, oracle_slicing_equivalence,
@@ -20,8 +20,6 @@ from ypfa.oracle import (_ball_force_coefficient, _column_energy, _disk_layer, _
 from ypfa.verify import _SPEC_1D, _SPEC_2D, _layered_sphere, _layered_stack, _scaled_disk
 
 mpmath.mp.dps = 40
-
-C = PhysicalConstants()
 
 
 # ------------------------------------------------------------------ engine
@@ -172,10 +170,8 @@ def test_engine_halving_tolerance_self_consistency():
                                slab_thickness=rng.uniform(5e-7, 1e-5),
                                slab_density=rng.uniform(1e3, 2e4))
         p = YukawaParams(1.0, rng.uniform(5e-8, 1e-4))
-        loose = oracle_sphere_slab_yukawa(cfg, p, C,
-                                          QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300))
-        tight = oracle_sphere_slab_yukawa(cfg, p, C,
-                                          QuadratureSpec(rel_tol=5e-9, abs_tol=1e-300))
+        loose = oracle_sphere_slab_yukawa(cfg, p, QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300))
+        tight = oracle_sphere_slab_yukawa(cfg, p, QuadratureSpec(rel_tol=5e-9, abs_tol=1e-300))
         assert loose.converged and tight.converged
         assert abs(tight.value - loose.value) <= max(loose.error_estimate, 1e-300)
 
@@ -299,11 +295,11 @@ def test_tolerance_contract_sphere_slab():
                             _doubling(min(2.0 * radius / lam, 120.0)))
         reference = float(
             cfg.sphere_density * math.pi * 2.0 * radius * lam * lam
-            * -2.0 * math.pi * C.G * cfg.slab_density * lam * lam
+            * -2.0 * math.pi * G_DEFAULT * cfg.slab_density * lam * lam
             * -math.expm1(-cfg.slab_thickness / lam)
             * mpmath.exp(-cfg.separation / lam) * shape)
     _assert_contract(reference, lambda q: oracle_sphere_slab_yukawa(
-        cfg, YukawaParams(1.0, lam), C, q))
+        cfg, YukawaParams(1.0, lam), q))
 
 
 def test_tolerance_contract_layered_stack(coated_stack):
@@ -313,11 +309,11 @@ def test_tolerance_contract_layered_stack(coated_stack):
         for layer in (coated_stack.top, coated_stack.middle, coated_stack.base):
             decay = mpmath.quad(lambda x: mpmath.exp(-x),
                                 _doubling(min(layer.thickness / lam, 120.0)))
-            reference += float(-2.0 * math.pi * C.G * layer.density * lam * lam
+            reference += float(-2.0 * math.pi * G_DEFAULT * layer.density * lam * lam
                                * mpmath.exp(-(z + depth) / lam) * decay)
             depth += layer.thickness
     _assert_contract(reference, lambda q: oracle_layered_stack_potential(
-        z, coated_stack, YukawaParams(1.0, lam), C, q))
+        z, coated_stack, YukawaParams(1.0, lam), q))
 
 
 def test_tolerance_contract_slab_slab_nested():
@@ -325,10 +321,10 @@ def test_tolerance_contract_slab_slab_nested():
     with mpmath.workdps(20):
         double = mpmath.quad(lambda x, y: mpmath.exp(-x - y), _doubling(d1 / lam),
                              _doubling(d2 / lam), method="gauss-legendre")
-        reference = float(2330.0 * 4100.0 * -2.0 * math.pi * C.G * lam * lam
+        reference = float(2330.0 * 4100.0 * -2.0 * math.pi * G_DEFAULT * lam * lam
                            * mpmath.exp(-a / lam) * double)
     _assert_contract(reference, lambda q: oracle_slab_slab_pressure(
-        a, d1, 2330.0, d2, 4100.0, YukawaParams(1.0, lam), C, q))
+        a, d1, 2330.0, d2, 4100.0, YukawaParams(1.0, lam), q))
 
 
 def test_tolerance_contract_disk_yukawa_nested():
@@ -342,9 +338,9 @@ def test_tolerance_contract_disk_yukawa_nested():
     radii = [0.0] + [v_lo * 4.0 ** k for k in range(10) if v_lo * 4.0 ** k < r_hi] + [r_hi]
     with mpmath.workdps(20):
         double = mpmath.quad(kernel, [v_lo, v_hi], radii, method="gauss-legendre")
-        reference = float(-C.G * disk.density * 2.0 * math.pi * lam * double)
+        reference = float(-G_DEFAULT * disk.density * 2.0 * math.pi * lam * double)
     _assert_contract(reference, lambda q: oracle_disk_point(
-        probe, disk, "yukawa", C, q, p=YukawaParams(1.0, lam)))
+        probe, disk, "yukawa", q, p=YukawaParams(1.0, lam)))
 
 
 def test_quadrature_spec_validation():
@@ -399,7 +395,7 @@ def test_sphere_slab_newtonian_long_range_limit(homogeneous_cfg):
     force = report.value / lam
     mass = 4.0 / 3.0 * math.pi * homogeneous_cfg.sphere_radius ** 3 \
         * homogeneous_cfg.sphere_density
-    newton = -2 * math.pi * C.G * homogeneous_cfg.slab_density \
+    newton = -2 * math.pi * G_DEFAULT * homogeneous_cfg.slab_density \
         * homogeneous_cfg.slab_thickness * mass
     assert force == pytest.approx(newton, rel=1e-3, abs=0.0)
 
@@ -410,7 +406,7 @@ def test_slicing_point_mass_limit():
     density = mass / (4.0 / 3.0 * math.pi * radius ** 3)
     cfg = SphereSlabConfig(1e-6, radius, density, 3.5e-6, 2330.0)
     h, v = oracle_slicing_equivalence(cfg, YukawaParams(1.0, lam))
-    potential = (-2 * math.pi * C.G * 2330.0 * lam * lam
+    potential = (-2 * math.pi * G_DEFAULT * 2330.0 * lam * lam
                  * math.exp(-(1e-6 + radius) / lam) * -math.expm1(-3.5e-6 / lam))
     assert h.value == pytest.approx(mass * potential, rel=1e-5, abs=0.0)
     assert v.value == pytest.approx(mass * potential, rel=1e-5, abs=0.0)
@@ -454,9 +450,9 @@ def test_slab_potential_against_sheet_quadrature():
         for d in lengths + (INFINITE,):
             for lam in lengths:
                 report = oracle_layered_stack_potential(
-                    z, LayeredSlab(Layer(d, 2330.0)), YukawaParams(1.0, lam), C, spec)
+                    z, LayeredSlab(Layer(d, 2330.0)), YukawaParams(1.0, lam), spec)
                 assert report.converged
-                closed = _slab_potential(z, d, 2330.0, 1.0, lam, C.G)
+                closed = _slab_potential(z, d, 2330.0, 1.0, lam, G_DEFAULT)
                 assert report.check_against(closed) <= 1e-13, (z, d, lam)
 
 
@@ -534,10 +530,10 @@ def test_column_energy_against_depth_quadrature():
             cos_phi = math.cos(phi)
             gap, chord = a + radius - radius * cos_phi, 2.0 * radius * cos_phi
             depth, _, _, ok = integrate_adaptive(
-                lambda z: _slab_potential(z, 3.5e-6, 2330.0, 1.0, lam, C.G),
+                lambda z: _slab_potential(z, 3.5e-6, 2330.0, 1.0, lam, G_DEFAULT),
                 gap, gap + chord, spec, sharp_edges=[(gap, lam)])
             assert ok
-            closed = _column_energy(gap, chord, 4100.0, 3.5e-6, 2330.0, 1.0, lam, C.G)
+            closed = _column_energy(gap, chord, 4100.0, 3.5e-6, 2330.0, 1.0, lam, G_DEFAULT)
             assert closed == pytest.approx(4100.0 * depth, rel=1e-12, abs=0.0), (radius, phi)
 
 
@@ -558,7 +554,7 @@ def _raw_layered_sphere_slab(cfg, p, q):
     for layer in (slab.top, slab.middle, slab.base):
         stack += layer.density * math.exp(-depth / lam) * -math.expm1(-layer.thickness / lam)
         depth += layer.thickness
-    prefactor = -2.0 * math.pi * p.alpha * C.G * lam * lam * stack
+    prefactor = -2.0 * math.pi * p.alpha * G_DEFAULT * lam * lam * stack
     inner_spec = _inner_spec(q)
     total, converged = 0.0, True
     for lo, hi, rho in ((0.0, r_core, sphere.core_density),
@@ -588,7 +584,7 @@ def test_layered_sphere_oracle_matches_raw_polar_quadrature(a, lam, scale):
     cfg = LayeredConfig(separation=a, sphere=_layered_sphere(scale), slab=_layered_stack())
     p = YukawaParams(1.0, lam)
     raw, raw_ok = _raw_layered_sphere_slab(cfg, p, _SPEC_2D)
-    reduced = oracle_layered_sphere_slab(cfg, p, C, _SPEC_2D)
+    reduced = oracle_layered_sphere_slab(cfg, p, _SPEC_2D)
     assert raw_ok and reduced.converged
     assert reduced.check_against(raw) <= 1e-9
 
@@ -612,10 +608,10 @@ def test_ball_kernel_reduction_against_raw_kernel():
 
     value, _, _, ok = integrate_adaptive(shell, 0.0, radius, spec)
     assert ok
-    raw = -C.G * rho * value
+    raw = -G_DEFAULT * rho * value
     m_eff = (4.0 * math.pi * rho * lam * lam
              * (radius * math.cosh(radius / lam) - lam * math.sinh(radius / lam)))
-    closed = -C.G * m_eff * math.exp(-s0 / lam) / s0
+    closed = -G_DEFAULT * m_eff * math.exp(-s0 / lam) / s0
     assert raw == pytest.approx(closed, rel=1e-9, abs=0.0)
 
 
@@ -626,7 +622,7 @@ def test_two_spheres_newton_exact_is_point_mass():
     d = 2.1 * radius
     exact, epfa = oracle_two_spheres(radius, radius, d, rho, rho, "newton")
     mass = 4.0 / 3.0 * math.pi * radius ** 3 * rho
-    assert exact.value == pytest.approx(-C.G * mass * mass / (d * d), rel=1e-14, abs=0.0)
+    assert exact.value == pytest.approx(-G_DEFAULT * mass * mass / (d * d), rel=1e-14, abs=0.0)
     assert epfa.converged
 
 
@@ -648,7 +644,7 @@ def test_two_spheres_epfa_newton_matches_chord_integral():
 
     want = float(mpmath.quad(lambda s: 2 * math.pi * float(s) * chords(float(s)),
                              [0, shadow]))
-    want *= -2 * math.pi * C.G * rho * rho
+    want *= -2 * math.pi * G_DEFAULT * rho * rho
     assert epfa.value == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
@@ -662,7 +658,7 @@ def test_two_spheres_yukawa_exact_matches_factorized_form():
     mass = 4.0 / 3.0 * math.pi * radius ** 3 * rho
     x = radius / lam
     form = 3.0 * x_cosh_x_minus_sinh_x(x) / x ** 3
-    want = (-C.G * mass * mass * form * form * math.exp(-d / lam)
+    want = (-G_DEFAULT * mass * mass * form * form * math.exp(-d / lam)
             * (1.0 / (lam * d) + 1.0 / (d * d)))
     assert exact.converged
     assert exact.value == pytest.approx(want, rel=1e-8, abs=0.0)
@@ -673,7 +669,7 @@ def _nested_ball_ball_force(r1, r2, d, rho1, rho2, p, q):
     exterior kernel over ball 2: shell radius u outside, the cosine t of
     the polar angle inside."""
     lam, inner_spec = p.lam, _inner_spec(q)
-    coeff = _ball_force_coefficient(r1, rho1, p.alpha, lam, C.G)
+    coeff = _ball_force_coefficient(r1, rho1, p.alpha, lam, G_DEFAULT)
     converged = True
 
     def shell(u):
@@ -721,7 +717,7 @@ def test_two_spheres_yukawa_point_product_far_beyond_the_range():
         x = mpmath.mpf(radius) / lam
         return 4 * mpmath.pi * rho * lam ** 2 * (radius * mpmath.cosh(x) - lam * mpmath.sinh(x))
 
-    want = (-C.G * coefficient(r1, rho1) * coefficient(r2, rho2) * mpmath.exp(-d / lam)
+    want = (-G_DEFAULT * coefficient(r1, rho1) * coefficient(r2, rho2) * mpmath.exp(-d / lam)
             * (1 / (lam * d) + 1 / mpmath.mpf(d) ** 2))
     assert exact.value == pytest.approx(float(want), rel=1e-12, abs=0.0)
 

@@ -4,12 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from ypfa import (INFINITE, InputError, PhysicalConstants, SphereSlabConfig, YukawaParams, eta,
+from ypfa import (G_DEFAULT, INFINITE, InputError, SphereSlabConfig, YukawaParams, eta,
                   slab_slab_pressure, sphere_slab_force_exact, sphere_slab_force_pfa)
 from ypfa.numerics import one_minus_exp
 from ypfa.yukawa import phi
-
-C = PhysicalConstants()
 
 
 def test_slab_slab_vanishing_slab():
@@ -21,7 +19,7 @@ def test_slab_slab_thick_limit():
     a, lam = 100e-9, 20e-9
     p = YukawaParams(1.0, lam)
     got = slab_slab_pressure(a, INFINITE, 2330.0, INFINITE, 4100.0, p)
-    want = -2 * math.pi * C.G * 2330.0 * 4100.0 * lam * lam * math.exp(-a / lam)
+    want = -2 * math.pi * G_DEFAULT * 2330.0 * 4100.0 * lam * lam * math.exp(-a / lam)
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     # a very thick finite slab is indistinguishable at this lambda
     nearly = slab_slab_pressure(a, 1e-3, 2330.0, 1e-3, 4100.0, p)
@@ -156,17 +154,17 @@ def test_slab_pressure_decays_with_gap(a, lam):
 
 # The one-line product forms the sphere-slab forces had before they were
 # split into a separation law; the laws must reproduce them bit for bit.
-def _product_exact(cfg, p, c):
+def _product_exact(cfg, p):
     lam = p.lam
     phi_value, _ = phi(2.0 * cfg.sphere_radius / lam)
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
+    return (-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * cfg.slab_density * cfg.sphere_density
             * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
             * one_minus_exp(cfg.slab_thickness / lam) * phi_value)
 
 
-def _product_pfa(cfg, p, c):
+def _product_pfa(cfg, p):
     lam = p.lam
-    return (-4.0 * math.pi ** 2 * p.alpha * c.G * cfg.slab_density * cfg.sphere_density
+    return (-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * cfg.slab_density * cfg.sphere_density
             * lam ** 3 * cfg.sphere_radius * math.exp(-cfg.separation / lam)
             * one_minus_exp(cfg.slab_thickness / lam) * one_minus_exp(cfg.d2 / lam))
 
@@ -177,19 +175,18 @@ FORCE_GRID_LAMBDAS = (1e-10, 1e-9, 3.7e-8, 1e-6, 150e-6, 2e-3, 1.0, 1e3)
 
 
 def test_sphere_slab_forces_equal_their_product_form():
-    c = PhysicalConstants(G=6.1e-11)
     regimes, zeros = set(), 0
     for lam in FORCE_GRID_LAMBDAS:
         regimes.add(eta(150e-6, INFINITE, lam).regime)
         p = YukawaParams(alpha=-2.5, lam=lam)
         for a in (1e-8, 1e-7, 1e-6):
             cfg = SphereSlabConfig(a, 150e-6, 4100.0, 3.5e-6, 2330.0)
-            exact = sphere_slab_force_exact(cfg, p, c)
-            assert exact == _product_exact(cfg, p, c)
+            exact = sphere_slab_force_exact(cfg, p)
+            assert exact == _product_exact(cfg, p)
             zeros += exact == 0.0
             for d2 in (INFINITE, 1e-6, 10.0):
                 pfa_cfg = replace(cfg, d2=d2)
-                assert sphere_slab_force_pfa(pfa_cfg, p, c) == _product_pfa(pfa_cfg, p, c)
+                assert sphere_slab_force_pfa(pfa_cfg, p) == _product_pfa(pfa_cfg, p)
     assert regimes == {"series_small_u", "direct"}
     assert zeros >= 2
 
