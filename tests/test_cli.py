@@ -603,11 +603,25 @@ def test_oracle_verify_corrupted_constant_fails(capsys, monkeypatch):
     assert "sphere_slab_force_exact" in captured.err
 
 
+@pytest.mark.parametrize("argv,quantity", [
+    (["limits", "--residuals", RESIDUALS], "G must be finite"),
+], ids=["limits"])
+def test_infinite_gravitational_constant_fails(tmp_path, argv, quantity):
+    # unchecked, G = inf makes limits write alpha_bound = 0 on every row
+    cfg = tmp_path / "cfg"
+    cfg.write_text("constants.G = inf\n")
+    out = tmp_path / "out.csv"
+    done = run_subprocess(*argv, "--config", str(cfg), "--output", str(out))
+    assert done.returncode == 1, done.stderr
+    assert quantity in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("g", ["0", "-1", "nan", "inf", "1e299"])
-def test_infinite_gravitational_constant_fails(tmp_path, g):
+def test_out_of_range_gravitational_constant_fails(tmp_path, g):
     # limits applies G as the unit coupling G / G_DEFAULT, which must be
-    # finite and > 0: unchecked, G = inf writes alpha_bound = 0 on every row,
-    # and from G = 1.2e298 up G / G_DEFAULT overflows
+    # finite and > 0: from G = 1.2e298 up G / G_DEFAULT overflows
     cfg = tmp_path / "cfg"
     cfg.write_text(f"constants.G = {g}\n")
     out = tmp_path / "out.csv"

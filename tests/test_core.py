@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ypfa import (INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere, PowerLawParams,
-                  SphereSlabConfig, YukawaParams)
+                  ResidualBound, SphereSlabConfig, YukawaParams, alpha_limit)
 from ypfa.config import parse_config_text, parse_quantity
+
+
+SPHERE_SLAB = SphereSlabConfig(separation=1e-7, sphere_radius=1e-4, sphere_density=1.0,
+                               slab_thickness=1e-6, slab_density=1.0)
+BOUND = ResidualBound(entries=((1e-7, 1e-16),))
 
 
 def test_type_invariants():
@@ -34,13 +39,18 @@ def test_type_invariants():
     (LayeredSphere, dict(core_radius=1e-6, core_density=1.0, outer_coat=Layer(INFINITE, 1.0)),
      "outer radius"),
     (Disk, dict(radius=1e-6, thickness=1e-6, density=math.nan), "disk density"),
+    # G is a constant; the one place a different G enters is limits
+    (alpha_limit, dict(lam=1e-7, bounds=BOUND, geometry=SPHERE_SLAB, method="epfa",
+                       g=INFINITE), "G must be finite"),
+    (alpha_limit, dict(lam=1e-7, bounds=BOUND, geometry=SPHERE_SLAB, method="epfa",
+                       g=math.nan), "G must be finite"),
     (SphereSlabConfig, dict(separation=1e-7, sphere_radius=1e-4, sphere_density=math.nan,
                             slab_thickness=1e-6, slab_density=1.0), "sphere density"),
     (SphereSlabConfig, dict(separation=1e-7, sphere_radius=1e-4, sphere_density=1.0,
                             slab_thickness=1e-6, slab_density=-5.0), "slab density"),
 ], ids=["layer-thickness-nan", "layer-density-nan", "core-radius-nan", "core-radius-inf",
         "core-density-nan", "inner-coat-inf", "outer-coat-inf", "disk-density-nan",
-        "sphere-density-nan", "slab-density-negative"])
+        "G-inf", "G-nan", "sphere-density-nan", "slab-density-negative"])
 def test_nan_and_infinite_geometry_rejected(kind, kwargs, quantity):
     with pytest.raises(InputError, match=quantity):
         kind(**kwargs)
