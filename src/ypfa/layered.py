@@ -25,9 +25,10 @@ independent of both the separation and the slab stack. eta_delta_at
 evaluates it for every sphere and virtual plate of a sweep at one lam;
 eta_delta is its single-point case. Each of U, F and F_pfa is built as a
 core.SeparationLaw: the stack and shell factors once per lam, then one
-exponential per separation. F and F_pfa have public ``*_law`` builders, which
-LayeredConfig.law(method, p) hands to limits (with 1/eta_delta from
-pfa_over_epfa) for every residual separation; U's law is private.
+exponential per separation. LayeredConfig.law(method, p) builds F and F_pfa,
+which differ only in the curvature factor, Psi_sphere or R * S_virtual, and
+hands them to limits (with 1/eta_delta from pfa_over_epfa) for every
+residual separation; U's law is private.
 
 Numerical notes: shell terms contain e^(r/lam) factors that reach e^(1800)
 for nanometre lam; every term here is assembled so that each exponential
@@ -72,8 +73,20 @@ class LayeredConfig:
         return virtual_plate(self.sphere, self.d2)
 
     def law(self, method: str, p: YukawaParams) -> SeparationLaw:
-        """The 'pfa' or 'epfa' force as a law in the separation."""
-        return {"pfa": layered_pfa_law, "epfa": layered_epfa_force_law}[method](self, p)
+        """The 'pfa' or 'epfa' force as a law in the separation.
+
+        The two differ only in the curvature factor: Psi_sphere (over lam)
+        for the exact force, R_core S_virtual for the PFA, whose virtual
+        plate is d2 thick.
+        """
+        if method == "epfa":
+            return _epfa_law(self, p, p.lam)
+        if method != "pfa":
+            raise InputError(f"method must be 'pfa' or 'epfa', got {method!r}")
+        lam = p.lam
+        return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * p.lam_power(3)
+                             * self.sphere.core_radius, lam, slab_stack_factor(self.slab, lam),
+                             slab_stack_factor(self.virtual_plate, lam))
 
     def pfa_over_epfa(self, epfa: SeparationLaw) -> float:
         """F_pfa/F_epfa = 1/eta_delta bit for bit from the epfa law at one lam.
@@ -167,22 +180,6 @@ def _epfa_law(cfg: LayeredConfig, p: YukawaParams, over: float) -> SeparationLaw
                          over)
 
 
-def layered_epfa_force_law(cfg: LayeredConfig, p: YukawaParams) -> SeparationLaw:
-    """Exact layered force U/lam as a law in the separation."""
-    return _epfa_law(cfg, p, p.lam)
-
-
-def layered_pfa_law(cfg: LayeredConfig, p: YukawaParams) -> SeparationLaw:
-    """Layered PFA force as a law in the separation (cfg.separation unused).
-
-    The virtual plate thickness is cfg.d2, which LayeredConfig checks.
-    """
-    lam = p.lam
-    return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * p.lam_power(3)
-                         * cfg.sphere.core_radius, lam, slab_stack_factor(cfg.slab, lam),
-                         slab_stack_factor(cfg.virtual_plate, lam))
-
-
 def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams) -> float:
     """Exact interaction energy of the layered sphere and layered slab (J)."""
     return _epfa_law(cfg, p, 1.0)(cfg.separation)
@@ -190,7 +187,7 @@ def layered_epfa_energy(cfg: LayeredConfig, p: YukawaParams) -> float:
 
 def layered_epfa_force(cfg: LayeredConfig, p: YukawaParams) -> float:
     """Exact force on the layered sphere, U/lam (N, < 0)."""
-    return layered_epfa_force_law(cfg, p)(cfg.separation)
+    return cfg.law("epfa", p)(cfg.separation)
 
 
 def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams) -> float:
@@ -200,7 +197,7 @@ def layered_pfa_force(cfg: LayeredConfig, p: YukawaParams) -> float:
     pairs' parallel-plate energies 2 pi R lam P, with each slab layer facing
     each layer of the virtual plate at its own standoff.
     """
-    return layered_pfa_law(cfg, p)(cfg.separation)
+    return cfg.law("pfa", p)(cfg.separation)
 
 
 def _bare(sphere: LayeredSphere) -> bool:

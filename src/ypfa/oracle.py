@@ -161,7 +161,9 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     leftmost panel), and both sums are math.fsum, which is correctly rounded
     and so independent of evaluation order. A non-finite error sum, or panel
     values fsum cannot add (inf - inf, overflow), stops at once with
-    converged False: bisecting cannot make it finite. sharp_edges
+    converged False: bisecting cannot make it finite. The value is then the
+    plain sum of the panels from left to right, so it does not depend on
+    how they are stored. sharp_edges
     is an optional list of (position, decay scale) hints that seed the
     initial mesh (see _initial_mesh).
     """
@@ -183,7 +185,8 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
             total_val = math.fsum(entry[3] for entry in panels)
             total_err = -math.fsum(entry[0] for entry in panels)
         except (ValueError, OverflowError):  # inf - inf, or a finite sum past DBL_MAX
-            total_val, total_err = sum(entry[3] for entry in panels), math.inf
+            total_val = sum(entry[3] for entry in sorted(panels, key=lambda entry: entry[1]))
+            total_err = math.inf
         if not math.isfinite(total_err):
             return total_val, total_err, subdivisions, False
         if total_err <= max(rel_tol * abs(total_val), abs_tol):
@@ -208,8 +211,7 @@ def _summed(parts) -> OracleReport:
 # independently derived reduced kernels
 # --------------------------------------------------------------------------
 
-def _slab_potential(z: float, d1: float, rho1: float, alpha: float, lam: float,
-                    g: float) -> float:
+def _slab_potential(z: float, d1: float, rho1: float, alpha: float, lam: float) -> float:
     """Potential per unit test mass, height z above a laterally infinite slab.
 
     Integrating the pair kernel over an infinite sheet of surface density
@@ -219,17 +221,17 @@ def _slab_potential(z: float, d1: float, rho1: float, alpha: float, lam: float,
     sheet-kernel quadrature of oracle_layered_stack_potential by
     tests/test_oracle.py::test_slab_potential_against_sheet_quadrature.
     """
-    return (-2.0 * math.pi * alpha * g * rho1 * lam * lam
+    return (-2.0 * math.pi * alpha * G_DEFAULT * rho1 * lam * lam
             * math.exp(-z / lam) * -math.expm1(-d1 / lam))
 
 
 def _column_energy(gap: float, chord: float, rho2: float, d1: float, rho1: float,
-                   alpha: float, lam: float, g: float) -> float:
+                   alpha: float, lam: float) -> float:
     """Energy per unit area (J/m^2) of a column of density rho2 over
     [gap, gap + chord] above a slab: V = _slab_potential is e^(-z/lam) times
     constants, so the column integral is rho2 lam V(gap) (1 - e^(-chord/lam)),
     the parallel-plate energy of a chord-thick layer at that gap."""
-    return (rho2 * lam * _slab_potential(gap, d1, rho1, alpha, lam, g)
+    return (rho2 * lam * _slab_potential(gap, d1, rho1, alpha, lam)
             * -math.expm1(-chord / lam))
 
 
@@ -281,7 +283,7 @@ def oracle_sphere_slab_yukawa(cfg: "SphereSlabConfig", p: YukawaParams,
         w = z - centre
         area = math.pi * (radius * radius - w * w)
         return cfg.sphere_density * area * _slab_potential(
-            z, cfg.slab_thickness, cfg.slab_density, p.alpha, p.lam, G_DEFAULT)
+            z, cfg.slab_thickness, cfg.slab_density, p.alpha, p.lam)
 
     val, err, _, ok = integrate_adaptive(slice_energy, a, a + 2.0 * radius, q,
                                          sharp_edges=[(a, p.lam)])
@@ -308,7 +310,7 @@ def oracle_slicing_equivalence(cfg: "SphereSlabConfig", p: YukawaParams,
         cos_phi = math.cos(phi)
         energy = _column_energy(a + radius - radius * cos_phi, 2.0 * radius * cos_phi,
                                 cfg.sphere_density, cfg.slab_thickness, cfg.slab_density,
-                                p.alpha, p.lam, G_DEFAULT)
+                                p.alpha, p.lam)
         return 2.0 * math.pi * radius * radius * math.sin(phi) * cos_phi * energy
 
     # for lam << R the shadow mass sits below s ~ sqrt(2 R lam)
@@ -331,7 +333,7 @@ def oracle_slab_slab_pressure(a: float, d1: float, rho1: float, d2: float,
         raise InputError(f"gap must be > 0, got {a}")
     lam = p.lam
     val, err, _, ok = integrate_adaptive(
-        lambda z2: rho2 * _slab_potential(a + z2, d1, rho1, p.alpha, lam, G_DEFAULT) / lam,
+        lambda z2: rho2 * _slab_potential(a + z2, d1, rho1, p.alpha, lam) / lam,
         0.0, min(d2, _EXP_CUTOFF * lam), q, sharp_edges=[(0.0, lam)])
     return OracleReport(val, err, ok)
 
@@ -388,7 +390,7 @@ def oracle_layered_sphere_slab(cfg: "LayeredConfig", p: YukawaParams,
     centre_height = cfg.separation + r_out
 
     # stack potential at the slab top; it decays as e^(-z/lam) above it
-    prefactor = math.fsum(_slab_potential(lo, hi - lo, rho, p.alpha, lam, G_DEFAULT)
+    prefactor = math.fsum(_slab_potential(lo, hi - lo, rho, p.alpha, lam)
                           for lo, hi, rho in _stack_segments(slab))
 
     def region_energy(lo: float, hi: float, rho: float) -> tuple[float, float, int, bool]:
@@ -463,7 +465,7 @@ def oracle_two_spheres(r1: float, r2: float, center_distance: float,
             per_area = -2.0 * math.pi * G_DEFAULT * rho1 * rho2 * chord1 * chord2
         else:
             gap = d - 0.5 * chord1 - 0.5 * chord2
-            per_area = (rho2 * _slab_potential(gap, chord1, rho1, p.alpha, lam, G_DEFAULT)
+            per_area = (rho2 * _slab_potential(gap, chord1, rho1, p.alpha, lam)
                         * -math.expm1(-chord2 / lam))
         return 2.0 * math.pi * s * per_area
 

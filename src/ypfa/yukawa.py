@@ -22,10 +22,12 @@ setup; INFINITE makes the factor exactly 1; LayeredConfig.d2 is the layered
 one, a LayeredSlab wearing the sphere's coats). eta = Phi/(1 - e^(-D2/lam)),
 independent of the separation a, is written once (_phi_over_plate). eta_at
 evaluates it for every (R, D2) pair at one lam from one Phi per radius and
-one plate factor per D2; eta is its single-point case. Both forces are
-core.SeparationLaw builders (``*_law``): a caller scanning many separations
-at one lam evaluates the prefactor once, then one exp per gap. limits gets
-them from SphereSlabConfig.law(method, p), and 1/eta from pfa_over_epfa.
+one plate factor per D2; eta is its single-point case.
+SphereSlabConfig.law(method, p) builds either force as a core.SeparationLaw;
+the two laws differ only in the curvature factor, Phi or the plate factor.
+A caller scanning many separations at one lam evaluates the prefactor once,
+then one exp per gap; limits takes its laws there, and 1/eta from
+pfa_over_epfa.
 
 The naive Phi cancels catastrophically for u << 1, so ``phi`` reports one
 of two regimes: 'series_small_u' (Taylor series, u < 1e-3) and 'direct',
@@ -80,8 +82,21 @@ class SphereSlabConfig:
         check_d2(self.d2)
 
     def law(self, method: str, p: YukawaParams) -> SeparationLaw:
-        """The 'pfa' or 'epfa' (exact) force as a law in the separation."""
-        return {"pfa": sphere_slab_pfa_law, "epfa": sphere_slab_exact_law}[method](self, p)
+        """The 'pfa' or 'epfa' (exact) force as a law in the separation.
+
+        The two differ only in the curvature factor: Phi(2R/lam) for the
+        exact force, the virtual plate's 1 - e^(-d2/lam) for the PFA.
+        """
+        lam = p.lam
+        if method == "epfa":
+            curvature, _ = phi_of_radius(self.sphere_radius, lam)
+        elif method == "pfa":
+            curvature = plate_factor(self.d2, lam)
+        else:
+            raise InputError(f"method must be 'pfa' or 'epfa', got {method!r}")
+        return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * self.slab_density
+                             * self.sphere_density * p.lam_power(3) * self.sphere_radius, lam,
+                             one_minus_exp(self.slab_thickness / lam), curvature)
 
     def pfa_over_epfa(self, epfa: SeparationLaw) -> float:
         """F_pfa/F_exact = 1/eta(R, d2, lam) bit for bit from the exact law at one lam.
@@ -189,27 +204,6 @@ def slab_slab_pressure(a: float, d1: float, rho1: float, d2: float, rho2: float,
             * math.exp(-a / lam) * one_minus_exp(d1 / lam) * one_minus_exp(d2 / lam))
 
 
-def _sphere_slab_head(cfg: SphereSlabConfig, p: YukawaParams) -> float:
-    """-4 pi^2 alpha G rho1 rho2 lam^3 R, shared by the exact and PFA forces."""
-    return (-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * cfg.slab_density * cfg.sphere_density
-            * p.lam_power(3) * cfg.sphere_radius)
-
-
-def sphere_slab_exact_law(cfg: SphereSlabConfig, p: YukawaParams) -> SeparationLaw:
-    """Exact sphere-slab force as a law in the separation (cfg.separation unused)."""
-    lam = p.lam
-    phi_value, _ = phi_of_radius(cfg.sphere_radius, lam)
-    return SeparationLaw(_sphere_slab_head(cfg, p), lam,
-                         one_minus_exp(cfg.slab_thickness / lam), phi_value)
-
-
-def sphere_slab_pfa_law(cfg: SphereSlabConfig, p: YukawaParams) -> SeparationLaw:
-    """PFA sphere-slab force as a law in the separation (cfg.separation unused)."""
-    lam = p.lam
-    return SeparationLaw(_sphere_slab_head(cfg, p), lam,
-                         one_minus_exp(cfg.slab_thickness / lam), plate_factor(cfg.d2, lam))
-
-
 def plate_factor(d2: float, lam: float) -> float:
     """Thickness factor 1 - e^(-d2/lam) of the PFA's virtual plate (1 for INFINITE)."""
     return one_minus_exp(d2 / lam)
@@ -225,7 +219,7 @@ def _phi_over_plate(phi_value: float, plate: float, lam: float) -> float:
 
 def sphere_slab_force_exact(cfg: SphereSlabConfig, p: YukawaParams) -> float:
     """Exact (volume-integrated) Yukawa force on the sphere, in N (< 0)."""
-    return sphere_slab_exact_law(cfg, p)(cfg.separation)
+    return cfg.law("epfa", p)(cfg.separation)
 
 
 def sphere_slab_force_pfa(cfg: SphereSlabConfig, p: YukawaParams) -> float:
@@ -234,7 +228,7 @@ def sphere_slab_force_pfa(cfg: SphereSlabConfig, p: YukawaParams) -> float:
     With cfg.d2 INFINITE (the half-space limit of the virtual plate) the
     PFA magnitude is always >= the exact magnitude.
     """
-    return sphere_slab_pfa_law(cfg, p)(cfg.separation)
+    return cfg.law("pfa", p)(cfg.separation)
 
 
 def eta(radius: float, d2: float, lam: float) -> EtaResult:

@@ -193,19 +193,28 @@ def test_limit_shift_uses_the_layered_configs_own_d2(layered_cfg):
 
 
 def test_pfa_method_builds_only_the_pfa_law(geometry, layered_cfg, monkeypatch):
-    # a pfa bound reads no epfa law, so a failing epfa builder cannot stop it
+    # a pfa bound reads no epfa law, so a failing exact-side factor cannot stop it
     cases = [(cfg, alpha_limit(1e-6, flat_bounds(), cfg, "pfa"))
              for cfg in (geometry, layered_cfg)]
 
     def refuse(*args, **kwargs):
         raise InputError("epfa law built")
 
-    monkeypatch.setattr(ypfa.yukawa, "sphere_slab_exact_law", refuse)
-    monkeypatch.setattr(ypfa.layered, "layered_epfa_force_law", refuse)
+    monkeypatch.setattr(ypfa.yukawa, "phi_of_radius", refuse)
+    monkeypatch.setattr(ypfa.layered, "_epfa_law", refuse)
     for cfg, want in cases:
         assert alpha_limit(1e-6, flat_bounds(), cfg, "pfa") == want
         with pytest.raises(InputError, match="epfa law built"):
             alpha_limit(1e-6, flat_bounds(), cfg, "epfa")
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "layered"])
+def test_law_refuses_an_unknown_method(geometry, layered_cfg, kind):
+    # a method that is neither 'pfa' nor 'epfa' is an input error, not the PFA law
+    cfg = geometry if kind == "homogeneous" else layered_cfg
+    for method in ("exact", "PFA", ""):
+        with pytest.raises(InputError, match="'pfa' or 'epfa', got"):
+            cfg.law(method, YukawaParams(1.0, 1e-6))
 
 
 @pytest.mark.parametrize("lam,regime", [(0.1e-9, "direct"), (1e-6, "direct"),

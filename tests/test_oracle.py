@@ -95,6 +95,25 @@ def test_engine_overflowing_panel_sum_stops_without_raising():
     assert value == math.inf
 
 
+def test_engine_unsummable_panels_add_left_to_right():
+    # panels [0, 2], [2, 6], [6, 8] hold about -1e308, 1e308 and 1e308; the
+    # last has the largest error, so it heads the heap, and in heap order
+    # fsum overflows and a plain sum is inf; from left to right it is finite
+    def f(x):
+        if x < 2.0:
+            return -5e307
+        return 2.5e307 if x < 6.0 else 7.5e307 * math.sqrt((x - 6.0) / 2.0)
+
+    left, middle, right = (_gk_panel(f, a, b)[0] for a, b in ((0.0, 2.0), (2.0, 6.0), (6.0, 8.0)))
+    assert right + middle + left == math.inf
+    value, err, nsub, ok = integrate_adaptive(f, 0.0, 8.0, QuadratureSpec(),
+                                              sharp_edges=[(4.0, 2.0)])
+    assert not ok
+    assert nsub == 0 and err == math.inf
+    assert value == left + middle + right
+    assert math.isfinite(value)
+
+
 def _panel_tuple_reference(f, lo, hi, spec, sharp_edges=None):
     """integrate_adaptive as it was written with (a, b, value, error) panel
     tuples, a keyed max and a final sort by left endpoint; kept to pin the
@@ -452,7 +471,7 @@ def test_slab_potential_against_sheet_quadrature():
                 report = oracle_layered_stack_potential(
                     z, LayeredSlab(Layer(d, 2330.0)), YukawaParams(1.0, lam), spec)
                 assert report.converged
-                closed = _slab_potential(z, d, 2330.0, 1.0, lam, G_DEFAULT)
+                closed = _slab_potential(z, d, 2330.0, 1.0, lam)
                 assert report.check_against(closed) <= 1e-13, (z, d, lam)
 
 
@@ -530,10 +549,10 @@ def test_column_energy_against_depth_quadrature():
             cos_phi = math.cos(phi)
             gap, chord = a + radius - radius * cos_phi, 2.0 * radius * cos_phi
             depth, _, _, ok = integrate_adaptive(
-                lambda z: _slab_potential(z, 3.5e-6, 2330.0, 1.0, lam, G_DEFAULT),
+                lambda z: _slab_potential(z, 3.5e-6, 2330.0, 1.0, lam),
                 gap, gap + chord, spec, sharp_edges=[(gap, lam)])
             assert ok
-            closed = _column_energy(gap, chord, 4100.0, 3.5e-6, 2330.0, 1.0, lam, G_DEFAULT)
+            closed = _column_energy(gap, chord, 4100.0, 3.5e-6, 2330.0, 1.0, lam)
             assert closed == pytest.approx(4100.0 * depth, rel=1e-12, abs=0.0), (radius, phi)
 
 
