@@ -18,7 +18,10 @@ Settings resolve as: preset defaults, then --config file, then flags. Each
 preset belongs to one sweep subcommand; naming it under another is an error.
 Exit codes: 0 success, 1 bad input or I/O, 2 numerical verification failure.
 Outputs are CSV (12 significant digits, LF) plus a JSON manifest that is
-byte-identical for identical inputs apart from its timestamp field.
+byte-identical for identical inputs apart from its timestamp field. A sweep
+computes and formats its rows in chunks of grid points, in process or in
+--workers processes, and writes each chunk's text as it comes back in grid
+order: the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -32,18 +35,18 @@ import time
 from collections import Counter
 from dataclasses import asdict
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable
 
 from . import __version__
 from .config import parse_config_file, parse_quantity
-from .core import (G_DEFAULT, INFINITE, Disk, InputError, Layer, LayeredSlab, LayeredSphere,
-                   PoleProximityError, YukawaParams)
+from .core import (G_DEFAULT, INFINITE, METHODS, Disk, InputError, Layer, LayeredSlab,
+                   LayeredSphere, PoleProximityError, YukawaParams)
 from .disk import XiInputs, xi_power, xi_yukawa
 from .layered import LayeredConfig, eta_delta_at, virtual_plate
-from .limits import METHODS, ResidualBound, exclusion_curve
-from .sweeps import NUMBER_FORMAT, SweepGrid, map_ordered, replacing, write_csv
+from .limits import ResidualBound, exclusion_curve
+from .sweeps import (NUMBER_FORMAT, Chunk, SweepGrid, format_rows, map_chunks, replacing,
+                     write_csv)
 from .verify import format_report, run_suite, suite_passed
 from .yukawa import SphereSlabConfig, check_d2, check_radius, eta_at
 
@@ -203,15 +206,17 @@ def _xi_geometry(settings: dict, rd: float) -> XiInputs:
                               density=_scalar(settings, "disk.density")))
 
 
-def _emit(args, settings: _Settings, header, rows: Iterable, grid: dict,
-          counters: Callable[[], dict]) -> int:
+def _emit(args, settings: _Settings, header, chunks: Iterable[Chunk], grid: dict,
+          counters: Callable[[Counter], dict] | None = None) -> int:
     """Write the CSV, then its manifest (byte-stable apart from the timestamp).
 
-    rows may stream: counters is called only once every row is written.
-    config_si lists the numeric settings the run read. The manifest replaces
-    its path only once written; if it cannot be, the run's CSV is removed.
+    chunks may stream: counters, if given, maps the sum of their tallies to
+    the manifest's counters once every chunk is written. config_si lists the
+    numeric settings the run read. The manifest replaces its path only once
+    written; if it cannot be, the run's CSV is removed.
     """
-    written = write_csv(args.output, header, rows)
+    tally = Counter()
+    written = write_csv(args.output, header, chunks, tally)
     payload = {
         "subcommand": args.command,
         "tool_version": __version__,
@@ -221,7 +226,7 @@ def _emit(args, settings: _Settings, header, rows: Iterable, grid: dict,
                       if key in settings.read and not isinstance(value, str)},
         "grid": grid,
         "rows": written,
-        "counters": counters(),
+        "counters": counters(tally) if counters else {},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     try:
@@ -234,15 +239,20 @@ def _emit(args, settings: _Settings, header, rows: Iterable, grid: dict,
     return 0
 
 
-# ---------------------------------------------------------------- row workers
-# Each maps one task (printed key, then any prebuilt input) to its whole CSV
-# row, except the eta sweeps' one worker: it maps one lambda to all of its
-# rows, with the sweep's (R, D2) key cells, ratios_at, bodies and plates bound.
+# ---------------------------------------------------------------- chunk workers
+# Each maps one chunk of a sweep's grid points to a Chunk of its finished
+# CSV rows and their manifest tallies; they stay at module level so that a
+# pool can pickle them with the arguments functools.partial binds.
 
-def _rows_eta(keys, ratios_at, bodies, plates, lam):
-    lam_cell = format(lam, NUMBER_FORMAT)
-    return [(lam_cell, r_cell, d2_cell, *values)
-            for (r_cell, d2_cell), values in zip(keys, ratios_at(lam, bodies, plates))]
+def _chunk_eta(keys, ratios_at, bodies, plates, tally_key, lams) -> Chunk:
+    """Every row of each lambda: the sweep's (R, D2) key cells, ratios_at,
+    bodies and plates bound; tally_key, if any, picks each row's tally."""
+    rows = []
+    for lam in lams:
+        lam_cell = format(lam, NUMBER_FORMAT)
+        rows += [(lam_cell, r_cell, d2_cell, *values)
+                 for (r_cell, d2_cell), values in zip(keys, ratios_at(lam, bodies, plates))]
+    return format_rows(rows, tally_key and Counter(map(tally_key, rows)))
 
 
 def _row_xi_power(task):
@@ -254,27 +264,28 @@ def _row_xi_power(task):
         return (*keys, math.nan)
 
 
-def _row_xi_yukawa(task):
-    rd, lam, inputs = task
-    return rd, lam, xi_yukawa(inputs, YukawaParams(1.0, lam))
+def _chunk_xi_power(tasks) -> Chunk:
+    rows = list(map(_row_xi_power, tasks))
+    near_pole = sum(map(math.isnan, map(itemgetter(-1), rows)))
+    return format_rows(rows, Counter(rows_near_pole=near_pole))
+
+
+def _chunk_xi_yukawa(tasks) -> Chunk:
+    return format_rows([(rd, lam, xi_yukawa(inputs, YukawaParams(1.0, lam)))
+                        for rd, lam, inputs in tasks])
 
 
 # ---------------------------------------------------------------- commands
 
-def _tallied(rows: Iterable, tally: Counter, key: Callable):
-    """rows unchanged, counting key(row) into tally as each row passes."""
-    for row in rows:
-        tally[key(row)] += 1
-        yield row
-
-
-def _eta_rows(args, settings: _Settings, radius_key: str, body_for: Callable,
-              plate_for: Callable, ratios_at: Callable) -> tuple[Iterable, dict]:
-    """An eta sweep's streamed rows and its manifest grid.
+def _eta_chunks(args, settings: _Settings, radius_key: str, body_for: Callable,
+                plate_for: Callable, ratios_at: Callable,
+                tally_key: Callable | None = None) -> tuple[Iterable[Chunk], dict]:
+    """An eta sweep's streamed chunks and its manifest grid.
 
     body_for(radius) and plate_for(first body, d2) build the bodies and plates
     once, in the order the first lambda's rows meet them; ratios_at(lam, bodies,
-    plates) gives one lambda's values in row order.
+    plates) gives one lambda's values in row order; tally_key(row), if given,
+    is counted into the tallies.
     """
     radii = _vector(settings, "sweep.radii", radius_key)
     d2_values = _d2_values(args, settings)
@@ -284,28 +295,26 @@ def _eta_rows(args, settings: _Settings, radius_key: str, body_for: Callable,
     bodies += map(body_for, radii[1:])
     keys = [(format(radius, NUMBER_FORMAT), format(d2, NUMBER_FORMAT))
             for radius in radii for d2 in d2_values]
-    task = partial(_rows_eta, keys, ratios_at, bodies, plates)
-    return (chain.from_iterable(map_ordered(task, grid.values(), args.workers)),
+    task = partial(_chunk_eta, keys, ratios_at, bodies, plates, tally_key)
+    return (map_chunks(task, grid.values(), args.workers),
             {"lambda": asdict(grid), "radii": radii, "d2_values": [repr(v) for v in d2_values]})
 
 
 def cmd_eta_sweep(args) -> int:
     settings = _settings(args, args.preset)
-    regimes = Counter()
-    rows, grid = _eta_rows(args, settings, "sphere.radius", check_radius,
-                           lambda _first, d2: check_d2(d2), eta_at)
-    return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"),
-                 _tallied(rows, regimes, itemgetter(-1)), grid,
-                 lambda: {"regimes": dict(regimes)})
+    chunks, grid = _eta_chunks(args, settings, "sphere.radius", check_radius,
+                               lambda _first, d2: check_d2(d2), eta_at, itemgetter(-1))
+    return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta", "regime"), chunks, grid,
+                 lambda regimes: {"regimes": dict(regimes)})
 
 
 def cmd_eta_layered_sweep(args) -> int:
     settings = _settings(args, args.preset)
-    rows, grid = _eta_rows(args, settings, "sphere.core_radius",
-                           _sphere_factory(settings, args.plotted_radius), virtual_plate,
-                           eta_delta_at)
+    chunks, grid = _eta_chunks(args, settings, "sphere.core_radius",
+                               _sphere_factory(settings, args.plotted_radius), virtual_plate,
+                               eta_delta_at)
     return _emit(args, settings, ("lambda_m", "R_m", "D2_m", "eta_delta", "eta", "ratio"),
-                 rows, {**grid, "plotted_radius": args.plotted_radius}, dict)
+                 chunks, {**grid, "plotted_radius": args.plotted_radius})
 
 
 def cmd_xi_power_sweep(args) -> int:
@@ -325,10 +334,8 @@ def cmd_xi_power_sweep(args) -> int:
         header, grid = ("N", "Rd_m", "xi"), {"n": exponents, "rd_factors": rd_factors}
     else:
         raise InputError(f"mode must be 'rd' or 'n', got {mode!r}")
-    near_pole = Counter()
-    rows = map_ordered(_row_xi_power, tasks, args.workers)
-    return _emit(args, settings, header, _tallied(rows, near_pole, lambda row: math.isnan(row[-1])),
-                 grid, lambda: {"rows_near_pole": near_pole[True]})
+    return _emit(args, settings, header, map_chunks(_chunk_xi_power, tasks, args.workers), grid,
+                 lambda tally: {"rows_near_pole": tally["rows_near_pole"]})
 
 
 def cmd_xi_yukawa_sweep(args) -> int:
@@ -337,9 +344,9 @@ def cmd_xi_yukawa_sweep(args) -> int:
     rd_grid = _rd_grid(settings, _scalar(settings, "sphere.radius"), (1.0, 100.0, 200))
     tasks = [(rd, lam, _xi_geometry(settings, rd))
              for rd in rd_grid.values() for lam in lambdas]
-    rows = map_ordered(_row_xi_yukawa, tasks, args.workers)
-    return _emit(args, settings, ("Rd_m", "lambda_m", "ln_xi"), rows,
-                 {"rd": asdict(rd_grid), "lambdas": lambdas}, dict)
+    return _emit(args, settings, ("Rd_m", "lambda_m", "ln_xi"),
+                 map_chunks(_chunk_xi_yukawa, tasks, args.workers),
+                 {"rd": asdict(rd_grid), "lambdas": lambdas})
 
 
 def cmd_oracle_verify(args) -> int:
@@ -378,9 +385,8 @@ def cmd_limits(args) -> int:
     width = 5 if args.method == "epfa" else 4  # only epfa rows carry shift_vs_pfa
     header = ("lambda_m", "alpha_bound", "best_separation_m", "method", "shift_vs_pfa")[:width]
     rows = [point[:width] for point in exclusion_curve(grid, bounds, geometry, args.method, g)]
-    return _emit(args, settings, header, rows,
-                 {"lambda": asdict(grid), "method": args.method, "geometry": args.geometry},
-                 dict)
+    return _emit(args, settings, header, [format_rows(rows)],
+                 {"lambda": asdict(grid), "method": args.method, "geometry": args.geometry})
 
 
 # ---------------------------------------------------------------- parser

@@ -179,6 +179,17 @@ class PowerLawParams:
             raise InputError(f"power-law exponent must be > 0, got {self.n}")
 
 
+#: The force models of a geometry's law(method, p) and of limits: the
+#: parallel-plate mapping, and the exact (surface-element) force.
+METHODS = ("pfa", "epfa")
+
+
+def check_method(method: str) -> None:
+    """Refuse a method outside METHODS: the one check, and message, for every caller."""
+    if method not in METHODS:
+        raise InputError(f"method must be 'pfa' or 'epfa', got {method!r}")
+
+
 @dataclass(frozen=True)
 class SeparationLaw:
     """A force or energy prefactor(lam) * e^(-a/lam) as a function of the gap a.

@@ -48,7 +48,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .core import (G_DEFAULT, INFINITE, DegenerateInputError, InputError, Layer, LayeredSlab,
-                   LayeredSphere, SeparationLaw, YukawaParams)
+                   LayeredSphere, SeparationLaw, YukawaParams, check_method)
 from .numerics import one_minus_exp
 from .yukawa import _phi_over_plate, check_d2, eta, phi, phi_of_radius, plate_factor
 
@@ -79,10 +79,9 @@ class LayeredConfig:
         for the exact force, R_core S_virtual for the PFA, whose virtual
         plate is d2 thick.
         """
+        check_method(method)
         if method == "epfa":
             return _epfa_law(self, p, p.lam)
-        if method != "pfa":
-            raise InputError(f"method must be 'pfa' or 'epfa', got {method!r}")
         lam = p.lam
         return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * p.lam_power(3)
                              * self.sphere.core_radius, lam, slab_stack_factor(self.slab, lam),

@@ -39,10 +39,9 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import G_DEFAULT, DegenerateInputError, InputError, YukawaParams, read_text
+from .core import (G_DEFAULT, DegenerateInputError, InputError, YukawaParams, check_method,
+                   read_text)
 from .sweeps import SweepGrid
-
-METHODS = ("pfa", "epfa")
 
 
 def _check_entry(previous: float, separation: float, residual: float) -> None:
@@ -117,8 +116,7 @@ def alpha_limit(lam: float, bounds: ResidualBound, geometry, method: str,
     geometry supplies law and pfa_over_epfa; epfa computes shift_vs_pfa only
     after its bound is found.
     """
-    if method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {method!r}")
+    check_method(method)  # the law checks it too, but only after the G check
     unit = g / G_DEFAULT
     if not 0.0 < unit < math.inf:
         raise InputError(f"G must be finite, > 0 and below {sys.float_info.max * G_DEFAULT:.3g} "

@@ -17,25 +17,33 @@ def one_minus_exp(x: float) -> float:
     return -math.expm1(-x)
 
 
+#: (2k, (2k-2)(2k)(2k+1)) for k = 2..31: the integer factors of the ratio of
+#: term k to term k-1 of x_cosh_x_minus_sinh_x's series, as floats (exact,
+#: far below 2^53). Every v < 1 converges by k = 11; the end of the table
+#: stops the sum where no term test can, at nan.
+_X_COSH_RATIOS = tuple((float(2 * k), float((2 * k - 2) * (2 * k) * (2 * k + 1)))
+                       for k in range(2, 32))
+
+
 def x_cosh_x_minus_sinh_x(v: float) -> float:
     """v cosh v - sinh v, computed without cancelling the leading v.
 
     Power series sum_{k>=1} 2k v^(2k+1) / (2k+1)! has positive terms only, so
     it is used wherever it converges quickly (v < 1); the plain form loses
-    at most ~2 bits for v >= 1.
+    at most ~2 bits for v >= 1. The series stops once a term is below 1e-18
+    of the sum, or at the end of _X_COSH_RATIOS (a nan v returns nan).
     """
     if v >= 1.0:
         return v * math.cosh(v) - math.sinh(v)
     term = v * v * v / 3.0  # k = 1
     total = term
-    k = 1
-    while True:
-        k += 1
-        # ratio of consecutive terms: v^2 * (2k) / ((2k-2)(2k)(2k+1)) ... keep exact:
-        term *= v * v * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+    v2 = v * v
+    for two_k, denominator in _X_COSH_RATIOS:
+        term *= v2 * two_k / denominator
         total += term
         if term <= total * 1e-18:
-            return total
+            break
+    return total
 
 
 @functools.lru_cache(maxsize=None)

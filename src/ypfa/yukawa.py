@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (G_DEFAULT, INFINITE, DegenerateInputError, InputError, SeparationLaw,
-                   YukawaParams)
+                   YukawaParams, check_method)
 from .numerics import one_minus_exp, x_cosh_x_minus_sinh_x
 
 #: Below this u = 2R/lambda the Taylor-series branch of Phi is used.
@@ -87,13 +87,12 @@ class SphereSlabConfig:
         The two differ only in the curvature factor: Phi(2R/lam) for the
         exact force, the virtual plate's 1 - e^(-d2/lam) for the PFA.
         """
+        check_method(method)
         lam = p.lam
         if method == "epfa":
             curvature, _ = phi_of_radius(self.sphere_radius, lam)
-        elif method == "pfa":
-            curvature = plate_factor(self.d2, lam)
         else:
-            raise InputError(f"method must be 'pfa' or 'epfa', got {method!r}")
+            curvature = plate_factor(self.d2, lam)
         return SeparationLaw(-4.0 * math.pi ** 2 * p.alpha * G_DEFAULT * self.slab_density
                              * self.sphere_density * p.lam_power(3) * self.sphere_radius, lam,
                              one_minus_exp(self.slab_thickness / lam), curvature)
@@ -128,21 +127,30 @@ def check_d2(d2: float) -> float:
     return d2
 
 
+#: (m-1, (m-2)(m+1)) for m = 3..42: the integer factors of the ratio of
+#: consecutive terms of phi_series, -u (m-1) / ((m-2)(m+1)), as floats
+#: (exact). Every u <= 1 converges well before the end of the table, which
+#: stops the sum where no term test can, at nan.
+_PHI_SERIES_RATIOS = tuple((float(m - 1), float((m - 2) * (m + 1))) for m in range(3, 43))
+
+
 def phi_series(u: float) -> float:
     """Taylor series of Phi at u = 0, summed to machine convergence.
 
     Phi(u) = u^2/6 - u^3/12 + u^4/40 - u^5/180 + ...; the terms alternate
-    and shrink by ~u/4, so a handful suffice for u < 1e-3.
+    and shrink by ~u/4, so a handful suffice for u < 1e-3. The sum stops
+    once a term is below 1e-18 of it, or at the end of _PHI_SERIES_RATIOS
+    (a nan u returns nan).
     """
-    m = 3
     term = u * u / 6.0  # (m-2)/m! * u^(m-1) at m = 3
     total = term
-    while True:
-        term *= -u * (m - 1) / ((m - 2) * (m + 1))
-        m += 1
+    minus_u = -u
+    for m_minus_1, denominator in _PHI_SERIES_RATIOS:
+        term *= minus_u * m_minus_1 / denominator
         total += term
         if abs(term) <= abs(total) * 1e-18:
-            return total
+            break
+    return total
 
 
 def phi_direct(u: float) -> float:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_sweeps import _reference_csv
 
+import ypfa.sweeps
 import ypfa.verify
 from ypfa import (INFINITE, Layer, LayeredConfig, LayeredSlab, LayeredSphere, SweepGrid,
                   YukawaParams, eta, eta_delta)
@@ -113,6 +114,8 @@ def test_eta_sweep_unwritable_output():
 
 @pytest.mark.parametrize("command, preset, extra, config", [
     pytest.param("eta-sweep", "fig2-left", ("--lambda-points", "40"), None, id="fig2-left"),
+    pytest.param("eta-sweep", "fig2-right", (), None, id="fig2-right"),
+    pytest.param("eta-layered-sweep", "fig3-left", (), None, id="fig3-left"),
     pytest.param("eta-layered-sweep", "fig3-right", (), None, id="fig3-right"),
     pytest.param("xi-power-sweep", "fig4-left", (), None, id="fig4-left"),
     pytest.param("xi-power-sweep", "fig4-right", (), None, id="fig4-right"),
@@ -138,6 +141,34 @@ def test_determinism_across_worker_counts(tmp_path, command, preset, extra, conf
     assert manifests[0] == manifests[1] == manifests[2]
     if config is not None:
         assert manifests[0]["counters"] == {"rows_near_pole": 400}
+
+
+@pytest.mark.parametrize("command, preset, extra, config, counters", [
+    # 600 lambda up to 10 m: rows of both regimes
+    pytest.param("eta-sweep", "fig2-left", ("--lambda-points", "600", "--lambda-max", "10 m"),
+                 None, {"regimes": {"direct": 1486, "series_small_u": 314}}, id="eta-sweep"),
+    pytest.param("xi-power-sweep", "fig4-left", (), "sweep.exponents = 1.0000001, 2, 0.9999995\n",
+                 {"rows_near_pole": 400}, id="fig4-left-near-pole"),
+])
+def test_output_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, command, preset, extra,
+                                                  config, counters):
+    # each chunk task formats its rows and tallies its counters; the file
+    # and its manifest must come out the same however the grid is cut
+    if config is not None:
+        (tmp_path / "cfg").write_text(config)
+        extra = ("--config", str(tmp_path / "cfg"))
+    outputs = set()
+    for chunk_max in (1, 7, ypfa.sweeps.POOL_CHUNK_MAX):
+        monkeypatch.setattr(ypfa.sweeps, "POOL_CHUNK_MAX", chunk_max)
+        for workers in ("1", "2"):
+            out = tmp_path / f"c{chunk_max}-w{workers}.csv"
+            assert run(command, "--preset", preset, "--output", str(out), *extra,
+                       "--workers", workers) == 0
+            manifest = json.loads(read(f"{out}.manifest.json"))
+            assert manifest["counters"] == counters
+            del manifest["timestamp"]
+            outputs.add((read(out), json.dumps(manifest, sort_keys=True)))
+    assert len(outputs) == 1
 
 
 _POOL_FREE_RUNS = """
@@ -253,8 +284,8 @@ def test_first_error_in_grid_order_at_any_worker_count(tmp_path, capsys, command
 @pytest.mark.parametrize("old", [None, b"an older file\n"])
 def test_sweep_failing_mid_stream_leaves_no_output(tmp_path, capsys, workers, old):
     # the config of test_first_error_in_grid_order_at_any_worker_count on a
-    # 1,000-point grid: rows stream until lambda ~ 1e8 m, past the first
-    # CSV batch, then the sweep fails
+    # 1,000-point grid: chunks stream until lambda ~ 4.5e7 m, past the
+    # first chunk, then the sweep fails
     cfg = tmp_path / "cfg"
     cfg.write_text("sweep.radii = 50 um, 150 um\nsweep.d2_values = 1 mm, 1e-300 m\n")
     out = tmp_path / "out.csv"
@@ -267,6 +298,26 @@ def test_sweep_failing_mid_stream_leaves_no_output(tmp_path, capsys, workers, ol
     assert sorted(os.listdir(tmp_path)) == ["cfg"] + ["out.csv"] * (old is not None)
     if old is not None:
         assert out.read_bytes() == old
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_failing_mid_chunk_leaves_no_output(tmp_path, capsys, monkeypatch, workers):
+    # the sweep of test_sweep_failing_mid_stream_leaves_no_output cut into
+    # chunks of 7 lambda: 68 chunks are written before the one whose third
+    # lambda fails
+    monkeypatch.setattr(ypfa.sweeps, "POOL_CHUNK_MAX", 7)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sweep.radii = 50 um, 150 um\nsweep.d2_values = 1 mm, 1e-300 m\n")
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an older file\n")
+    assert run("eta-sweep", "--config", str(cfg), "--lambda-min", "1 m", "--lambda-max",
+               "1e16 m", "--lambda-points", "1000", "--workers", workers,
+               "--output", str(out)) == 1
+    assert "eta is undefined at lambda = 4.52539e+07 m" in capsys.readouterr().err
+    grid = SweepGrid(min=1.0, max=1e16, points=1000).values()
+    assert [f"{lam:g}" for lam in grid].index("4.52539e+07") == 68 * 7 + 2
+    assert sorted(os.listdir(tmp_path)) == ["cfg", "out.csv"]
+    assert out.read_bytes() == b"an older file\n"
 
 
 def test_unwritable_manifest_leaves_no_csv(tmp_path, capsys):

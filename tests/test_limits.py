@@ -217,6 +217,23 @@ def test_law_refuses_an_unknown_method(geometry, layered_cfg, kind):
             cfg.law(method, YukawaParams(1.0, 1e-6))
 
 
+@pytest.mark.parametrize("method", ["exact", "PFA", ""])
+def test_alpha_limit_and_the_laws_refuse_a_method_with_one_message(geometry, layered_cfg,
+                                                                    method):
+    # one check serves all three; alpha_limit runs it before its G check
+    calls = [lambda: alpha_limit(1e-6, flat_bounds(), geometry, method),
+             lambda: alpha_limit(1e-6, flat_bounds(), layered_cfg, method, math.nan),
+             lambda: alpha_limit(1e-6, flat_bounds(), geometry, method, 0.0),
+             lambda: geometry.law(method, YukawaParams(1.0, 1e-6)),
+             lambda: layered_cfg.law(method, YukawaParams(1.0, 1e-6))]
+    messages = set()
+    for call in calls:
+        with pytest.raises(InputError) as refused:
+            call()
+        messages.add(str(refused.value))
+    assert messages == {f"method must be 'pfa' or 'epfa', got {method!r}"}
+
+
 @pytest.mark.parametrize("lam,regime", [(0.1e-9, "direct"), (1e-6, "direct"),
                                         (1.0, "series_small_u")])
 def test_shift_vs_pfa_is_the_law_pairs_ratio(geometry, layered_cfg, lam, regime):

@@ -1,8 +1,11 @@
 import math
+import random
 
 import mpmath
 import pytest
 
+import ypfa.numerics
+import ypfa.yukawa
 from ypfa.numerics import gauss_legendre, one_minus_exp, x_cosh_x_minus_sinh_x
 from ypfa.yukawa import PHI_SERIES_SWITCH, phi, phi_direct, phi_series
 
@@ -79,3 +82,81 @@ def test_gauss_legendre_rule():
         estimate = math.fsum(w * x ** degree for x, w in zip(nodes, weights))
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
         assert estimate == pytest.approx(exact, abs=1e-14)
+
+
+# The series loops as they were before their term ratios came from tables,
+# kept as the bit-for-bit reference; each also returns how many ratios it took.
+
+def _reference_x_cosh_x_minus_sinh_x(v):
+    if v >= 1.0:
+        return v * math.cosh(v) - math.sinh(v), 0
+    term = v * v * v / 3.0
+    total = term
+    k = 1
+    while True:
+        k += 1
+        term *= v * v * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+        total += term
+        if term <= total * 1e-18:
+            return total, k - 1
+
+
+def _reference_phi_series(u):
+    m = 3
+    term = u * u / 6.0
+    total = term
+    while True:
+        term *= -u * (m - 1) / ((m - 2) * (m + 1))
+        m += 1
+        total += term
+        if abs(term) <= abs(total) * 1e-18:
+            return total, m - 3
+
+
+def _reference_phi_direct(u):
+    if u >= 2.0:
+        return 1.0 - 2.0 / u + math.exp(-u) * (1.0 + 2.0 / u)
+    return (4.0 / u) * math.exp(-u / 2.0) * _reference_x_cosh_x_minus_sinh_x(u / 2.0)[0]
+
+
+def _seeded_u_grid():
+    """u log-uniform over [1e-6, 10], plus the neighbours of both switches:
+    PHI_SERIES_SWITCH (series/direct) and u = 2 (v = 1 in phi_direct)."""
+    rng = random.Random(35)
+    grid = [10.0 ** rng.uniform(-6.0, 1.0) for _ in range(20_000)]
+    for switch in (PHI_SERIES_SWITCH, 2.0):
+        below = above = switch
+        for _ in range(50):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            grid += [below, above]
+        grid.append(switch)
+    return grid
+
+
+def test_series_kernels_equal_their_reference_loops_bit_for_bit():
+    for u in _seeded_u_grid():
+        assert phi_direct(u) == _reference_phi_direct(u), u
+        assert x_cosh_x_minus_sinh_x(u / 2.0) == _reference_x_cosh_x_minus_sinh_x(u / 2.0)[0], u
+        if u <= 1.0:
+            assert phi_series(u) == _reference_phi_series(u)[0], u
+        value, regime = phi(u)
+        want = _reference_phi_series(u)[0] if u < PHI_SERIES_SWITCH else _reference_phi_direct(u)
+        assert value == want and regime == ("series_small_u" if u < PHI_SERIES_SWITCH
+                                            else "direct"), u
+
+
+def test_series_converge_before_their_tables_end():
+    # the largest argument each series takes (v just below 1; u = 1, far
+    # above PHI_SERIES_SWITCH) stops on its term test with ratios to spare
+    v = math.nextafter(1.0, 0.0)
+    assert _reference_x_cosh_x_minus_sinh_x(v)[1] < len(ypfa.numerics._X_COSH_RATIOS) - 5
+    assert _reference_phi_series(1.0)[1] < len(ypfa.yukawa._PHI_SERIES_RATIOS) - 5
+    assert x_cosh_x_minus_sinh_x(v) == _reference_x_cosh_x_minus_sinh_x(v)[0]
+    assert phi_series(1.0) == _reference_phi_series(1.0)[0]
+
+
+@pytest.mark.parametrize("kernel", [x_cosh_x_minus_sinh_x, phi_direct, phi_series])
+def test_series_kernels_return_nan_for_nan(kernel):
+    # no term test holds at nan: the loops ran forever before they took
+    # their ratios from bounded tables
+    assert math.isnan(kernel(math.nan))

@@ -1,13 +1,17 @@
 import math
 import os
+import random
+import struct
 import sys
+from collections import Counter
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ypfa.sweeps
 from ypfa import InputError, SweepGrid
-from ypfa.sweeps import map_ordered, write_csv
+from ypfa.sweeps import format_rows, map_chunks, map_ordered, write_csv
 
 
 def test_grid_validation():
@@ -62,10 +66,27 @@ def test_accepted_grid_values_are_finite_and_within_the_bounds(lo, hi, points):
     assert all(0.0 < value <= ceiling and math.isfinite(value) for value in values), values
 
 
+#: rows per chunk of _write: a kind or width change within one chunk is
+#: refused by format_rows, one in a later chunk by write_csv
+_CHUNK_ROWS = 1024
+
+
+def _chunks(rows):
+    """rows, from any iterable, as Chunks of _CHUNK_ROWS rows, formatted as
+    write_csv consumes them."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield format_rows(chunk)
+
+
+def _write(path, header, rows) -> int:
+    return write_csv(str(path), header, _chunks(rows))
+
+
 def test_format_number(tmp_path):
     path = tmp_path / "numbers.csv"
     values = (1.5e-7, math.inf, -math.inf, math.nan, 2.0 / 3.0)
-    assert write_csv(str(path), ("x", "label"), [(x, "s") for x in values]) == 5
+    assert _write(path, ("x", "label"), [(x, "s") for x in values]) == 5
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines[0] == "x,label" and lines[-1] == ""
     cells = [line.split(",") for line in lines[1:-1]]
@@ -96,7 +117,7 @@ def _reference_csv(header, rows) -> bytes:
 ])
 def test_write_csv_matches_per_cell_formatting(tmp_path, header, rows):
     path = tmp_path / "out.csv"
-    assert write_csv(str(path), header, rows) == len(rows)
+    assert _write(path, header, rows) == len(rows)
     assert path.read_bytes() == _reference_csv(header, rows)
 
 
@@ -105,14 +126,14 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, header, rows):
     [(1.0, "a"), (2.0, None)],
     [(1.0, 2.0), (3.0, "b")],     # a numeric column meets a str
     [(1.0, 2.0), ("c", 4.0)],
-    [(1.0, "a")] * ypfa.sweeps.CSV_BATCH_ROWS + [(2.0, 3.0)],   # past the first batch
+    [(1.0, "a")] * _CHUNK_ROWS + [(2.0, 3.0)],   # in a later chunk
 ])
 def test_write_csv_column_changing_kind_is_refused_or_unchanged(tmp_path, rows):
     """A column whose kind changes partway through the file gives the old
     bytes or raises; it never writes a cell differently."""
     path = tmp_path / "mixed.csv"
     try:
-        write_csv(str(path), ("x", "y"), rows)
+        _write(path, ("x", "y"), rows)
     except (TypeError, ValueError):
         return
     assert path.read_bytes() == _reference_csv(("x", "y"), rows)
@@ -121,43 +142,118 @@ def test_write_csv_column_changing_kind_is_refused_or_unchanged(tmp_path, rows):
 @pytest.mark.parametrize("rows, widths", [
     ([(1.0,), (2.0, 3.0)], (2, 1)),                                     # a longer row
     ([(1.0, "a"), (2.0,)], (1, 2)),                                     # a shorter row
-    ([(1.0,)] * ypfa.sweeps.CSV_BATCH_ROWS + [(2.0, 3.0)], (2, 1)),     # past the first batch
+    ([(1.0,)] * _CHUNK_ROWS + [(2.0, 3.0)], (2, 1)),                    # in a later chunk
 ])
 @pytest.mark.parametrize("old", [None, b"an older file\n"])
 def test_write_csv_refuses_a_row_of_another_width(tmp_path, rows, widths, old):
-    # str.format ignores cells its template does not name: without the width
+    # str.format ignored cells its template did not name: without a width
     # check the longer row was written with its last cell dropped
     path = tmp_path / "out.csv"
     if old is not None:
         path.write_bytes(old)
     with pytest.raises(ValueError, match="a row has %d cells, the first row %d" % widths):
-        write_csv(str(path), ("x",), rows)
+        _write(path, ("x",), rows)
     assert os.listdir(tmp_path) == ["out.csv"] * (old is not None)
     if old is not None:
         assert path.read_bytes() == old
 
 
 def test_write_csv_streams_any_iterable(tmp_path):
-    rows = [(float(i), "r") for i in range(2 * ypfa.sweeps.CSV_BATCH_ROWS + 3)]
+    rows = [(float(i), "r") for i in range(2 * _CHUNK_ROWS + 3)]
     path = tmp_path / "out.csv"
-    assert write_csv(str(path), ("x", "label"), iter(rows)) == len(rows)
+    assert _write(path, ("x", "label"), iter(rows)) == len(rows)
     assert path.read_bytes() == _reference_csv(("x", "label"), rows)
 
 
 @pytest.mark.parametrize("old", [None, b"an older file\n"])
 def test_write_csv_failing_rows_leave_the_path_as_it_was(tmp_path, old):
     def rows():
-        yield from ((float(i),) for i in range(2 * ypfa.sweeps.CSV_BATCH_ROWS))
+        yield from ((float(i),) for i in range(2 * _CHUNK_ROWS))
         raise RuntimeError("a task failed")
 
     path = tmp_path / "out.csv"
     if old is not None:
         path.write_bytes(old)
     with pytest.raises(RuntimeError, match="a task failed"):
-        write_csv(str(path), ("x",), rows())
+        _write(path, ("x",), rows())
     assert os.listdir(tmp_path) == ["out.csv"] * (old is not None)
     if old is not None:
         assert path.read_bytes() == old
+
+
+def test_row_template_matches_format_on_random_bit_patterns():
+    # "%.11e" % x and format(x, ".11e") agree on every float: nan payloads,
+    # infinities, signed zeros, subnormals and normals alike
+    rng = random.Random(20261022)
+    values = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+              for _ in range(20_000)]
+    chunk = format_rows([(x,) for x in values])
+    assert chunk.template == "%.11e\n" and chunk.rows == len(values)
+    assert chunk.text == "".join(format(x, ".11e") + "\n" for x in values)
+
+
+def test_row_template_overflows_on_a_huge_int_as_format_does():
+    with pytest.raises(OverflowError):
+        format(10 ** 400, ".11e")
+    with pytest.raises(OverflowError):
+        format_rows([(10 ** 400,)])
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([(1.0, "a"), (2.0, 3.0)], TypeError, "column 2 holds a non-str cell, the first row a str"),
+    ([(1.0, "a"), (2.0, None)], TypeError, "column 2 holds a non-str cell"),
+    ([(1.0, 2.0), (3.0, "b")], TypeError, "must be real number, not str"),
+    ([(1.0,), (2.0, 3.0)], ValueError, "a row has 2 cells, the first row 1"),
+])
+def test_format_rows_refuses_a_row_unlike_the_first(rows, error, message):
+    with pytest.raises(error, match=message):
+        format_rows(rows)
+
+
+@pytest.mark.parametrize("first, later, error, message", [
+    ([(1.0, "a")], [(2.0, 3.0)], TypeError, "column 2 holds a number cell, the first row a str"),
+    ([(1.0, 2.0)], [(3.0, "b")], TypeError, "column 2 holds a str cell, the first row a number"),
+    ([(1.0,)], [(2.0, 3.0)], ValueError, "a row has 2 cells, the first row 1"),
+    ([(1.0, 2.0)], [(3.0,)], ValueError, "a row has 1 cells, the first row 2"),
+])
+def test_write_csv_refuses_a_chunk_unlike_the_first(tmp_path, first, later, error, message):
+    # each chunk's rows agree with its own first row; the file's first row rules
+    path = tmp_path / "out.csv"
+    with pytest.raises(error, match=message):
+        write_csv(str(path), ("x", "y"), [format_rows([]), format_rows(first),
+                                          format_rows(later)])
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_csv_sums_the_chunks_tallies(tmp_path):
+    path = tmp_path / "out.csv"
+    chunks = [format_rows([(1.0, "a"), (2.0, "b")], Counter(a=1, b=1)),
+              format_rows([], Counter(a=0)),
+              format_rows([(3.0, "a")], Counter(a=1)),
+              format_rows([(4.0, "c")])]
+    tally = Counter()
+    assert write_csv(str(path), ("x", "kind"), chunks, tally) == 4
+    assert tally == Counter(a=2, b=1)
+    assert path.read_bytes() == _reference_csv(("x", "kind"),
+                                               [(1.0, "a"), (2.0, "b"), (3.0, "a"), (4.0, "c")])
+
+
+def _squares(chunk):
+    return [x * x for x in chunk]
+
+
+@pytest.mark.parametrize("chunk_max", [1, 7, 256])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_covers_the_items_in_order(monkeypatch, chunk_max, workers):
+    # chunks of at most POOL_CHUNK_MAX items, about four per process, in order
+    monkeypatch.setattr(ypfa.sweeps, "POOL_CHUNK_MAX", chunk_max)
+    monkeypatch.setattr(ypfa.sweeps, "ProcessPoolExecutor", lambda max_workers: _DeferredPool())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    items = list(range(1000))
+    chunks = list(map_chunks(_squares, items, workers))
+    assert list(chain.from_iterable(chunks)) == [i * i for i in items]
+    assert max(map(len, chunks)) == min(chunk_max, 1000 // (4 * workers))
+    assert list(map_chunks(_squares, [], workers)) == []
 
 
 def test_map_ordered_preserves_order():
@@ -167,8 +263,8 @@ def test_map_ordered_preserves_order():
 
 
 def test_map_ordered_preserves_order_across_pool_chunks():
-    # more items than two workers take in one chunk each, so results come
-    # back from several chunks and must still be yielded in input order
+    # far more items than the pool's window holds, so results come back
+    # from many tasks and must still be yielded in input order
     items = list(range(4 * 2 * ypfa.sweeps.POOL_CHUNK_MAX + 7))
     assert len(items) // (2 * 4) >= ypfa.sweeps.POOL_CHUNK_MAX
     assert list(map_ordered(_square, items, workers=2)) == [i * i for i in items]
